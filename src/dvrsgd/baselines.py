@@ -25,8 +25,8 @@ from .server import HyperParams
 from .vrgrad import Snapshot, draw_batch, vr_gradient
 from .worker import sampling_stream, update_stage
 
-__all__ = ["BASELINES", "AlgoConfig", "serial_svrg", "dpg_update", "vr_dpg_update",
-           "DownpourAdagrad", "DecayingSgd", "algo_config"]
+__all__ = ["BASELINES", "AlgoConfig", "serial_svrg", "dpg_update", "DownpourAdagrad",
+           "DecayingSgd", "algo_config"]
 
 ADAGRAD_EPS0 = 1e-8
 SSP_DECAY = 0.95
@@ -71,12 +71,6 @@ def dpg_update(w: np.ndarray, w_hat: np.ndarray, theta: float) -> np.ndarray:
     if not 0.0 < theta <= 1.0:
         raise ValueError("theta must lie in (0, 1]")
     return (1.0 - theta) * w + theta * w_hat
-
-
-def vr_dpg_update(w: np.ndarray, w_hat: np.ndarray, theta: float) -> np.ndarray:
-    """Same combination as ``dpg_update``; the variance reduction lives in the
-    worker's gradient rule, not the server step."""
-    return dpg_update(w, w_hat, theta)
 
 
 class DownpourAdagrad:

@@ -20,6 +20,7 @@ import os
 import sys
 import threading
 import time
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,7 +134,17 @@ def _run_serial_svrg(problem: Problem, hyper: HyperParams, seed: int) -> RunResu
 
 # -- configuration ------------------------------------------------------------
 
-_LATENCY_FIELDS = ("latency", "value", "lo", "hi", "mean", "transport_seed", "grad_tick")
+# The file form: field name -> (INI section, key), one section per concern.
+# The per-section seeds are each stored under the key ``seed``.
+_INI_SECTIONS = {
+    "experiment": "algo seed out target_objective stop stop_param",
+    "problem": "source kind n d k lam problem_seed mu smoothness path dim",
+    "hyper": "eta theta tau B m S P",
+    "partition": "strategy partition_seed",
+    "transport": "mode latency value lo hi mean transport_seed grad_tick timeout",
+}
+_INI_KEY = {name: (section, "seed" if name.endswith("_seed") else name)
+            for section, names in _INI_SECTIONS.items() for name in names.split()}
 
 
 @dataclass
@@ -242,77 +253,45 @@ class ExperimentConfig:
     # -- file form ------------------------------------------------------------
 
     def to_file(self, path):
-        cp = configparser.ConfigParser()
-        opt = lambda v: "" if v is None else repr(v) if isinstance(v, float) else str(v)
-        cp["experiment"] = {"algo": self.algo, "seed": str(self.seed), "out": self.out,
-                            "target_objective": opt(self.target_objective),
-                            "stop": self.stop, "stop_param": opt(self.stop_param)}
-        cp["problem"] = {"source": self.source, "kind": self.kind, "n": str(self.n),
-                         "d": str(self.d), "k": str(self.k), "lam": repr(self.lam),
-                         "seed": str(self.problem_seed), "mu": repr(self.mu),
-                         "smoothness": repr(self.smoothness),
-                         "path": self.path or "", "dim": opt(self.dim)}
-        cp["hyper"] = {"eta": repr(self.eta), "theta": repr(self.theta),
-                       "tau": str(self.tau), "B": str(self.B), "m": opt(self.m),
-                       "S": str(self.S), "P": str(self.P)}
-        cp["partition"] = {"strategy": self.strategy, "seed": str(self.partition_seed)}
-        cp["transport"] = {"mode": self.mode, "latency": self.latency,
-                           "value": repr(self.value), "lo": repr(self.lo),
-                           "hi": repr(self.hi), "mean": repr(self.mean),
-                           "seed": str(self.transport_seed),
-                           "grad_tick": repr(self.grad_tick), "timeout": repr(self.timeout)}
+        sections = {}
+        for f in dataclasses.fields(self):
+            if f.name in _INI_KEY:
+                section, key = _INI_KEY[f.name]
+                v = getattr(self, f.name)
+                sections.setdefault(section, {})[key] = (
+                    "" if v is None else repr(v) if isinstance(v, float) else str(v))
         if self.endpoints:
-            cp["endpoints"] = {name.replace(":", "."): f"{h}:{p}"
-                               for name, (h, p) in self.endpoints.items()}
+            sections["endpoints"] = {name.replace(":", "."): f"{h}:{p}"
+                                     for name, (h, p) in self.endpoints.items()}
+        cp = configparser.ConfigParser()
+        cp.read_dict(sections)
         with open(path, "w") as fh:
             cp.write(fh)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        cp = configparser.ConfigParser()
+        cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
         if not cp.read(path):
             raise FileNotFoundError(path)
-        g = lambda sec, key, conv, default: (
-            conv(cp[sec][key]) if sec in cp and cp[sec].get(key, "") != "" else default)
-        opt_f = lambda s: float(s)
-        opt_i = lambda s: int(s)
-        cfg = cls(
-            algo=g("experiment", "algo", str, "dvrsgd"),
-            seed=g("experiment", "seed", int, 0),
-            out=g("experiment", "out", str, "progress.csv"),
-            target_objective=g("experiment", "target_objective", opt_f, None),
-            stop=g("experiment", "stop", str, "fixed"),
-            stop_param=g("experiment", "stop_param", opt_f, None),
-            source=g("problem", "source", str, "synthetic"),
-            kind=g("problem", "kind", str, "quadratic"),
-            n=g("problem", "n", int, 1000),
-            d=g("problem", "d", int, 20),
-            k=g("problem", "k", int, 2),
-            lam=g("problem", "lam", float, 0.0),
-            problem_seed=g("problem", "seed", int, 7),
-            mu=g("problem", "mu", float, 1.0),
-            smoothness=g("problem", "smoothness", float, 10.0),
-            path=g("problem", "path", str, None),
-            dim=g("problem", "dim", opt_i, None),
-            eta=g("hyper", "eta", float, 0.01),
-            theta=g("hyper", "theta", float, 0.5),
-            tau=g("hyper", "tau", int, 0),
-            B=g("hyper", "B", int, 1),
-            m=g("hyper", "m", opt_i, None),
-            S=g("hyper", "S", int, 10),
-            P=g("hyper", "P", int, 1),
-            strategy=g("partition", "strategy", str, "contiguous"),
-            partition_seed=g("partition", "seed", int, 0),
-            mode=g("transport", "mode", str, "sim"),
-            latency=g("transport", "latency", str, "constant"),
-            value=g("transport", "value", float, 0.0),
-            lo=g("transport", "lo", float, 1.0),
-            hi=g("transport", "hi", float, 5.0),
-            mean=g("transport", "mean", float, 1.0),
-            transport_seed=g("transport", "seed", int, 0),
-            grad_tick=g("transport", "grad_tick", float, 0.0),
-            timeout=g("transport", "timeout", float, 60.0),
-        )
+        known = {(section, key.lower()) for section, key in _INI_KEY.values()}
+        sections = {section for section, _ in known} | {"endpoints"}
+        unknown = []
+        for section in cp.sections():
+            if section not in sections:
+                unknown.append(f"[{section}]")
+            elif section != "endpoints":
+                unknown += [f"{section}.{key}" for key in cp[section]
+                            if (section, key) not in known]
+        if unknown:
+            raise ValueError(f"{path}: unknown config entries: {', '.join(unknown)}")
+        values = {}
+        for f in dataclasses.fields(cls):
+            text = cp.get(*_INI_KEY[f.name], fallback="") if f.name in _INI_KEY else ""
+            if text:
+                conv = next(t for t in typing.get_args(f.type) or (f.type,)
+                            if t is not type(None))
+                values[f.name] = conv(text)
+        cfg = cls(**values)
         if "endpoints" in cp:
             for name, addr in cp["endpoints"].items():
                 host, port = addr.rsplit(":", 1)

@@ -5,23 +5,22 @@ Every message encodes to one self-delimiting frame:
     [u32 body length][u8 tag][payload ...]
 
 with little-endian fixed-width integers and IEEE-754 binary64 floats
-throughout.  Vectors are encoded as ``u64 count`` followed by the raw float64
-values, so real payloads survive the wire bit-exactly.  Tags:
+throughout.  The message table below (``TaskAssign = _message(1, ...)`` and so
+on) is the one description of each frame: its tag and its ``name:kind``
+fields in wire order.  The four field kinds are
 
-    1 TaskAssign          task
-    2 PullRequest         worker, task
-    3 PullResponse        task, w
-    4 UpdatePush          worker, task, w_bar, delta
-    5 EvalPush            worker, local_grad, local_obj_sum, comp_time, comm_time
-    6 Stop                (empty)
-    7 SnapshotBroadcast   grad
+    u32   unsigned 32-bit integer
+    f64   binary64 float
+    task  task id: ``u64 timestamp`` + ``u8 kind`` (0 update, 1 evaluation)
+    vec   ``u64 count`` followed by the raw float64 values, so real payloads
+          survive the wire bit-exactly
 
-A task id is ``u64 timestamp`` + ``u8 kind`` (0 update, 1 evaluation).
-Messages are immutable values; handlers never mutate a received payload.
+``encode``, ``decode``, equality and repr all walk that table.  Messages are
+immutable values; handlers never mutate a received payload.
 """
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field, make_dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -34,7 +33,7 @@ __all__ = [
 
 
 class DecodeError(Exception):
-    """Raised for truncated frames, bad tags, or trailing bytes."""
+    """Raised for truncated frames, bad tags, bad task ids, or trailing bytes."""
 
 
 class TaskKind(IntEnum):
@@ -52,104 +51,10 @@ class TaskId:
             raise ValueError("task timestamps start at 1")
 
 
-@dataclass(frozen=True)
-class TaskAssign:
-    task: TaskId
-
-
-@dataclass(frozen=True)
-class PullRequest:
-    worker: int
-    task: TaskId
-
-
-class PullResponse:
-    __slots__ = ("task", "w")
-
-    def __init__(self, task: TaskId, w: np.ndarray):
-        self.task = task
-        self.w = w
-
-    def __eq__(self, other):
-        return (isinstance(other, PullResponse) and self.task == other.task
-                and np.array_equal(self.w, other.w))
-
-    def __repr__(self):
-        return f"PullResponse(task={self.task}, dim={self.w.shape[0]})"
-
-
-class UpdatePush:
-    __slots__ = ("worker", "task", "w_bar", "delta")
-
-    def __init__(self, worker: int, task: TaskId, w_bar: np.ndarray, delta: np.ndarray):
-        self.worker = worker
-        self.task = task
-        self.w_bar = w_bar
-        self.delta = delta
-
-    def __eq__(self, other):
-        return (isinstance(other, UpdatePush) and self.worker == other.worker
-                and self.task == other.task
-                and np.array_equal(self.w_bar, other.w_bar)
-                and np.array_equal(self.delta, other.delta))
-
-    def __repr__(self):
-        return f"UpdatePush(worker={self.worker}, task={self.task})"
-
-
-class EvalPush:
-    __slots__ = ("worker", "local_grad", "local_obj_sum", "comp_time", "comm_time")
-
-    def __init__(self, worker: int, local_grad: np.ndarray, local_obj_sum: float,
-                 comp_time: float = 0.0, comm_time: float = 0.0):
-        self.worker = worker
-        self.local_grad = local_grad
-        self.local_obj_sum = local_obj_sum
-        self.comp_time = comp_time
-        self.comm_time = comm_time
-
-    def __eq__(self, other):
-        return (isinstance(other, EvalPush) and self.worker == other.worker
-                and np.array_equal(self.local_grad, other.local_grad)
-                and self.local_obj_sum == other.local_obj_sum
-                and self.comp_time == other.comp_time
-                and self.comm_time == other.comm_time)
-
-    def __repr__(self):
-        return f"EvalPush(worker={self.worker}, obj_sum={self.local_obj_sum!r})"
-
-
-@dataclass(frozen=True)
-class Stop:
-    pass
-
-
-class SnapshotBroadcast:
-    __slots__ = ("grad",)
-
-    def __init__(self, grad: np.ndarray):
-        self.grad = grad
-
-    def __eq__(self, other):
-        return isinstance(other, SnapshotBroadcast) and np.array_equal(self.grad, other.grad)
-
-    def __repr__(self):
-        return f"SnapshotBroadcast(dim={self.grad.shape[0]})"
-
-
-Message = (TaskAssign, PullRequest, PullResponse, UpdatePush, EvalPush, Stop, SnapshotBroadcast)
-
-_TAGS = {TaskAssign: 1, PullRequest: 2, PullResponse: 3, UpdatePush: 4,
-         EvalPush: 5, Stop: 6, SnapshotBroadcast: 7}
-
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _F64 = struct.Struct("<d")
-
-
-def _pack_task(out: bytearray, task: TaskId):
-    out += _U64.pack(task.timestamp)
-    out.append(int(task.kind))
+_TASK = struct.Struct("<QB")
 
 
 def _pack_vec(out: bytearray, v: np.ndarray):
@@ -158,108 +63,119 @@ def _pack_vec(out: bytearray, v: np.ndarray):
     out += v.tobytes()
 
 
+def _read_task(buf: bytes, pos: int):
+    ts, kind = _TASK.unpack_from(buf, pos)
+    if kind not in (0, 1):
+        raise DecodeError(f"invalid task kind {kind}")
+    if ts < 1:
+        raise DecodeError("task timestamp must be >= 1")
+    return TaskId(ts, TaskKind(kind)), pos + _TASK.size
+
+
+def _read_vec(buf: bytes, pos: int):
+    (n,) = _U64.unpack_from(buf, pos)
+    pos += _U64.size
+    if n > (len(buf) - pos) // 8:
+        raise DecodeError("vector length exceeds frame")
+    return np.frombuffer(buf, "<f8", n, pos).copy(), pos + 8 * n
+
+
+# field kind -> (append value to a bytearray, read (value, next pos) at a pos);
+# the struct readers raise struct.error on truncation, which decode reports
+_KINDS = {
+    "u32": (lambda out, v: out.extend(_U32.pack(v)),
+            lambda buf, pos: (_U32.unpack_from(buf, pos)[0], pos + 4)),
+    "f64": (lambda out, v: out.extend(_F64.pack(v)),
+            lambda buf, pos: (_F64.unpack_from(buf, pos)[0], pos + 8)),
+    "task": (lambda out, t: out.extend(_TASK.pack(t.timestamp, t.kind)), _read_task),
+    "vec": (_pack_vec, _read_vec),
+}
+
+
+class _Message:
+    """Equality, hashing and repr shared by every message, driven by ``_wire``."""
+
+    __slots__ = ()
+    _tag = 0    # set per message by _message
+    _wire = ()  # (field name, kind, pack, read), in wire order
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name), getattr(other, name)) if kind == "vec"
+                   else getattr(self, name) == getattr(other, name)
+                   for name, kind, _, _ in self._wire)
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, name) for name, _, _, _ in self._wire))
+
+    def __repr__(self):
+        shown = (f"{name}=<{len(getattr(self, name))}>" if kind == "vec"
+                 else f"{name}={getattr(self, name)!r}" for name, kind, _, _ in self._wire)
+        return f"{type(self).__name__}({', '.join(shown)})"
+
+
+_BY_TAG: dict = {}
+
+
+def _message(tag: int, name: str, spec: str = "", **defaults):
+    """A message class for ``tag`` whose fields are the ``name:kind`` words of
+    ``spec`` in wire order; ``defaults`` gives default values by field name."""
+    wire = tuple((f, kind, *_KINDS[kind]) for f, kind in (w.split(":") for w in spec.split()))
+    cls = make_dataclass(
+        name, [(f, kind, field(default=defaults[f])) if f in defaults else (f, kind)
+               for f, kind, _, _ in wire],
+        bases=(_Message,), namespace={"__module__": __name__, "_tag": tag, "_wire": wire},
+        eq=False, repr=False, slots=True)
+    _BY_TAG[tag] = cls
+    return cls
+
+
+TaskAssign = _message(1, "TaskAssign", "task:task")
+PullRequest = _message(2, "PullRequest", "worker:u32 task:task")
+PullResponse = _message(3, "PullResponse", "task:task w:vec")
+UpdatePush = _message(4, "UpdatePush", "worker:u32 task:task w_bar:vec delta:vec")
+EvalPush = _message(5, "EvalPush", "worker:u32 local_grad:vec local_obj_sum:f64 "
+                    "comp_time:f64 comm_time:f64", comp_time=0.0, comm_time=0.0)
+Stop = _message(6, "Stop")
+SnapshotBroadcast = _message(7, "SnapshotBroadcast", "grad:vec")
+
+Message = tuple(_BY_TAG.values())
+
+
 def encode(msg) -> bytes:
     """Serialize a message into one length-prefixed frame."""
-    try:
-        tag = _TAGS[type(msg)]
-    except KeyError:
+    if type(msg) not in Message:
         raise TypeError(f"not a protocol message: {type(msg).__name__}")
-    body = bytearray([tag])
-    if tag == 1:
-        _pack_task(body, msg.task)
-    elif tag == 2:
-        body += _U32.pack(msg.worker)
-        _pack_task(body, msg.task)
-    elif tag == 3:
-        _pack_task(body, msg.task)
-        _pack_vec(body, msg.w)
-    elif tag == 4:
-        body += _U32.pack(msg.worker)
-        _pack_task(body, msg.task)
-        _pack_vec(body, msg.w_bar)
-        _pack_vec(body, msg.delta)
-    elif tag == 5:
-        body += _U32.pack(msg.worker)
-        _pack_vec(body, msg.local_grad)
-        body += _F64.pack(msg.local_obj_sum)
-        body += _F64.pack(msg.comp_time)
-        body += _F64.pack(msg.comm_time)
-    elif tag == 7:
-        _pack_vec(body, msg.grad)
-    return _U32.pack(len(body)) + bytes(body)
-
-
-class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise DecodeError("truncated frame")
-        chunk = self.buf[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u32(self) -> int:
-        return _U32.unpack(self.take(4))[0]
-
-    def u64(self) -> int:
-        return _U64.unpack(self.take(8))[0]
-
-    def f64(self) -> float:
-        return _F64.unpack(self.take(8))[0]
-
-    def task(self) -> TaskId:
-        ts = self.u64()
-        kind = self.u8()
-        if kind not in (0, 1):
-            raise DecodeError(f"invalid task kind {kind}")
-        if ts < 1:
-            raise DecodeError("task timestamp must be >= 1")
-        return TaskId(ts, TaskKind(kind))
-
-    def vec(self) -> np.ndarray:
-        n = self.u64()
-        if n > (len(self.buf) - self.pos) // 8:
-            raise DecodeError("vector length exceeds frame")
-        return np.frombuffer(self.take(8 * n), dtype="<f8").copy()
+    body = bytearray(4)
+    body.append(msg._tag)
+    for name, _, pack, _ in msg._wire:
+        pack(body, getattr(msg, name))
+    _U32.pack_into(body, 0, len(body) - 4)
+    return bytes(body)
 
 
 def decode(buf: bytes):
     """Parse one complete frame back into a message.
 
-    Raises DecodeError on truncation, trailing bytes, or an unknown tag.
+    Raises DecodeError on truncation, trailing bytes, an unknown tag, a bad
+    task id, or a vector longer than the frame.
     """
     if len(buf) < 5:
         raise DecodeError("frame too short")
-    (body_len,) = _U32.unpack(buf[:4])
+    (body_len,) = _U32.unpack_from(buf)
     if body_len != len(buf) - 4:
         raise DecodeError(f"frame length mismatch: header says {body_len}, got {len(buf) - 4}")
-    r = _Reader(buf)
-    r.pos = 4
-    tag = r.u8()
-    if tag == 1:
-        msg = TaskAssign(r.task())
-    elif tag == 2:
-        msg = PullRequest(r.u32(), r.task())
-    elif tag == 3:
-        msg = PullResponse(r.task(), r.vec())
-    elif tag == 4:
-        worker = r.u32()
-        task = r.task()
-        msg = UpdatePush(worker, task, r.vec(), r.vec())
-    elif tag == 5:
-        msg = EvalPush(r.u32(), r.vec(), r.f64(), r.f64(), r.f64())
-    elif tag == 6:
-        msg = Stop()
-    elif tag == 7:
-        msg = SnapshotBroadcast(r.vec())
-    else:
-        raise DecodeError(f"unknown message tag {tag}")
-    if r.pos != len(buf):
+    cls = _BY_TAG.get(buf[4])
+    if cls is None:
+        raise DecodeError(f"unknown message tag {buf[4]}")
+    values, pos = [], 5
+    try:
+        for _, _, _, read in cls._wire:
+            value, pos = read(buf, pos)
+            values.append(value)
+    except struct.error:
+        raise DecodeError("truncated frame") from None
+    if pos != len(buf):
         raise DecodeError("trailing bytes after message payload")
-    return msg
+    return cls(*values)

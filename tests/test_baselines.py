@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dvrsgd.baselines import (ADAGRAD_EPS0, BASELINES, DecayingSgd, DownpourAdagrad,
-                              algo_config, dpg_update, serial_svrg, vr_dpg_update)
+                              algo_config, dpg_update, serial_svrg)
 from dvrsgd.harness import run_cluster
 from dvrsgd.losses import make_synthetic, objective
 from dvrsgd.protocol import TaskId, TaskKind, UpdatePush
@@ -46,7 +46,6 @@ def test_dpg_update_endpoints():
     w, w_hat = np.array([2.0]), np.array([0.0])
     assert np.array_equal(dpg_update(w, w_hat, theta=1.0), w_hat)
     assert np.array_equal(dpg_update(w, w_hat, theta=0.5), np.array([1.0]))
-    assert np.array_equal(vr_dpg_update(w, w_hat, theta=0.5), np.array([1.0]))
     with pytest.raises(ValueError):
         dpg_update(w, w_hat, theta=0.0)
 

@@ -1,3 +1,6 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,45 @@ def test_config_file_round_trip(tmp_path):
     path = tmp_path / "exp.ini"
     cfg.to_file(path)
     assert ExperimentConfig.from_file(path) == cfg
+
+
+def test_config_file_round_trip_every_field(tmp_path):
+    cfg = ExperimentConfig(
+        algo="dpg", seed=5, out="other.csv", target_objective=0.25, stop="target",
+        stop_param=1e-6, source="libsvm", kind="l2-logistic", n=12, d=3, k=4, lam=0.5,
+        problem_seed=8, mu=2.0, smoothness=3.5, path="data.svm", dim=9, eta=0.3,
+        theta=0.25, tau=4, B=2, m=7, S=6, P=3, strategy="shuffled", partition_seed=11,
+        mode="socket", latency="exponential", value=0.5, lo=0.75, hi=2.5, mean=1.5,
+        transport_seed=13, grad_tick=0.125, timeout=9.5,
+        endpoints={"scheduler": ("127.0.0.1", 7001), "worker:1": ("10.0.0.2", 7003)})
+    for f in dataclasses.fields(ExperimentConfig):
+        default = f.default_factory() if f.default is dataclasses.MISSING else f.default
+        assert getattr(cfg, f.name) != default, f.name
+    path = tmp_path / "exp.ini"
+    cfg.to_file(path)
+    assert ExperimentConfig.from_file(path) == cfg
+
+
+def test_readme_example_config_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    path = tmp_path / "readme.ini"
+    path.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+    cfg = ExperimentConfig.from_file(path)
+    assert cfg.validate() == []
+    assert (cfg.algo, cfg.tau, cfg.B, cfg.m, cfg.grad_tick) == ("dvrsgd", 8, 20, None, 0.01)
+    assert cfg.endpoints["worker:0"] == ("127.0.0.1", 7102)
+
+
+@pytest.mark.parametrize("name", ["hyper.tua", "experiment.tau", "problem.problem_seed",
+                                  "hyperparams"])
+def test_config_rejects_unknown_keys(tmp_path, name):
+    section, _, key = name.partition(".")
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[{section}]\n" + (f"{key} = 8\n" if key else ""))
+    with pytest.raises(ValueError, match=name):
+        ExperimentConfig.from_file(path)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 1
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_config_validation_lists_all_errors(tmp_path):

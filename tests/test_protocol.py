@@ -40,6 +40,36 @@ def rand_message(rng):
     return SnapshotBroadcast(rand_vec(rng))
 
 
+# One frame per tag, hex split at field boundaries: the documented byte layout.
+GOLDEN_FRAMES = [
+    (TaskAssign(TaskId(5, TaskKind.UPDATE)),
+     "0a000000" "01" "0500000000000000" "00"),
+    (PullRequest(3, TaskId(258, TaskKind.EVALUATION)),
+     "0e000000" "02" "03000000" "0201000000000000" "01"),
+    (PullResponse(TaskId(7, TaskKind.UPDATE), np.array([1.0, -2.0])),
+     "22000000" "03" "0700000000000000" "00"
+     "0200000000000000" "000000000000f03f" "00000000000000c0"),
+    (UpdatePush(2, TaskId(17, TaskKind.UPDATE), np.array([1.0, -0.5]), np.array([0.25, 0.0])),
+     "3e000000" "04" "02000000" "1100000000000000" "00"
+     "0200000000000000" "000000000000f03f" "000000000000e0bf"
+     "0200000000000000" "000000000000d03f" "0000000000000000"),
+    (EvalPush(1, np.array([2.0]), 0.125, 3.5, 0.75),
+     "2d000000" "05" "01000000" "0100000000000000" "0000000000000040"
+     "000000000000c03f" "0000000000000c40" "000000000000e83f"),
+    (Stop(),
+     "01000000" "06"),
+    (SnapshotBroadcast(np.array([-1.0])),
+     "11000000" "07" "0100000000000000" "000000000000f0bf"),
+]
+
+
+@pytest.mark.parametrize("msg, frame", GOLDEN_FRAMES,
+                         ids=[type(m).__name__ for m, _ in GOLDEN_FRAMES])
+def test_golden_frames(msg, frame):
+    assert encode(msg).hex() == frame
+    assert decode(bytes.fromhex(frame)) == msg
+
+
 def test_update_push_round_trip_d3():
     msg = UpdatePush(2, TaskId(17, TaskKind.UPDATE),
                      np.array([1.0, -2.5, 3.25]), np.array([0.125, 0.0, -1e-300]))
