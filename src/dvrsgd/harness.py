@@ -258,8 +258,9 @@ class ExperimentConfig:
             if f.name in _INI_KEY:
                 section, key = _INI_KEY[f.name]
                 v = getattr(self, f.name)
-                sections.setdefault(section, {})[key] = (
-                    "" if v is None else repr(v) if isinstance(v, float) else str(v))
+                if isinstance(v, (float, np.floating)):
+                    v = repr(float(v))  # a NumPy scalar's repr names its type
+                sections.setdefault(section, {})[key] = "" if v is None else str(v)
         if self.endpoints:
             sections["endpoints"] = {name.replace(":", "."): f"{h}:{p}"
                                      for name, (h, p) in self.endpoints.items()}
@@ -271,32 +272,36 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
-        if not cp.read(path):
-            raise FileNotFoundError(path)
-        known = {(section, key.lower()) for section, key in _INI_KEY.values()}
-        sections = {section for section, _ in known} | {"endpoints"}
-        unknown = []
-        for section in cp.sections():
-            if section not in sections:
-                unknown.append(f"[{section}]")
-            elif section != "endpoints":
-                unknown += [f"{section}.{key}" for key in cp[section]
-                            if (section, key) not in known]
-        if unknown:
-            raise ValueError(f"{path}: unknown config entries: {', '.join(unknown)}")
-        values = {}
-        for f in dataclasses.fields(cls):
-            text = cp.get(*_INI_KEY[f.name], fallback="") if f.name in _INI_KEY else ""
-            if text:
-                conv = next(t for t in typing.get_args(f.type) or (f.type,)
-                            if t is not type(None))
-                values[f.name] = conv(text)
-        cfg = cls(**values)
-        if "endpoints" in cp:
-            for name, addr in cp["endpoints"].items():
-                host, port = addr.rsplit(":", 1)
-                cfg.endpoints[name.replace(".", ":")] = (host, int(port))
-        return cfg
+        try:
+            if not cp.read(path):
+                raise FileNotFoundError(path)
+            known = {(section, key.lower()) for section, key in _INI_KEY.values()}
+            sections = {section for section, _ in known} | {"endpoints"}
+            unknown = []
+            for section in cp.sections():
+                if section not in sections:
+                    unknown.append(f"[{section}]")
+                elif section != "endpoints":
+                    unknown += [f"{section}.{key}" for key in cp[section]
+                                if (section, key) not in known]
+            if unknown:
+                raise ValueError(f"{path}: unknown config entries: {', '.join(unknown)}")
+            values = {}
+            for f in dataclasses.fields(cls):
+                text = cp.get(*_INI_KEY[f.name], fallback="") if f.name in _INI_KEY else ""
+                if text:
+                    conv = next(t for t in typing.get_args(f.type) or (f.type,)
+                                if t is not type(None))
+                    values[f.name] = conv(text)
+            cfg = cls(**values)
+            if "endpoints" in cp:
+                for name, addr in cp["endpoints"].items():
+                    host, port = addr.rsplit(":", 1)
+                    cfg.endpoints[name.replace(".", ":")] = (host, int(port))
+            return cfg
+        except configparser.Error as exc:
+            # duplicated keys, keys before any section, bad % interpolation
+            raise ValueError(f"{path}: malformed config: {exc}") from exc
 
     def resolve_endpoints(self) -> dict:
         """Endpoint table with DVRSGD_<ROLE> environment overrides applied."""

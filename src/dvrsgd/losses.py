@@ -193,6 +193,14 @@ def _gradient_rows(problem: Problem, w: np.ndarray, idx: np.ndarray) -> np.ndarr
 
 
 def _ordered_sum(rows: np.ndarray) -> np.ndarray:
+    """Sum of the rows, added one row at a time in index order.
+
+    An axis-0 ``np.add.reduce`` over a C-contiguous block with more than one
+    column adds whole rows in order, so it gives the loop's bits; over one
+    column NumPy sums pairwise, so that case (and any strided block) loops.
+    """
+    if rows.ndim == 2 and rows.shape[1] > 1 and rows.flags.c_contiguous:
+        return np.add.reduce(rows, axis=0)
     acc = rows[0].copy()
     for k in range(1, rows.shape[0]):
         acc += rows[k]

@@ -6,17 +6,24 @@ in for a daemon thread plus a computing thread sharing a lock on w):
 * pull gating -- a pull for an update task with timestamp t is answered only
   once every update timestamp < t - tau is finished; a pull for an evaluation
   task waits until every update timestamp < t is finished, so all workers
-  receive the identical stage-final w.  Ineligible pulls stay buffered and are
-  re-examined, in ascending task-timestamp order, after every applied update.
+  receive the identical stage-final w.  Both rules are a threshold on the
+  finished watermark (t - tau - 1 for an update, t - 1 for an evaluation), so
+  an ineligible pull is buffered in a min-heap keyed on the watermark it
+  needs.  After every applied update the pulls whose threshold the watermark
+  has reached are popped and answered in ascending (timestamp, arrival)
+  order; the rest of the heap is not touched.
 * update application -- each UpdatePush replaces w wholesale via the
   configured update rule (default: the hybrid rule
   w = (1-theta)*(w - eta*delta) + theta*w_bar) and marks its timestamp
   finished.
 
 Finished timestamps are tracked as a watermark plus a sparse overflow set,
-since tasks complete nearly in order.
+since tasks complete nearly in order.  A worker takes its tasks in order, one
+pull at a time, so duplicate pulls are caught with one last-answered key per
+worker plus the set of buffered pulls: bounded state over any run length.
 """
 
+import heapq
 import logging
 from dataclasses import dataclass
 
@@ -138,8 +145,10 @@ class ParamServer(Node):
         self.gate_bound = hyper.tau if gate_bound == "tau" else gate_bound
         self.worker_endpoints = worker_endpoints or [f"worker:{p}" for p in range(hyper.P)]
         self.finished = FinishedTasks()
-        self.pending_pulls: list[tuple[int, str, PullRequest]] = []
-        self._answered: set[tuple[int, int, TaskKind]] = set()
+        # heap of ((threshold, timestamp, arrival), endpoint, request)
+        self.pending_pulls: list[tuple[tuple[int, int, int], str, PullRequest]] = []
+        self._pending_keys: set[tuple[int, int, TaskKind]] = set()
+        self._last_answered: dict[int, tuple[int, int]] = {}
         self._arrival = 0
         self.snapshot: Snapshot | None = None
         self.snapshot_history: list[Snapshot] = []
@@ -151,30 +160,42 @@ class ParamServer(Node):
 
     # -- gating -----------------------------------------------------------
 
-    def _eligible(self, task) -> bool:
+    def _threshold(self, task) -> int:
+        """The finished watermark at which a pull for ``task`` may be answered."""
         if task.kind == TaskKind.UPDATE:
             if self.gate_bound is None:
-                return True
-            return self.finished.all_finished_below(task.timestamp - self.gate_bound)
-        return self.finished.all_finished_below(task.timestamp)
+                return -1
+            return task.timestamp - self.gate_bound - 1
+        return task.timestamp - 1
+
+    @staticmethod
+    def _order_key(task) -> tuple[int, int]:
+        # a stage's evaluation task shares its timestamp with the next stage's
+        # first update task and comes before it
+        return task.timestamp, 0 if task.kind == TaskKind.EVALUATION else 1
 
     def gate_pull(self, req: PullRequest) -> bool:
         """Answer ``req`` now if eligible, else buffer it.  Returns True if answered."""
-        key = (req.worker, req.task.timestamp, req.task.kind)
-        if key in self._answered or \
-                any(r.worker == req.worker and r.task == req.task for _, _, r in self.pending_pulls):
-            raise ProtocolError(f"duplicate pull from worker {req.worker} for {req.task}")
-        if req.task.kind == TaskKind.UPDATE and req.task.timestamp in self.finished:
-            raise ProtocolError(f"pull for already-finished task {req.task}")
-        if self._eligible(req.task):
+        task = req.task
+        pending_key = (req.worker, task.timestamp, task.kind)
+        if self._order_key(task) <= self._last_answered.get(req.worker, (-1, 0)) or \
+                pending_key in self._pending_keys:
+            raise ProtocolError(f"duplicate pull from worker {req.worker} for {task}")
+        if task.kind == TaskKind.UPDATE and task.timestamp in self.finished:
+            raise ProtocolError(f"pull for already-finished task {task}")
+        threshold = self._threshold(task)
+        if threshold <= self.finished.watermark:
             self._respond(req)
             return True
         self._arrival += 1
-        self.pending_pulls.append((self._arrival, f"worker:{req.worker}", req))
+        heapq.heappush(self.pending_pulls, ((threshold, task.timestamp, self._arrival),
+                                            f"worker:{req.worker}", req))
+        self._pending_keys.add(pending_key)
         return False
 
     def _respond(self, req: PullRequest):
-        self._answered.add((req.worker, req.task.timestamp, req.task.kind))
+        key = self._order_key(req.task)
+        self._last_answered[req.worker] = max(key, self._last_answered.get(req.worker, key))
         if req.task.kind == TaskKind.EVALUATION:
             stage = (req.task.timestamp - 1) // self.hyper.m
             if stage != self._eval_stage:
@@ -188,16 +209,20 @@ class ParamServer(Node):
         self.send(f"worker:{req.worker}", PullResponse(req.task, self.w))
 
     def _rescan_pending(self):
-        if not self.pending_pulls:
-            return
-        self.pending_pulls.sort(key=lambda e: (e[2].task.timestamp, e[0]))
-        kept = []
-        for entry in self.pending_pulls:
-            if self._eligible(entry[2].task):
-                self._respond(entry[2])
-            else:
-                kept.append(entry)
-        self.pending_pulls = kept
+        """Answer every buffered pull whose threshold the watermark has reached.
+
+        ``_respond`` never moves the watermark, so popping the released batch
+        and answering it in (timestamp, arrival) order sends exactly what a
+        sorted scan of all buffered pulls would.
+        """
+        pending, watermark = self.pending_pulls, self.finished.watermark
+        released = []
+        while pending and pending[0][0][0] <= watermark:
+            released.append(heapq.heappop(pending))
+        released.sort(key=lambda e: e[0][1:])
+        for _, _, req in released:
+            self._pending_keys.discard((req.worker, req.task.timestamp, req.task.kind))
+            self._respond(req)
 
     # -- updates and stage end ---------------------------------------------
 
@@ -265,5 +290,6 @@ class ParamServer(Node):
             for _, _, req in self.pending_pulls:
                 log.info("discarding deferred pull %r after STOP", req)
             self.pending_pulls.clear()
+            self._pending_keys.clear()
         else:
             raise ProtocolError(f"server cannot handle {type(msg).__name__}")

@@ -253,3 +253,27 @@ def test_socket_cluster_timeout():
     never = threading.Event()
     with pytest.raises(TransportError):
         cluster.wait(never)
+
+
+@pytest.mark.parametrize("text", ["[hyper]\ntau = 1\ntau = 2\n", "tau = 1\n[hyper]\n",
+                                  "[experiment]\nout = a%b.csv\n"],
+                         ids=["duplicate-key", "key-before-section", "bad-interpolation"])
+def test_config_malformed_file_is_a_clean_error(tmp_path, text, capsys):
+    path = tmp_path / "malformed.ini"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="malformed.ini"):
+        ExperimentConfig.from_file(path)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_config_file_round_trip_numpy_scalars(tmp_path):
+    cfg = small_config(tmp_path, eta=np.float64(0.1), theta=np.float32(0.25),
+                       lam=np.float64(1e-3), tau=np.int64(4), S=np.int32(7))
+    path = tmp_path / "exp.ini"
+    cfg.to_file(path)
+    assert "np." not in path.read_text()
+    back = ExperimentConfig.from_file(path)
+    assert back == cfg
+    assert all(type(getattr(back, f)) is float for f in ("eta", "theta", "lam"))

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from dvrsgd.losses import (Problem, Sample, full_gradient, loss_sum, make_synthetic,
-                           objective, sample_gradient, sample_loss)
+from dvrsgd.losses import (Problem, Sample, _ordered_sum, full_gradient, loss_sum,
+                           make_synthetic, objective, sample_gradient, sample_loss)
 from helpers import finite_difference_gradient, logistic_newton, quad_solution
 
 ALL_KINDS = [
@@ -156,3 +156,17 @@ def test_loss_sum_matches_objective():
     p = ALL_KINDS[1]
     w = np.random.default_rng(16).normal(size=p.dim)
     assert loss_sum(p, w, np.arange(p.n)) / p.n == pytest.approx(objective(p, w), rel=1e-15)
+
+
+@pytest.mark.parametrize("n,d", [(1, 5), (2, 2), (20, 50), (300, 2), (300, 3), (64, 17),
+                                 (2000, 1000), (5000, 200), (7, 1), (300, 1), (1000, 1)])
+def test_ordered_sum_matches_row_loop_bitwise(n, d):
+    # rows scaled over 40 orders of magnitude, so any other summation order
+    # shows in the low bits
+    rng = np.random.default_rng(n * 10007 + d)
+    rows = rng.normal(size=(n, d)) * np.exp(rng.uniform(-20.0, 20.0, size=(n, 1)))
+    acc = rows[0].copy()
+    for k in range(1, n):
+        acc += rows[k]
+    for block in (rows, np.asfortranarray(rows)):
+        assert np.array_equal(_ordered_sum(block), acc)

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from dvrsgd.data import partition
+from dvrsgd.harness import _build_nodes
 from dvrsgd.losses import full_gradient, make_synthetic, mean_gradient
 from dvrsgd.protocol import (EvalPush, PullRequest, Stop, TaskId,
                              TaskKind, UpdatePush)
 from dvrsgd.server import (FinishedTasks, HyperParams, ParamServer, ProtocolError,
                            aggregate_local_gradients, apply_hybrid)
-from dvrsgd.transport import SimCluster
+from dvrsgd.transport import LatencyModel, SimCluster
 
 
 class Sink:
@@ -70,6 +71,43 @@ def test_duplicate_pull_rejected():
     server.gate_pull(PullRequest(0, TaskId(2, TaskKind.UPDATE)))
     with pytest.raises(ProtocolError):
         server.gate_pull(PullRequest(0, TaskId(2, TaskKind.UPDATE)))
+
+
+def test_duplicate_pulls_rejected_while_pending_and_once_answered():
+    server, _ = make_server(tau=2, m=10)
+    finish(server, range(1, 10))
+    evaluation = PullRequest(0, TaskId(11, TaskKind.EVALUATION))
+    assert server.gate_pull(evaluation) is False
+    with pytest.raises(ProtocolError):
+        server.gate_pull(evaluation)
+    server.apply_update(UpdatePush(0, TaskId(10, TaskKind.UPDATE), np.zeros(2), np.zeros(2)))
+    assert server.pending_pulls == []
+    with pytest.raises(ProtocolError):
+        server.gate_pull(evaluation)
+    # the next stage's first update task shares the evaluation's timestamp
+    update = PullRequest(0, TaskId(11, TaskKind.UPDATE))
+    assert server.gate_pull(update) is True
+    for req in (update, evaluation):
+        with pytest.raises(ProtocolError):
+            server.gate_pull(req)
+
+
+def test_answered_pull_state_bounded_by_worker_count():
+    p = make_synthetic("quadratic", 120, 4, seed=5, mu=1.0, smoothness=5.0)
+    hyper = HyperParams(eta=0.02, theta=0.5, tau=2, B=3, m=20, S=4, P=6)
+    sched, server, workers, _ = _build_nodes(
+        p, hyper, "dvrsgd", seed=1, grad_tick=0.01, partition_strategy="contiguous",
+        partition_seed=0, stop_rule=None, w0=None)
+    sim = SimCluster(LatencyModel("uniform", lo=1.0, hi=5.0, seed=2), collect_trace=False)
+    sim.register("scheduler", sched)
+    sim.register("server", server)
+    for q, wk in enumerate(workers):
+        sim.register(f"worker:{q}", wk)
+    sim.run_until_quiescent()
+    assert len(sched.records) == hyper.S + 1
+    # S*m update pulls and (S+1)*P evaluation pulls were answered
+    assert len(server._last_answered) <= hyper.P
+    assert server.pending_pulls == [] and server._pending_keys == set()
 
 
 def test_pull_for_finished_task_rejected():
