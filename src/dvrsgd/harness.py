@@ -265,7 +265,9 @@ class ExperimentConfig:
             sections["endpoints"] = {name.replace(":", "."): f"{h}:{p}"
                                      for name, (h, p) in self.endpoints.items()}
         cp = configparser.ConfigParser()
-        cp.read_dict(sections)
+        # from_file interpolates, and reads "%%" back as "%"
+        cp.read_dict({section: {key: v.replace("%", "%%") for key, v in entries.items()}
+                      for section, entries in sections.items()})
         with open(path, "w") as fh:
             cp.write(fh)
 
@@ -300,7 +302,7 @@ class ExperimentConfig:
                     cfg.endpoints[name.replace(".", ":")] = (host, int(port))
             return cfg
         except configparser.Error as exc:
-            # duplicated keys, keys before any section, bad % interpolation
+            # duplicated keys, keys before any section, a lone % in a value
             raise ValueError(f"{path}: malformed config: {exc}") from exc
 
     def resolve_endpoints(self) -> dict:

@@ -16,6 +16,14 @@ per-sample contributions strictly in index order, and every inner product is
 evaluated with non-optimized ``np.einsum``.  This makes single-sample and
 batched evaluations bitwise identical, which the rest of the package (and its
 tests) rely on.
+
+``mean_gradient`` never holds all its per-sample rows at once.  It walks the
+index set in blocks of about ``_BLOCK_ELEMS`` doubles, writing each block's
+rows into one buffer it reuses for the whole call, behind the running sum in
+the buffer's first row.  Each row is still made by the same operations in the
+same order, and summing [running sum, next rows] adds the rows one at a time
+in index order, so the result has the bits of summing every row at once.
+Memory stays at one block however many samples there are.
 """
 
 import numpy as np
@@ -33,6 +41,10 @@ __all__ = [
 ]
 
 KINDS = ("quadratic", "l2-logistic", "multiclass-logistic")
+
+# doubles per block of gradient rows (1 MB): large enough to amortise the
+# per-call NumPy overhead, small enough to stay in cache and out of fresh pages
+_BLOCK_ELEMS = 1 << 17
 
 
 class Sample:
@@ -170,26 +182,32 @@ def _loss_rows(problem: Problem, w: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return lse - picked + reg
 
 
-def _gradient_rows(problem: Problem, w: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Per-sample gradients grad f_i(w), one row per index (ridge included)."""
+def _gradient_rows(problem: Problem, w: np.ndarray, idx: np.ndarray,
+                   out: np.ndarray) -> np.ndarray:
+    """Per-sample gradients grad f_i(w) written into ``out``, one row per index
+    (ridge included); ``out`` is a C-contiguous (idx.size, dim) array."""
     X = problem.features[idx]
+    if problem.kind == "multiclass-logistic":
+        k = problem.num_classes
+        W = w.reshape(k, problem.num_features)
+        Z = np.einsum("nd,kd->nk", X, W)
+        Z -= Z.max(axis=1)[:, None]
+        P = np.exp(Z)
+        P /= P.sum(axis=1)[:, None]
+        P[np.arange(idx.size), problem.targets[idx]] -= 1.0
+        rows = out.reshape(idx.size, k, problem.num_features)
+        np.einsum("nk,nd->nkd", P, X, out=rows)
+        rows += problem.lam * W
+        return out
+    z = np.einsum("nd,d->n", X, w)
     if problem.kind == "quadratic":
-        r = np.einsum("nd,d->n", X, w) - problem.targets[idx]
-        return r[:, None] * X + problem.lam * w[None, :]
-    if problem.kind == "l2-logistic":
+        coef = z - problem.targets[idx]
+    else:
         s = 2.0 * problem.targets[idx] - 1.0
-        margin = s * np.einsum("nd,d->n", X, w)
-        coef = -s * _sigmoid(-margin)
-        return coef[:, None] * X + problem.lam * w[None, :]
-    k = problem.num_classes
-    W = w.reshape(k, problem.num_features)
-    Z = np.einsum("nd,kd->nk", X, W)
-    Z -= Z.max(axis=1)[:, None]
-    P = np.exp(Z)
-    P /= P.sum(axis=1)[:, None]
-    P[np.arange(idx.size), problem.targets[idx]] -= 1.0
-    rows = np.einsum("nk,nd->nkd", P, X) + problem.lam * W[None, :, :]
-    return rows.reshape(idx.size, problem.dim)
+        coef = -s * _sigmoid(-(s * z))
+    np.multiply(coef[:, None], X, out=out)
+    out += problem.lam * w
+    return out
 
 
 def _ordered_sum(rows: np.ndarray) -> np.ndarray:
@@ -242,7 +260,17 @@ def mean_gradient(problem: Problem, w, indices) -> np.ndarray:
     """Mean of grad f_i(w) over ``indices``, accumulated in index order."""
     w = _check_param(problem, w)
     idx = _check_indices(problem, indices)
-    return _ordered_sum(_gradient_rows(problem, w, idx)) / idx.size
+    block = max(1, _BLOCK_ELEMS // problem.dim)
+    buf = np.empty((min(block, idx.size) + 1, problem.dim))
+    # the first block fills rows 0..; every later one fills rows 1.. behind
+    # the running sum in row 0, so the sum continues in index order
+    start = 0
+    for lo in range(0, idx.size, block):
+        part = idx[lo:lo + block]
+        _gradient_rows(problem, w, part, buf[start:start + part.size])
+        buf[0] = _ordered_sum(buf[:start + part.size])
+        start = 1
+    return buf[0] / idx.size
 
 
 def full_gradient(problem: Problem, w) -> np.ndarray:

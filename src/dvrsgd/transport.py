@@ -289,7 +289,12 @@ class SocketCluster:
                 continue
             except OSError:
                 return
-            self._accepted.append(conn)
+            with self._conn_lock:
+                if self._stopping.is_set():
+                    # close() has begun and may be past the list already
+                    conn.close()
+                    return
+                self._accepted.append(conn)
             threading.Thread(target=self._reader, args=(endpoint, conn),
                              name=f"read-{endpoint}", daemon=True).start()
 
@@ -371,9 +376,12 @@ class SocketCluster:
                 except OSError:
                     pass
             self._conns.clear()
-        for sock_ in self._accepted:
-            try:
+            for sock_ in self._accepted:
+                # shutdown wakes the reader blocked in recv; close alone
+                # leaves the connection open until that recv returns
+                try:
+                    sock_.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # the peer has gone already
                 sock_.close()
-            except OSError:
-                pass
-        self._accepted.clear()
+            self._accepted.clear()

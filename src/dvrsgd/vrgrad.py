@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import Problem, _check_indices, _check_param, _gradient_rows, _ordered_sum, full_gradient
+from .losses import (Problem, _check_indices, _check_param, _gradient_rows, _ordered_sum,
+                     full_gradient, mean_gradient)
 
 __all__ = ["Snapshot", "make_snapshot", "vr_gradient", "plain_gradient", "draw_batch"]
 
@@ -43,15 +44,15 @@ def vr_gradient(problem: Problem, w, snapshot: Snapshot, batch) -> np.ndarray:
     """Variance-reduced mini-batch gradient at w, corrected by the snapshot."""
     w = _check_param(problem, w)
     idx = _check_indices(problem, batch)
-    diff = _gradient_rows(problem, w, idx) - _gradient_rows(problem, snapshot.anchor, idx)
+    buf = np.empty((2, idx.size, problem.dim))
+    diff = _gradient_rows(problem, w, idx, buf[0])
+    diff -= _gradient_rows(problem, snapshot.anchor, idx, buf[1])
     return _ordered_sum(diff) / idx.size + snapshot.anchor_grad
 
 
 def plain_gradient(problem: Problem, w, batch) -> np.ndarray:
     """Uncorrected mini-batch mean of sample gradients."""
-    w = _check_param(problem, w)
-    idx = _check_indices(problem, batch)
-    return _ordered_sum(_gradient_rows(problem, w, idx)) / idx.size
+    return mean_gradient(problem, w, batch)
 
 
 def draw_batch(rng: np.random.Generator, pool: np.ndarray, size: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +32,8 @@ def test_config_file_round_trip(tmp_path):
     assert ExperimentConfig.from_file(path) == cfg
 
 
-def test_config_file_round_trip_every_field(tmp_path):
-    cfg = ExperimentConfig(
+def every_field_config():
+    return ExperimentConfig(
         algo="dpg", seed=5, out="other.csv", target_objective=0.25, stop="target",
         stop_param=1e-6, source="libsvm", kind="l2-logistic", n=12, d=3, k=4, lam=0.5,
         problem_seed=8, mu=2.0, smoothness=3.5, path="data.svm", dim=9, eta=0.3,
@@ -40,12 +41,36 @@ def test_config_file_round_trip_every_field(tmp_path):
         mode="socket", latency="exponential", value=0.5, lo=0.75, hi=2.5, mean=1.5,
         transport_seed=13, grad_tick=0.125, timeout=9.5,
         endpoints={"scheduler": ("127.0.0.1", 7001), "worker:1": ("10.0.0.2", 7003)})
+
+
+def test_config_file_round_trip_every_field(tmp_path):
+    cfg = every_field_config()
     for f in dataclasses.fields(ExperimentConfig):
         default = f.default_factory() if f.default is dataclasses.MISSING else f.default
         assert getattr(cfg, f.name) != default, f.name
     path = tmp_path / "exp.ini"
     cfg.to_file(path)
     assert ExperimentConfig.from_file(path) == cfg
+
+
+def test_config_file_round_trip_percent_signs(tmp_path):
+    cfg = dataclasses.replace(every_field_config(), out="a%b.csv", path="100%%/x%(d)s.svm",
+                              endpoints={"worker:0": ("fe80::1%lo", 7003)})
+    path = tmp_path / "exp.ini"
+    cfg.to_file(path)
+    assert "out = a%%b.csv" in path.read_text()
+    assert ExperimentConfig.from_file(path) == cfg
+
+
+@pytest.mark.parametrize("cfg,digest", [
+    (ExperimentConfig(), "ac8ab80372fbf68b10d42fe04767bbe8dacb9c211b4c7a31b46f1ef9f802cc93"),
+    (every_field_config(), "d88b491ce4960ccc70b9d5e0211efc7f238d89a0eaab244c47a37775d0ccaf35"),
+], ids=["defaults", "every-field"])
+def test_config_file_bytes_pinned(tmp_path, cfg, digest):
+    # files without "%" keep the bytes they had before "%" was escaped
+    path = tmp_path / "exp.ini"
+    cfg.to_file(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_readme_example_config_loads(tmp_path):

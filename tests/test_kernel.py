@@ -1,0 +1,102 @@
+"""The gradient kernel against a one-shot reference, bit for bit.
+
+``mean_gradient`` walks its index set in blocks of rows through one reused
+buffer.  The reference below builds every per-sample row at once and sums
+them in index order, so any change of operation or summation order shows.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from dvrsgd import losses
+from dvrsgd.losses import full_gradient, make_synthetic, mean_gradient
+from dvrsgd.vrgrad import make_snapshot, plain_gradient, vr_gradient
+
+
+def reference_rows(problem, w, idx):
+    X = problem.features[idx]
+    if problem.kind == "quadratic":
+        r = np.einsum("nd,d->n", X, w) - problem.targets[idx]
+        return r[:, None] * X + problem.lam * w[None, :]
+    if problem.kind == "l2-logistic":
+        s = 2.0 * problem.targets[idx] - 1.0
+        margin = s * np.einsum("nd,d->n", X, w)
+        coef = -s * losses._sigmoid(-margin)
+        return coef[:, None] * X + problem.lam * w[None, :]
+    k = problem.num_classes
+    W = w.reshape(k, problem.num_features)
+    Z = np.einsum("nd,kd->nk", X, W)
+    Z -= Z.max(axis=1)[:, None]
+    P = np.exp(Z)
+    P /= P.sum(axis=1)[:, None]
+    P[np.arange(idx.size), problem.targets[idx]] -= 1.0
+    rows = np.einsum("nk,nd->nkd", P, X) + problem.lam * W[None, :, :]
+    return rows.reshape(idx.size, problem.dim)
+
+
+def reference_sum(rows):
+    acc = rows[0].copy()
+    for k in range(1, rows.shape[0]):
+        acc += rows[k]
+    return acc
+
+
+def reference_mean(problem, w, idx):
+    idx = np.asarray(idx, dtype=np.int64)
+    return reference_sum(reference_rows(problem, w, idx)) / idx.size
+
+
+# (kind, num_features, num_classes): dims 7, 30 and 5 * 40 = 200
+SHAPES = [("quadratic", 7, 1), ("l2-logistic", 30, 2), ("multiclass-logistic", 40, 5)]
+
+
+def _problem(kind, d, k, n):
+    if kind == "quadratic":
+        return make_synthetic(kind, n, d, seed=n, mu=1.0, smoothness=5.0)
+    return make_synthetic(kind, n, d, num_classes=k, lam=0.03, seed=n)
+
+
+# 1 << 17 is the kernel's own block size; the small ones put many block
+# boundaries (and, at dim 200, one-row blocks) into small problems
+@pytest.mark.parametrize("block_elems", [1 << 17, 1000, 64])
+@pytest.mark.parametrize("kind,d,k", SHAPES)
+def test_kernel_matches_one_shot_reference_bitwise(monkeypatch, block_elems, kind, d, k):
+    monkeypatch.setattr(losses, "_BLOCK_ELEMS", block_elems, raising=False)
+    dim = d * k if kind == "multiclass-logistic" else d
+    block = max(1, block_elems // dim)
+    sizes = sorted({1, max(1, block - 1), block, block + 1, 2 * block + 1})
+    p = _problem(kind, d, k, 2 * block + 1)
+    rng = np.random.default_rng(block_elems + dim)
+    w = rng.normal(size=p.dim) * 0.5
+    anchor = rng.normal(size=p.dim) * 0.5
+
+    full = full_gradient(p, w)
+    assert np.array_equal(full, reference_mean(p, w, np.arange(p.n)))
+    snap = make_snapshot(p, anchor, stage=3)
+    assert np.array_equal(snap.anchor_grad, reference_mean(p, anchor, np.arange(p.n)))
+
+    for size in sizes:
+        # unsorted, and once with repeats, as a caller may pass them
+        for idx in (rng.permutation(p.n)[:size], rng.integers(0, p.n, size=size)):
+            want = reference_mean(p, w, idx)
+            assert np.array_equal(mean_gradient(p, w, idx), want)
+            assert np.array_equal(plain_gradient(p, w, idx), want)
+            diff = reference_rows(p, w, idx) - reference_rows(p, anchor, idx)
+            want_vr = reference_sum(diff) / idx.size + snap.anchor_grad
+            assert np.array_equal(vr_gradient(p, w, snap, idx), want_vr)
+
+
+def test_full_gradient_memory_is_bounded():
+    # one-shot rows would be n * K * d * 8 B = 80 MB, twice over
+    p = make_synthetic("multiclass-logistic", 5000, 200, num_classes=10, lam=0.01, seed=5)
+    w = np.random.default_rng(6).normal(size=p.dim) * 0.1
+    full_gradient(p, w)  # first call outside the trace: lazy NumPy set-up
+    tracemalloc.start()
+    try:
+        full_gradient(p, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"full_gradient peaked at {peak / 2**20:.1f} MB"

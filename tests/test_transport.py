@@ -1,6 +1,10 @@
+import socket
+import time
+
 import pytest
 
-from dvrsgd.transport import LatencyModel, LivelockError, Node, SimCluster, TransportError
+from dvrsgd.transport import (LatencyModel, LivelockError, Node, SimCluster, SocketCluster,
+                              TransportError)
 from helpers import check_pair_fifo
 
 
@@ -140,3 +144,43 @@ def test_timers_fire_at_requested_time():
     sim.register("s", s)
     sim.run_until_quiescent()
     assert s.fired == (3.5, "alarm")
+
+
+def test_connection_accepted_while_closing_is_closed():
+    cluster = SocketCluster({"a": ("127.0.0.1", 0)})
+    ours, theirs = socket.socketpair()
+
+    class Listener:
+        """Hands out one connection, with close() starting in between."""
+
+        def settimeout(self, _):
+            pass
+
+        def accept(self):
+            cluster._stopping.set()
+            return ours, None
+
+    cluster._listeners["a"] = Listener()
+    cluster._accept_loop("a")
+    assert cluster._accepted == []
+    assert ours.fileno() == -1
+    assert theirs.recv(1) == b""  # the peer sees the close
+    theirs.close()
+
+
+def test_close_closes_accepted_connections():
+    cluster = SocketCluster({"a": ("127.0.0.1", 0)}, timeout=5.0)
+    cluster.register("a", Recorder())
+    cluster.start()
+    try:
+        client = socket.create_connection(("127.0.0.1", cluster.bound_port("a")), timeout=5.0)
+        deadline = time.monotonic() + 5.0
+        while not cluster._accepted and time.monotonic() < deadline:
+            time.sleep(0.01)
+        accepted = list(cluster._accepted)
+    finally:
+        cluster.close()
+    assert accepted and cluster._accepted == []
+    assert all(conn.fileno() == -1 for conn in accepted)
+    assert client.recv(1) == b""
+    client.close()
