@@ -17,6 +17,13 @@ evaluated with non-optimized ``np.einsum``.  This makes single-sample and
 batched evaluations bitwise identical, which the rest of the package (and its
 tests) rely on.
 
+The kernel (``_gradient_rows``) takes a stack of parameter points, (s, dim),
+and gathers the rows of X once per call for all of them: ``vr_gradient``
+passes [w; anchor], ``mean_gradient`` a stack of one.  Each point's rows still
+have the bits of a one-point call.  Its inner products come from the same
+non-optimized einsum loop over the feature axis, the softmax max and sum
+reduce each length-K row alone, and every other step is elementwise.
+
 ``mean_gradient`` never holds all its per-sample rows at once.  It walks the
 index set in blocks of about ``_BLOCK_ELEMS`` doubles, writing each block's
 rows into one buffer it reuses for the whole call, behind the running sum in
@@ -137,7 +144,7 @@ def _check_param(problem: Problem, w: np.ndarray) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (problem.dim,):
         raise ValueError(f"parameter vector must have shape ({problem.dim},), got {w.shape}")
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise ValueError("parameter vector contains non-finite entries")
     return w
 
@@ -146,7 +153,7 @@ def _check_indices(problem: Problem, idx) -> np.ndarray:
     idx = np.asarray(idx, dtype=np.int64)
     if idx.ndim != 1 or idx.size == 0:
         raise ValueError("sample index set must be a nonempty 1-D sequence")
-    if np.any(idx < 0) or np.any(idx >= problem.n):
+    if idx.min() < 0 or idx.max() >= problem.n:
         raise ValueError("sample index out of range")
     return idx
 
@@ -182,31 +189,31 @@ def _loss_rows(problem: Problem, w: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return lse - picked + reg
 
 
-def _gradient_rows(problem: Problem, w: np.ndarray, idx: np.ndarray,
+def _gradient_rows(problem: Problem, points: np.ndarray, idx: np.ndarray,
                    out: np.ndarray) -> np.ndarray:
-    """Per-sample gradients grad f_i(w) written into ``out``, one row per index
-    (ridge included); ``out`` is a C-contiguous (idx.size, dim) array."""
+    """Per-sample gradients grad f_i(w) written into ``out``, for every point w
+    in the (s, dim) stack ``points`` and every index (ridge included); ``out``
+    is a C-contiguous (s, idx.size, dim) array."""
     X = problem.features[idx]
     if problem.kind == "multiclass-logistic":
-        k = problem.num_classes
-        W = w.reshape(k, problem.num_features)
-        Z = np.einsum("nd,kd->nk", X, W)
-        Z -= Z.max(axis=1)[:, None]
+        k, d = problem.num_classes, problem.num_features
+        Z = np.einsum("nd,kd->nk", X, points.reshape(-1, d)).reshape(idx.size, -1, k)
+        Z -= Z.max(axis=2)[..., None]
         P = np.exp(Z)
-        P /= P.sum(axis=1)[:, None]
-        P[np.arange(idx.size), problem.targets[idx]] -= 1.0
-        rows = out.reshape(idx.size, k, problem.num_features)
-        np.einsum("nk,nd->nkd", P, X, out=rows)
-        rows += problem.lam * W
-        return out
-    z = np.einsum("nd,d->n", X, w)
-    if problem.kind == "quadratic":
-        coef = z - problem.targets[idx]
+        P /= P.sum(axis=2)[..., None]
+        P[np.arange(idx.size), :, problem.targets[idx]] -= 1.0
+        rows = out.reshape(points.shape[0], idx.size, k, d)
+        for j in range(points.shape[0]):
+            np.einsum("nk,nd->nkd", P[:, j], X, out=rows[j])
     else:
-        s = 2.0 * problem.targets[idx] - 1.0
-        coef = -s * _sigmoid(-(s * z))
-    np.multiply(coef[:, None], X, out=out)
-    out += problem.lam * w
+        z = np.einsum("nd,sd->sn", X, points)
+        if problem.kind == "quadratic":
+            coef = z - problem.targets[idx]
+        else:
+            s = 2.0 * problem.targets[idx] - 1.0
+            coef = -s * _sigmoid(-(s * z))
+        np.multiply(coef[..., None], X, out=out)
+    out += (problem.lam * points)[:, None, :]
     return out
 
 
@@ -236,11 +243,8 @@ def loss_sum(problem: Problem, w, indices) -> float:
     """Sum of f_i(w) over the given indices, accumulated in index order."""
     w = _check_param(problem, w)
     idx = _check_indices(problem, indices)
-    rows = _loss_rows(problem, w, idx)
-    total = float(rows[0])
-    for k in range(1, rows.shape[0]):
-        total += float(rows[k])
-    return total
+    # accumulate adds strictly left to right (np.sum would add pairwise)
+    return float(np.add.accumulate(_loss_rows(problem, w, idx))[-1])
 
 
 def objective(problem: Problem, w) -> float:
@@ -267,7 +271,7 @@ def mean_gradient(problem: Problem, w, indices) -> np.ndarray:
     start = 0
     for lo in range(0, idx.size, block):
         part = idx[lo:lo + block]
-        _gradient_rows(problem, w, part, buf[start:start + part.size])
+        _gradient_rows(problem, w[None], part, buf[None, start:start + part.size])
         buf[0] = _ordered_sum(buf[:start + part.size])
         start = 1
     return buf[0] / idx.size

@@ -15,11 +15,12 @@ same schedule.  It records a full event trace for invariant checking.
 ``SocketCluster`` runs every registered node on its own driver thread behind a
 real TCP endpoint, speaking the frame format from ``protocol``.  It exists to
 show the same node code runs as an actual distributed program; the simulator
-is the substrate for experiments and tests.
+is the substrate for experiments and tests.  The first exception from a node's
+handler, or the first frame a reader cannot decode, stops the cluster, and
+``wait`` re-raises it as a ``TransportError`` naming the endpoint.
 """
 
 import heapq
-import logging
 import queue
 import socket
 import struct
@@ -33,8 +34,6 @@ from . import protocol
 
 __all__ = ["LatencyModel", "TraceEvent", "Node", "SimCluster", "SocketCluster", "LivelockError", "TransportError"]
 
-log = logging.getLogger(__name__)
-
 
 class TransportError(Exception):
     pass
@@ -42,6 +41,11 @@ class TransportError(Exception):
 
 class LivelockError(TransportError):
     """The simulated event count exceeded its configured bound."""
+
+
+# random latencies drawn per Generator call: a block of k draws is the
+# sequence of k scalar draws, so the block only saves per-call overhead
+_LATENCY_BLOCK = 1024
 
 
 class LatencyModel:
@@ -68,21 +72,29 @@ class LatencyModel:
         self.seed = seed
         self._rng = np.random.default_rng(seed)
         self._pos = 0
+        self._block: list[float] = []
+
+    def _draw(self, size: int) -> np.ndarray:
+        if self.kind == "uniform":
+            return self._rng.uniform(self.lo, self.hi, size)
+        if self.kind == "exponential":
+            return self._rng.exponential(self.mean, size)
+        # adversarial: mostly fast with occasional order-of-magnitude stragglers
+        return self._rng.choice([0.0, 1.0, 5.0, 25.0, 125.0], size,
+                                p=[0.3, 0.3, 0.2, 0.15, 0.05])
 
     def sample(self) -> float:
         if self.kind == "constant":
             return self.value
-        if self.kind == "uniform":
-            return float(self._rng.uniform(self.lo, self.hi))
-        if self.kind == "exponential":
-            return float(self._rng.exponential(self.mean))
         if self.kind == "trace":
             v = self.trace[self._pos % len(self.trace)]
-            self._pos += 1
-            return v
-        # adversarial: mostly fast with occasional order-of-magnitude stragglers
-        return float(self._rng.choice([0.0, 1.0, 5.0, 25.0, 125.0],
-                                      p=[0.3, 0.3, 0.2, 0.15, 0.05]))
+        else:
+            if self._pos == len(self._block):
+                self._block = self._draw(_LATENCY_BLOCK).tolist()
+                self._pos = 0
+            v = self._block[self._pos]
+        self._pos += 1
+        return v
 
 
 @dataclass(frozen=True)
@@ -245,6 +257,7 @@ class SocketCluster:
         self._threads: list[threading.Thread] = []
         self._t0 = time.monotonic()
         self._stopping = threading.Event()
+        self._failure: tuple[str, Exception] | None = None
 
     @property
     def now(self) -> float:
@@ -299,21 +312,21 @@ class SocketCluster:
                              name=f"read-{endpoint}", daemon=True).start()
 
     def _reader(self, endpoint: str, conn: socket.socket):
-        hello = _read_frame(conn)
-        if hello is None:
-            return
-        src = hello[5:].decode("utf-8")
-        inbox = self._inboxes[endpoint]
-        while True:
-            frame = _read_frame(conn)
-            if frame is None:
+        where = endpoint
+        try:
+            hello = _read_frame(conn)
+            if hello is None:
                 return
-            try:
-                msg = protocol.decode(frame)
-            except protocol.DecodeError as exc:
-                log.error("%s: dropping connection from %s: %s", endpoint, src, exc)
-                return
-            inbox.put((src, msg))
+            src = hello[5:].decode("utf-8")
+            where = f"{endpoint} <- {src}"
+            inbox = self._inboxes[endpoint]
+            while (frame := _read_frame(conn)) is not None:
+                inbox.put((src, protocol.decode(frame)))
+        except (OSError, protocol.DecodeError) as exc:
+            # close() may close the socket under a blocked or starting reader;
+            # before that, an unreadable stream is a fault
+            if not self._stopping.is_set():
+                self._fail(where, exc)
 
     def _dial(self, src: str, dst: str) -> _Connection:
         key = (src, dst)
@@ -348,16 +361,38 @@ class SocketCluster:
                 src, msg = inbox.get(timeout=0.2)
             except queue.Empty:
                 continue
-            node.handle(src, msg)
+            try:
+                node.handle(src, msg)
+            except Exception as exc:  # the node is broken: stop every node
+                self._fail(endpoint, exc)
+                return
             if node.can_shutdown():
                 return
 
+    def _fail(self, where: str, exc: Exception):
+        """Record the first failure of any node or reader and stop the cluster."""
+        with self._conn_lock:
+            if self._failure is None:
+                self._failure = (where, exc)
+        self._stopping.set()
+
+    def _raise_failure(self):
+        if self._failure is not None:
+            where, exc = self._failure
+            raise TransportError(f"{where}: {exc!r}") from exc
+
     def wait(self, done: threading.Event):
-        if not done.wait(self.timeout):
-            raise TransportError(f"cluster did not finish within {self.timeout}s")
+        """Block until ``done`` is set; raise the first node or reader failure
+        as soon as it happens, or a ``TransportError`` after the timeout."""
+        deadline = time.monotonic() + self.timeout
+        while not done.wait(0.05):
+            self._raise_failure()
+            if time.monotonic() >= deadline:
+                raise TransportError(f"cluster did not finish within {self.timeout}s")
         # let STOP frames and any final-round pushes land before teardown
         deadline = time.monotonic() + self.timeout
         while time.monotonic() < deadline:
+            self._raise_failure()
             if all(n.can_shutdown() for n in self.nodes.values()):
                 break
             time.sleep(0.01)

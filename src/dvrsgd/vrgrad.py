@@ -44,9 +44,10 @@ def vr_gradient(problem: Problem, w, snapshot: Snapshot, batch) -> np.ndarray:
     """Variance-reduced mini-batch gradient at w, corrected by the snapshot."""
     w = _check_param(problem, w)
     idx = _check_indices(problem, batch)
-    buf = np.empty((2, idx.size, problem.dim))
-    diff = _gradient_rows(problem, w, idx, buf[0])
-    diff -= _gradient_rows(problem, snapshot.anchor, idx, buf[1])
+    buf = _gradient_rows(problem, np.array((w, snapshot.anchor)), idx,
+                         np.empty((2, idx.size, problem.dim)))
+    diff = buf[0]
+    diff -= buf[1]
     return _ordered_sum(diff) / idx.size + snapshot.anchor_grad
 
 

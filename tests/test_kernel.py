@@ -1,17 +1,21 @@
 """The gradient kernel against a one-shot reference, bit for bit.
 
 ``mean_gradient`` walks its index set in blocks of rows through one reused
-buffer.  The reference below builds every per-sample row at once and sums
-them in index order, so any change of operation or summation order shows.
+buffer, and every call evaluates a stack of parameter points at once.  The
+reference below builds every per-sample row at once, for one point at a time,
+and sums them in index order, so any change of operation or summation order
+shows.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dvrsgd import losses
-from dvrsgd.losses import full_gradient, make_synthetic, mean_gradient
+from dvrsgd.losses import KINDS, full_gradient, loss_sum, make_synthetic, mean_gradient
 from dvrsgd.vrgrad import make_snapshot, plain_gradient, vr_gradient
 
 
@@ -86,6 +90,51 @@ def test_kernel_matches_one_shot_reference_bitwise(monkeypatch, block_elems, kin
             diff = reference_rows(p, w, idx) - reference_rows(p, anchor, idx)
             want_vr = reference_sum(diff) / idx.size + snap.anchor_grad
             assert np.array_equal(vr_gradient(p, w, snap, idx), want_vr)
+
+
+@st.composite
+def kernel_cases(draw):
+    kind = draw(st.sampled_from(KINDS))
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(2 if kind == "quadratic" else 1, 40))
+    k = draw(st.integers(2, 40)) if kind == "multiclass-logistic" else 2
+    if kind == "quadratic":
+        p = make_synthetic(kind, n, d, seed=n + d, mu=1.0, smoothness=5.0)
+    else:
+        lam = draw(st.sampled_from([0.0, 1e-6, 0.03, 2.0]))
+        p = make_synthetic(kind, n, d, num_classes=k, lam=lam, seed=n + d)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w, anchor = (rng.normal(size=p.dim) * 10.0 ** draw(st.integers(-20, 3)) for _ in range(2))
+    # unsorted, with repeats, down to one sample
+    batch = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+    return p, w, anchor, np.array(batch, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+def test_stacked_points_match_one_point_reference_bitwise(case):
+    p, w, anchor, idx = case
+    snap = make_snapshot(p, anchor, stage=1)
+    assert np.array_equal(snap.anchor_grad, reference_mean(p, anchor, np.arange(p.n)))
+    assert np.array_equal(mean_gradient(p, w, idx), reference_mean(p, w, idx))
+    diff = reference_rows(p, w, idx) - reference_rows(p, anchor, idx)
+    assert np.array_equal(vr_gradient(p, w, snap, idx),
+                          reference_sum(diff) / idx.size + snap.anchor_grad)
+
+
+@pytest.mark.parametrize("kind,d,k", SHAPES)
+def test_loss_sum_matches_float_loop_bitwise(kind, d, k):
+    rng = np.random.default_rng(d)
+    for n in (1, 2, 3, 17, 1250):
+        p = _problem(kind, d, k, n)
+        idx = rng.integers(0, n, size=n)
+        for scale in (1e-12, 1.0, 1e6):
+            w = rng.normal(size=p.dim) * scale
+            rows = losses._loss_rows(p, w, idx)
+            want = float(rows[0])
+            for r in rows[1:]:
+                want += float(r)
+            assert loss_sum(p, w, idx) == want
 
 
 def test_full_gradient_memory_is_bounded():

@@ -1,10 +1,18 @@
 import socket
+import threading
 import time
 
+import numpy as np
 import pytest
 
+from dvrsgd import protocol, transport
+from dvrsgd.harness import run_cluster_socket
+from dvrsgd.losses import make_synthetic
+from dvrsgd.protocol import PullResponse, TaskKind, UpdatePush
+from dvrsgd.server import HyperParams
 from dvrsgd.transport import (LatencyModel, LivelockError, Node, SimCluster, SocketCluster,
                               TransportError)
+from dvrsgd.worker import WorkerNode
 from helpers import check_pair_fifo
 
 
@@ -128,6 +136,30 @@ def test_latency_model_determinism_and_domain():
         LatencyModel("trace", trace=[])
 
 
+@pytest.mark.parametrize("kind,kwargs,draw", [
+    ("uniform", dict(lo=1.0, hi=5.0), lambda g: g.uniform(1.0, 5.0)),
+    ("exponential", dict(mean=2.0), lambda g: g.exponential(2.0)),
+    ("adversarial", {}, lambda g: g.choice([0.0, 1.0, 5.0, 25.0, 125.0],
+                                           p=[0.3, 0.3, 0.2, 0.15, 0.05])),
+])
+def test_block_drawn_latencies_equal_scalar_draws(kind, kwargs, draw):
+    # three block edges and a partial block, against one Generator call per sample
+    n = 3 * transport._LATENCY_BLOCK + 7
+    model = LatencyModel(kind, seed=9, **kwargs)
+    got = [model.sample() for _ in range(n)]
+    ref = np.random.default_rng(9)
+    assert got == [float(draw(ref)) for _ in range(n)]
+    assert all(type(x) is float for x in got)
+
+
+def test_constant_and_trace_latencies_unchanged():
+    n = transport._LATENCY_BLOCK + 7
+    constant = LatencyModel("constant", value=2.5, seed=9)
+    assert [constant.sample() for _ in range(n)] == [2.5] * n
+    cycle = LatencyModel("trace", trace=[1, 9, 2], seed=9)
+    assert [cycle.sample() for _ in range(n)] == [[1.0, 9.0, 2.0][i % 3] for i in range(n)]
+
+
 def test_timers_fire_at_requested_time():
     class Sleeper(Node):
         def __init__(self):
@@ -168,6 +200,24 @@ def test_connection_accepted_while_closing_is_closed():
     theirs.close()
 
 
+@pytest.mark.parametrize("closing", [False, True])
+def test_reader_error_fails_the_run_unless_closing(closing):
+    cluster = SocketCluster({"a": ("127.0.0.1", 0)})
+    cluster.register("a", Recorder())
+    ours, theirs = socket.socketpair()
+    ours.close()  # as close() may do before the reader's first recv
+    if closing:
+        cluster._stopping.set()
+    cluster._reader("a", ours)
+    theirs.close()
+    if closing:
+        assert cluster._failure is None
+    else:
+        assert cluster._failure[0] == "a"
+        assert isinstance(cluster._failure[1], OSError)
+        assert cluster._stopping.is_set()
+
+
 def test_close_closes_accepted_connections():
     cluster = SocketCluster({"a": ("127.0.0.1", 0)}, timeout=5.0)
     cluster.register("a", Recorder())
@@ -184,3 +234,55 @@ def test_close_closes_accepted_connections():
     assert all(conn.fileno() == -1 for conn in accepted)
     assert client.recv(1) == b""
     client.close()
+
+
+def _run_with_fault(expect: str):
+    """Run a small socket cluster with a 30 s timeout, which a patched-in
+    fault must end within 3 s with the ``expect``ed error and no thread left
+    running; return the error."""
+    p = make_synthetic("quadratic", 200, 5, seed=1)
+    h = HyperParams(eta=0.01, theta=0.5, tau=2, B=4, m=40, S=3, P=2)
+    roles = ["scheduler", "server", "worker:0", "worker:1"]
+    before = set(threading.enumerate())
+    t0 = time.monotonic()
+    with pytest.raises(TransportError, match=expect) as info:
+        run_cluster_socket(p, h, {r: ("127.0.0.1", 0) for r in roles}, seed=3, timeout=30.0)
+    assert time.monotonic() - t0 < 3.0
+    for t in set(threading.enumerate()) - before:
+        t.join(5.0)
+        assert not t.is_alive(), f"{t.name} outlived the failed run"
+    return info.value
+
+
+def test_socket_node_error_fails_fast_naming_the_role(monkeypatch):
+    handle = WorkerNode.handle
+    updates = []
+
+    def faulty(self, src, msg):
+        if self.worker_id == 1 and isinstance(msg, PullResponse) \
+                and msg.task.kind == TaskKind.UPDATE:
+            updates.append(msg.task)
+            if len(updates) == 3:  # mid-way through stage 1
+                raise RuntimeError("injected fault")
+        return handle(self, src, msg)
+
+    monkeypatch.setattr(WorkerNode, "handle", faulty)
+    err = _run_with_fault(r"^worker:1: RuntimeError\('injected fault'\)$")
+    assert isinstance(err.__cause__, RuntimeError)
+
+
+def test_socket_corrupt_frame_fails_fast_naming_the_reader(monkeypatch):
+    encode = protocol.encode
+    pushes = []
+
+    def corrupting(msg):
+        frame = encode(msg)
+        if isinstance(msg, UpdatePush) and msg.worker == 0:
+            pushes.append(msg)
+            if len(pushes) == 3:
+                return frame[:4] + b"\xff" + frame[5:]  # no message has tag 255
+        return frame
+
+    monkeypatch.setattr(protocol, "encode", corrupting)
+    err = _run_with_fault(r"^server <- worker:0: DecodeError\('unknown message tag 255'\)$")
+    assert isinstance(err.__cause__, protocol.DecodeError)
