@@ -98,7 +98,8 @@ def run_cluster_socket(problem: Problem, hyper: HyperParams,
                        seed: int = 0, partition_strategy: str = "contiguous",
                        partition_seed: int = 0, stop_rule=None, w0=None,
                        timeout: float = 60.0) -> RunResult:
-    """Run all roles in-process over real TCP sockets (one thread per role)."""
+    """Run all roles in-process over real TCP sockets, served by one selector
+    loop on one thread."""
     sched, server, workers, parts = _build_nodes(
         problem, hyper, algo, seed=seed, grad_tick=0.0,
         partition_strategy=partition_strategy, partition_seed=partition_seed,

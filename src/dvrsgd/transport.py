@@ -12,16 +12,21 @@ an earlier message on the same pair are clamped to preserve FIFO order, and
 ties are broken by a global sequence number, so a fixed seed replays the exact
 same schedule.  It records a full event trace for invariant checking.
 
-``SocketCluster`` runs every registered node on its own driver thread behind a
-real TCP endpoint, speaking the frame format from ``protocol``.  It exists to
-show the same node code runs as an actual distributed program; the simulator
-is the substrate for experiments and tests.  The first exception from a node's
-handler, or the first frame a reader cannot decode, stops the cluster, and
-``wait`` re-raises it as a ``TransportError`` naming the endpoint.
+``SocketCluster`` serves every registered node from one ``selectors`` loop on
+one thread, behind real TCP endpoints speaking the frame format from
+``protocol``.  The loop accepts connections, cuts complete frames out of each
+inbound stream's buffer and runs the receiving node's handler inline, so a
+frame costs one wake-up; outbound frames go out through non-blocking sockets,
+queued per connection while the socket is full.  It exists to show the same
+node code runs as an actual distributed program; the simulator is the
+substrate for experiments and tests.  The first exception from a node, or the
+first inbound stream that cannot be read or decoded (one that ends inside a
+frame included), stops the loop, and ``wait`` re-raises it as a
+``TransportError`` naming the endpoint.
 """
 
 import heapq
-import queue
+import selectors
 import socket
 import struct
 import threading
@@ -46,6 +51,12 @@ class LivelockError(TransportError):
 # random latencies drawn per Generator call: a block of k draws is the
 # sequence of k scalar draws, so the block only saves per-call overhead
 _LATENCY_BLOCK = 1024
+
+# a connect that hangs would stall every node on the socket loop, so it gets
+# its own short bound rather than the run's whole timeout
+_CONNECT_TIMEOUT_S = 1.0
+_RECV_BYTES = 1 << 18
+_FRAME_HEAD = struct.Struct("<I")
 
 
 class LatencyModel:
@@ -144,8 +155,6 @@ class Node:
 class SimCluster:
     """Deterministic single-threaded event loop over logical time."""
 
-    virtual_time = True
-
     def __init__(self, latency: LatencyModel | None = None, *, max_events: int = 10_000_000,
                  collect_trace: bool = True):
         self.latency = latency or LatencyModel("constant", value=0.0)
@@ -207,54 +216,37 @@ class SimCluster:
 
 
 class _Connection:
-    """One outbound framed TCP stream with a HELLO preamble."""
+    """One TCP stream on the loop: received bytes not yet cut into frames and
+    queued bytes not yet sent.  ``endpoint`` is the receiving node of an
+    inbound stream and the sender of an outbound one; ``where`` names the
+    stream in a failure."""
 
-    def __init__(self, sock: socket.socket):
+    __slots__ = ("sock", "endpoint", "where", "src", "inbuf", "outbuf")
+
+    def __init__(self, sock: socket.socket, endpoint: str, where: str):
         self.sock = sock
-        self.lock = threading.Lock()
-
-    def send_frame(self, frame: bytes):
-        with self.lock:
-            self.sock.sendall(frame)
-
-
-def _read_exact(sock: socket.socket, n: int) -> bytes | None:
-    buf = b""
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            return None
-        buf += chunk
-    return buf
-
-
-def _read_frame(sock: socket.socket) -> bytes | None:
-    head = _read_exact(sock, 4)
-    if head is None:
-        return None
-    (body_len,) = struct.unpack("<I", head)
-    body = _read_exact(sock, body_len)
-    if body is None:
-        return None
-    return head + body
+        self.endpoint = endpoint
+        self.where = where
+        self.src = None  # an inbound stream's sender, from its HELLO frame
+        self.inbuf = bytearray()
+        self.outbuf = bytearray()
 
 
 class SocketCluster:
-    """TCP transport: every endpoint listens, dials peers lazily, and runs its
-    node on a dedicated driver thread fed by a serialized inbox."""
-
-    virtual_time = False
+    """TCP transport: every endpoint listens and dials peers lazily, one
+    connection per (sender, receiver) pair, and one selector loop on one
+    thread accepts, reads, writes and runs every node's handler inline."""
 
     def __init__(self, addresses: dict[str, tuple[str, int]], *, timeout: float = 60.0):
         self.addresses = dict(addresses)
         self.timeout = timeout
         self.nodes: dict[str, Node] = {}
-        self._inboxes: dict[str, queue.Queue] = {}
         self._listeners: dict[str, socket.socket] = {}
         self._conns: dict[tuple[str, str], _Connection] = {}
-        self._conn_lock = threading.Lock()
-        self._accepted: list[socket.socket] = []
-        self._threads: list[threading.Thread] = []
+        self._accepted: set[_Connection] = set()
+        self._sel: selectors.BaseSelector | None = None
+        self._wake: tuple[socket.socket, socket.socket] | None = None
+        self._thread: threading.Thread | None = None
         self._t0 = time.monotonic()
         self._stopping = threading.Event()
         self._failure: tuple[str, Exception] | None = None
@@ -267,114 +259,156 @@ class SocketCluster:
         if endpoint not in self.addresses:
             raise TransportError(f"no address configured for {endpoint!r}")
         self.nodes[endpoint] = node
-        self._inboxes[endpoint] = queue.Queue()
         node.bind(self, endpoint)
 
     def bound_port(self, endpoint: str) -> int:
         return self._listeners[endpoint].getsockname()[1]
 
     def start(self):
+        self._sel = selectors.DefaultSelector()
+        self._wake = socket.socketpair()
+        self._sel.register(self._wake[0], selectors.EVENT_READ)
         for endpoint in self.nodes:
             host, port = self.addresses[endpoint]
             srv = socket.create_server((host, port))
+            srv.setblocking(False)
             self._listeners[endpoint] = srv
             # rebind in case port 0 was requested
             self.addresses[endpoint] = (host, srv.getsockname()[1])
+            self._sel.register(srv, selectors.EVENT_READ, endpoint)
+        self._thread = threading.Thread(target=self._loop, name="socket-loop", daemon=True)
+        self._thread.start()
+
+    def _loop(self):
+        # on_start runs here too, so the loop thread is the only writer
         for endpoint, node in self.nodes.items():
-            t = threading.Thread(target=self._accept_loop, args=(endpoint,),
-                                 name=f"accept-{endpoint}", daemon=True)
-            t.start()
-            self._threads.append(t)
-            d = threading.Thread(target=self._drive, args=(endpoint, node),
-                                 name=f"drive-{endpoint}", daemon=True)
-            d.start()
-            self._threads.append(d)
-        for node in self.nodes.values():
-            node.on_start()
-
-    def _accept_loop(self, endpoint: str):
-        srv = self._listeners[endpoint]
-        srv.settimeout(0.2)
+            self._run_node(endpoint, node.on_start)
+            if self._stopping.is_set():
+                return
         while not self._stopping.is_set():
-            try:
-                conn, _ = srv.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            with self._conn_lock:
-                if self._stopping.is_set():
-                    # close() has begun and may be past the list already
-                    conn.close()
-                    return
-                self._accepted.append(conn)
-            threading.Thread(target=self._reader, args=(endpoint, conn),
-                             name=f"read-{endpoint}", daemon=True).start()
+            for key, mask in self._sel.select():
+                data = key.data
+                if data is None:
+                    self._wake[0].recv(64)  # close() has begun
+                elif isinstance(data, str):
+                    self._accept(key.fileobj, data)
+                elif mask & selectors.EVENT_WRITE:
+                    self._flush(data)
+                else:
+                    self._read(data)
 
-    def _reader(self, endpoint: str, conn: socket.socket):
-        where = endpoint
+    def _run_node(self, endpoint: str, fn, *args):
         try:
-            hello = _read_frame(conn)
-            if hello is None:
+            fn(*args)
+        except Exception as exc:  # the node is broken: stop every node
+            self._fail(endpoint, exc)
+
+    def _accept(self, srv: socket.socket, endpoint: str):
+        try:
+            sock, _ = srv.accept()
+        except BlockingIOError:
+            return
+        except OSError as exc:
+            self._fail(endpoint, exc)
+            return
+        sock.setblocking(False)
+        conn = _Connection(sock, endpoint, endpoint)
+        self._accepted.add(conn)
+        self._sel.register(sock, selectors.EVENT_READ, conn)
+
+    def _read(self, conn: _Connection):
+        """Take what the stream has, and hand every complete frame in the
+        buffer to the receiving node; the first frame is the HELLO."""
+        try:
+            chunk = conn.sock.recv(_RECV_BYTES)
+            if not chunk:
+                if conn.inbuf:
+                    raise protocol.DecodeError("stream ended inside a frame")
+                self._sel.unregister(conn.sock)
+                conn.sock.close()
+                self._accepted.discard(conn)
                 return
-            src = hello[5:].decode("utf-8")
-            where = f"{endpoint} <- {src}"
-            inbox = self._inboxes[endpoint]
-            while (frame := _read_frame(conn)) is not None:
-                inbox.put((src, protocol.decode(frame)))
-        except (OSError, protocol.DecodeError) as exc:
-            # close() may close the socket under a blocked or starting reader;
-            # before that, an unreadable stream is a fault
-            if not self._stopping.is_set():
-                self._fail(where, exc)
+            buf = conn.inbuf
+            buf += chunk
+            pos, have = 0, len(buf)
+            while have - pos >= 4:
+                end = pos + 4 + _FRAME_HEAD.unpack_from(buf, pos)[0]
+                if end > have:
+                    break
+                frame = bytes(buf[pos:end])
+                pos = end
+                if conn.src is None:
+                    conn.src = frame[5:].decode("utf-8")
+                    conn.where = f"{conn.endpoint} <- {conn.src}"
+                    continue
+                msg = protocol.decode(frame)
+                self._run_node(conn.endpoint, self.nodes[conn.endpoint].handle, conn.src, msg)
+                if self._stopping.is_set():
+                    return
+            del buf[:pos]
+        except BlockingIOError:
+            pass
+        except (OSError, ValueError, protocol.DecodeError) as exc:
+            self._fail(conn.where, exc)
 
     def _dial(self, src: str, dst: str) -> _Connection:
-        key = (src, dst)
-        with self._conn_lock:
-            conn = self._conns.get(key)
-            if conn is None:
-                host, port = self.addresses[dst]
-                try:
-                    raw = socket.create_connection((host, port), timeout=self.timeout)
-                except OSError as exc:
-                    raise TransportError(f"cannot connect {src} -> {dst}: {exc}") from exc
-                raw.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                conn = _Connection(raw)
-                hello = src.encode("utf-8")
-                conn.send_frame(struct.pack("<I", len(hello) + 1) + b"\x00" + hello)
-                self._conns[key] = conn
+        host, port = self.addresses[dst]
+        try:
+            sock = socket.create_connection(
+                (host, port), timeout=min(self.timeout, _CONNECT_TIMEOUT_S))
+        except OSError as exc:
+            raise TransportError(f"cannot connect {src} -> {dst}: {exc}") from exc
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.setblocking(False)
+        conn = self._conns[(src, dst)] = _Connection(sock, src, f"{src} -> {dst}")
+        hello = src.encode("utf-8")
+        self._write(conn, _FRAME_HEAD.pack(len(hello) + 1) + b"\x00" + hello)
         return conn
 
+    def _write(self, conn: _Connection, frame: bytes):
+        """Send what the socket takes now and queue the rest behind anything
+        already queued; the loop flushes the queue when the socket drains."""
+        if conn.outbuf:
+            conn.outbuf += frame
+            return
+        try:
+            sent = conn.sock.send(frame)
+        except BlockingIOError:
+            sent = 0
+        if sent < len(frame):
+            conn.outbuf += frame[sent:]
+            self._sel.register(conn.sock, selectors.EVENT_WRITE, conn)
+
+    def _flush(self, conn: _Connection):
+        try:
+            sent = conn.sock.send(conn.outbuf)
+        except BlockingIOError:
+            return
+        except OSError as exc:
+            self._fail(conn.where, exc)
+            return
+        del conn.outbuf[:sent]
+        if not conn.outbuf:
+            self._sel.unregister(conn.sock)
+
     def send(self, src: str, dst: str, msg):
+        """Queue ``msg`` on the (src, dst) stream; called from node code, so
+        on the loop thread."""
         if dst not in self.addresses:
             raise TransportError(f"unknown endpoint {dst!r}")
-        self._dial(src, dst).send_frame(protocol.encode(msg))
+        conn = self._conns.get((src, dst)) or self._dial(src, dst)
+        self._write(conn, protocol.encode(msg))
 
     def schedule(self, endpoint: str, delay: float, msg):
         # real compute time already elapsed; run the completion inline
         self.nodes[endpoint].handle(endpoint, msg)
 
-    def _drive(self, endpoint: str, node: Node):
-        inbox = self._inboxes[endpoint]
-        while not self._stopping.is_set():
-            try:
-                src, msg = inbox.get(timeout=0.2)
-            except queue.Empty:
-                continue
-            try:
-                node.handle(src, msg)
-            except Exception as exc:  # the node is broken: stop every node
-                self._fail(endpoint, exc)
-                return
-            if node.can_shutdown():
-                return
-
     def _fail(self, where: str, exc: Exception):
-        """Record the first failure of any node or reader and stop the cluster."""
-        with self._conn_lock:
-            if self._failure is None:
-                self._failure = (where, exc)
-        self._stopping.set()
+        """Record the first failure of any node or stream and stop the loop;
+        once close() has begun, an error is part of the teardown."""
+        if not self._stopping.is_set():
+            self._failure = (where, exc)
+            self._stopping.set()
 
     def _raise_failure(self):
         if self._failure is not None:
@@ -382,7 +416,7 @@ class SocketCluster:
             raise TransportError(f"{where}: {exc!r}") from exc
 
     def wait(self, done: threading.Event):
-        """Block until ``done`` is set; raise the first node or reader failure
+        """Block until ``done`` is set; raise the first node or stream failure
         as soon as it happens, or a ``TransportError`` after the timeout."""
         deadline = time.monotonic() + self.timeout
         while not done.wait(0.05):
@@ -398,25 +432,18 @@ class SocketCluster:
             time.sleep(0.01)
 
     def close(self):
+        """Stop the loop, join its thread, then close every socket."""
         self._stopping.set()
-        for srv in self._listeners.values():
-            try:
-                srv.close()
-            except OSError:
-                pass
-        with self._conn_lock:
-            for conn in self._conns.values():
-                try:
-                    conn.sock.close()
-                except OSError:
-                    pass
-            self._conns.clear()
-            for sock_ in self._accepted:
-                # shutdown wakes the reader blocked in recv; close alone
-                # leaves the connection open until that recv returns
-                try:
-                    sock_.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass  # the peer has gone already
-                sock_.close()
-            self._accepted.clear()
+        if self._thread is not None:
+            self._wake[1].send(b"\x00")
+            self._thread.join()
+            self._thread = None
+        socks = [*self._listeners.values(), *(c.sock for c in self._conns.values()),
+                 *(c.sock for c in self._accepted), *(self._wake or ())]
+        for sock_ in socks:
+            sock_.close()
+        self._listeners.clear()
+        self._conns.clear()
+        self._accepted.clear()
+        if self._sel is not None:
+            self._sel.close()

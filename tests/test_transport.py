@@ -1,4 +1,5 @@
 import socket
+import struct
 import threading
 import time
 
@@ -8,7 +9,7 @@ import pytest
 from dvrsgd import protocol, transport
 from dvrsgd.harness import run_cluster_socket
 from dvrsgd.losses import make_synthetic
-from dvrsgd.protocol import PullResponse, TaskKind, UpdatePush
+from dvrsgd.protocol import PullResponse, Stop, TaskId, TaskKind, UpdatePush
 from dvrsgd.server import HyperParams
 from dvrsgd.transport import (LatencyModel, LivelockError, Node, SimCluster, SocketCluster,
                               TransportError)
@@ -178,62 +179,220 @@ def test_timers_fire_at_requested_time():
     assert s.fired == (3.5, "alarm")
 
 
-def test_connection_accepted_while_closing_is_closed():
-    cluster = SocketCluster({"a": ("127.0.0.1", 0)})
-    ours, theirs = socket.socketpair()
+class Sink(Recorder):
+    """A Recorder that may always shut down, so ``wait`` returns as soon as
+    its event is set."""
 
-    class Listener:
-        """Hands out one connection, with close() starting in between."""
-
-        def settimeout(self, _):
-            pass
-
-        def accept(self):
-            cluster._stopping.set()
-            return ours, None
-
-    cluster._listeners["a"] = Listener()
-    cluster._accept_loop("a")
-    assert cluster._accepted == []
-    assert ours.fileno() == -1
-    assert theirs.recv(1) == b""  # the peer sees the close
-    theirs.close()
+    def can_shutdown(self):
+        return True
 
 
-@pytest.mark.parametrize("closing", [False, True])
-def test_reader_error_fails_the_run_unless_closing(closing):
-    cluster = SocketCluster({"a": ("127.0.0.1", 0)})
-    cluster.register("a", Recorder())
-    ours, theirs = socket.socketpair()
-    ours.close()  # as close() may do before the reader's first recv
-    if closing:
-        cluster._stopping.set()
-    cluster._reader("a", ours)
-    theirs.close()
-    if closing:
-        assert cluster._failure is None
-    else:
-        assert cluster._failure[0] == "a"
-        assert isinstance(cluster._failure[1], OSError)
-        assert cluster._stopping.is_set()
+class Gate(Sink):
+    """Holds the loop inside its handler until ``release`` is set."""
+
+    def __init__(self):
+        super().__init__()
+        self.release = threading.Event()
+
+    def handle(self, src, msg):
+        super().handle(src, msg)
+        self.release.wait(5.0)
+
+
+def _started(**nodes):
+    cluster = SocketCluster({ep: ("127.0.0.1", 0) for ep in nodes}, timeout=5.0)
+    for ep, node in nodes.items():
+        cluster.register(ep, node)
+    cluster.start()
+    return cluster
+
+
+def _raw_client(cluster, endpoint, name="peer"):
+    """A TCP client of ``endpoint`` that has sent its HELLO as ``name``."""
+    sock = socket.create_connection(("127.0.0.1", cluster.bound_port(endpoint)), timeout=5.0)
+    hello = name.encode()
+    sock.sendall(struct.pack("<I", len(hello) + 1) + b"\x00" + hello)
+    return sock
+
+
+def _reset(sock):
+    """Close with an RST, so the peer's next recv raises."""
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    sock.close()
+
+
+def _sees_close(sock) -> bool:
+    try:
+        return sock.recv(1) == b""
+    except ConnectionResetError:
+        return True
+    finally:
+        sock.close()
+
+
+def _until(cond, timeout=5.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while not cond() and time.monotonic() < deadline:
+        time.sleep(0.001)
+    return cond()
 
 
 def test_close_closes_accepted_connections():
-    cluster = SocketCluster({"a": ("127.0.0.1", 0)}, timeout=5.0)
-    cluster.register("a", Recorder())
-    cluster.start()
+    sink = Sink()
+    cluster = _started(a=sink)
+    clients = []
     try:
-        client = socket.create_connection(("127.0.0.1", cluster.bound_port("a")), timeout=5.0)
-        deadline = time.monotonic() + 5.0
-        while not cluster._accepted and time.monotonic() < deadline:
-            time.sleep(0.01)
-        accepted = list(cluster._accepted)
+        for name in ("p", "q"):
+            clients.append(_raw_client(cluster, "a", name))
+            clients[-1].sendall(protocol.encode(Stop()))
+        assert _until(lambda: len(sink.seen) == 2)
+        assert sorted(src for _, src, _ in sink.seen) == ["p", "q"]  # both accepted
     finally:
         cluster.close()
-    assert accepted and cluster._accepted == []
-    assert all(conn.fileno() == -1 for conn in accepted)
-    assert client.recv(1) == b""
-    client.close()
+    for client in clients:
+        assert client.recv(1) == b""  # an EOF, not a reset: the stream was ours
+        client.close()
+
+
+@pytest.mark.parametrize("closing", [False, True])
+def test_unreadable_stream_fails_the_run_unless_closing(closing):
+    gate = Gate()
+    cluster = _started(a=gate)
+    closer = threading.Thread(target=cluster.close)
+    try:
+        client = _raw_client(cluster, "a")
+        client.sendall(protocol.encode(Stop()))
+        assert _until(lambda: gate.seen)  # the loop is held in the handler
+        _reset(client)
+        if closing:
+            closer.start()
+            _until(cluster._stopping.is_set)
+        gate.release.set()
+        if closing:
+            closer.join(5.0)
+            assert not closer.is_alive()
+            done = threading.Event()
+            done.set()
+            cluster.wait(done)  # no failure was recorded
+        else:
+            with pytest.raises(TransportError, match=r"^a <- peer: ConnectionResetError"):
+                cluster.wait(threading.Event())
+    finally:
+        gate.release.set()
+        cluster.close()
+
+
+def test_connection_arriving_while_closing_is_closed():
+    gate = Gate()
+    cluster = _started(a=gate)
+    closer = threading.Thread(target=cluster.close)
+    try:
+        first = _raw_client(cluster, "a")
+        first.sendall(protocol.encode(Stop()))
+        assert _until(lambda: gate.seen)
+        late = _raw_client(cluster, "a", "late")  # queued while the loop is held
+        closer.start()
+        _until(cluster._stopping.is_set)
+        gate.release.set()
+        closer.join(5.0)
+        assert not closer.is_alive()
+    finally:
+        gate.release.set()
+        cluster.close()
+    assert _sees_close(first)
+    assert _sees_close(late)
+
+
+def test_truncated_frame_fails_fast_naming_the_reader():
+    cluster = _started(a=Sink())
+    try:
+        client = _raw_client(cluster, "a")
+        client.sendall(struct.pack("<I", 100) + bytes(10))
+        client.close()
+        t0 = time.monotonic()
+        with pytest.raises(TransportError,
+                           match=r"^a <- peer: DecodeError\('stream ended inside a frame'\)$"):
+            cluster.wait(threading.Event())
+        assert time.monotonic() - t0 < 1.0
+    finally:
+        cluster.close()
+
+
+def test_unreachable_endpoint_fails_within_the_connect_timeout():
+    # a backlog-0 listener holding one unaccepted connection drops the next
+    # SYN, so a connect to it hangs
+    blackhole = socket.create_server(("127.0.0.1", 0), backlog=0)
+    filler = socket.create_connection(blackhole.getsockname(), timeout=5.0)
+    cluster = SocketCluster({"a": ("127.0.0.1", 0), "b": blackhole.getsockname()},
+                            timeout=30.0)
+    cluster.register("a", Chatter([("b", Stop())]))
+    t0 = time.monotonic()
+    try:
+        cluster.start()
+        with pytest.raises(TransportError, match=r"^a: TransportError\('cannot connect a -> b"):
+            cluster.wait(threading.Event())
+    finally:
+        cluster.close()
+        filler.close()
+        blackhole.close()
+    assert time.monotonic() - t0 < 2.0
+
+
+class Talker(Sink):
+    """A Sink that sends a fixed script of messages on start."""
+
+    def __init__(self, script):
+        super().__init__()
+        self.script = script
+
+    on_start = Chatter.on_start
+
+
+def test_frame_larger_than_socket_buffers_arrives_bit_exact():
+    # a 16 MiB frame is more than loopback TCP buffers hold, so the one loop
+    # must interleave writing it with reading it, here also to itself
+    big = PullResponse(TaskId(1, TaskKind.UPDATE),
+                       np.random.default_rng(0).standard_normal(2**21))
+    a, b = Talker([("b", big), ("b", Stop()), ("a", big)]), Sink()
+    cluster = _started(a=a, b=b)
+    try:
+        assert _until(lambda: (len(a.seen), len(b.seen)) == (1, 2), timeout=10.0)
+        done = threading.Event()
+        done.set()
+        cluster.wait(done)  # raises a recorded failure
+    finally:
+        cluster.close()
+    assert [(src, type(msg)) for _, src, msg in b.seen] == [("a", PullResponse), ("a", Stop)]
+    assert [(src, type(msg)) for _, src, msg in a.seen] == [("a", PullResponse)]
+    for got in (b.seen[0][2], a.seen[0][2]):
+        assert got.task == big.task
+        assert np.array_equal(got.w, big.w)
+
+
+def test_socket_run_starts_one_thread_and_leaves_none():
+    p = make_synthetic("quadratic", 200, 5, seed=1)
+    h = HyperParams(eta=0.01, theta=0.5, tau=2, B=4, m=40, S=3, P=2)
+    roles = ["scheduler", "server", "worker:0", "worker:1"]
+    before = set(threading.enumerate())
+    during = []
+
+    def note_threads(records):
+        during.append(set(threading.enumerate()) - before)
+        return False
+
+    run_cluster_socket(p, h, {r: ("127.0.0.1", 0) for r in roles}, seed=3,
+                       stop_rule=note_threads, timeout=30.0)
+    assert during and all(len(new) == 1 for new in during)
+    assert [t for t in threading.enumerate() if t not in before] == []
+
+
+def test_close_joins_the_loop_of_an_idle_cluster():
+    before = set(threading.enumerate())
+    cluster = _started(a=Sink())
+    assert len(set(threading.enumerate()) - before) == 1
+    cluster.close()
+    assert set(threading.enumerate()) - before == set()
+    cluster.close()  # a second close is harmless
 
 
 def _run_with_fault(expect: str):
