@@ -270,7 +270,10 @@ class SocketCluster:
         self._sel.register(self._wake[0], selectors.EVENT_READ)
         for endpoint in self.nodes:
             host, port = self.addresses[endpoint]
-            srv = socket.create_server((host, port))
+            # each endpoint dials this one at most once, and the loop may be
+            # busy in a connect of its own while the dials arrive, so the
+            # kernel must be able to hold all of them unaccepted
+            srv = socket.create_server((host, port), backlog=len(self.addresses))
             srv.setblocking(False)
             self._listeners[endpoint] = srv
             # rebind in case port 0 was requested
@@ -287,6 +290,8 @@ class SocketCluster:
                 return
         while not self._stopping.is_set():
             for key, mask in self._sel.select():
+                if self._stopping.is_set():  # a failure or close(): drop the rest
+                    break
                 data = key.data
                 if data is None:
                     self._wake[0].recv(64)  # close() has begun

@@ -1,3 +1,4 @@
+import select
 import socket
 import struct
 import threading
@@ -254,32 +255,46 @@ def test_close_closes_accepted_connections():
         client.close()
 
 
-@pytest.mark.parametrize("closing", [False, True])
-def test_unreadable_stream_fails_the_run_unless_closing(closing):
+def test_reset_stream_fails_the_run_naming_the_reader():
     gate = Gate()
     cluster = _started(a=gate)
-    closer = threading.Thread(target=cluster.close)
     try:
         client = _raw_client(cluster, "a")
         client.sendall(protocol.encode(Stop()))
         assert _until(lambda: gate.seen)  # the loop is held in the handler
         _reset(client)
-        if closing:
-            closer.start()
-            _until(cluster._stopping.is_set)
         gate.release.set()
-        if closing:
-            closer.join(5.0)
-            assert not closer.is_alive()
-            done = threading.Event()
-            done.set()
-            cluster.wait(done)  # no failure was recorded
-        else:
-            with pytest.raises(TransportError, match=r"^a <- peer: ConnectionResetError"):
-                cluster.wait(threading.Event())
+        with pytest.raises(TransportError, match=r"^a <- peer: ConnectionResetError"):
+            cluster.wait(threading.Event())
     finally:
         gate.release.set()
         cluster.close()
+
+
+@pytest.mark.parametrize("closing", [False, True])
+def test_unreadable_stream_fails_the_run_unless_closing(closing):
+    # close() may begin on another thread while the loop reads a reset
+    # stream; that read is driven here directly, with and without close()
+    # begun
+    cluster = SocketCluster({"a": ("127.0.0.1", 0)}, timeout=5.0)
+    with socket.create_server(("127.0.0.1", 0)) as srv:
+        client = socket.create_connection(srv.getsockname(), timeout=5.0)
+        sock, _ = srv.accept()
+    sock.setblocking(False)
+    _reset(client)
+    assert select.select([sock], [], [], 5.0)[0]
+    if closing:
+        cluster._stopping.set()
+    try:
+        cluster._read(transport._Connection(sock, "a", "a <- peer"))
+    finally:
+        sock.close()
+    if closing:
+        assert cluster._failure is None
+    else:
+        where, exc = cluster._failure
+        assert where == "a <- peer" and isinstance(exc, ConnectionResetError)
+        assert cluster._stopping.is_set()
 
 
 def test_connection_arriving_while_closing_is_closed():
@@ -383,6 +398,20 @@ def test_socket_run_starts_one_thread_and_leaves_none():
     run_cluster_socket(p, h, {r: ("127.0.0.1", 0) for r in roles}, seed=3,
                        stop_rule=note_threads, timeout=30.0)
     assert during and all(len(new) == 1 for new in during)
+    assert [t for t in threading.enumerate() if t not in before] == []
+
+
+def test_socket_run_with_hundreds_of_workers_completes():
+    # every worker dials the server in the same pass of the loop, which is
+    # itself blocked in a connect meanwhile; the listener must queue them all
+    P = 200
+    p = make_synthetic("quadratic", 2 * P, 5, seed=1)
+    h = HyperParams(eta=0.01, theta=0.5, tau=2, B=1, m=P, S=1, P=P)
+    roles = ["scheduler", "server", *(f"worker:{k}" for k in range(P))]
+    before = set(threading.enumerate())
+    result = run_cluster_socket(p, h, {r: ("127.0.0.1", 0) for r in roles}, seed=3,
+                                timeout=30.0)
+    assert [r.stage for r in result.records] == [0, 1]
     assert [t for t in threading.enumerate() if t not in before] == []
 
 
