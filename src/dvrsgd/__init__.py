@@ -9,7 +9,7 @@ from .losses import (Problem, Sample, full_gradient, make_synthetic,
 from .scheduler import ProgressRecord, compute_rate_gamma
 from .server import HyperParams, ParamServer, ProtocolError
 from .transport import LatencyModel, SimCluster
-from .vrgrad import Snapshot, plain_gradient, vr_gradient
+from .vrgrad import Snapshot, vr_gradient
 from .worker import WorkerNode
 
 __version__ = "0.1.0"
@@ -20,5 +20,5 @@ __all__ = [
     "Problem", "Sample", "full_gradient", "make_synthetic", "mean_gradient",
     "objective", "sample_gradient", "ProgressRecord", "compute_rate_gamma",
     "HyperParams", "ParamServer", "ProtocolError", "LatencyModel", "SimCluster",
-    "Snapshot", "plain_gradient", "vr_gradient", "WorkerNode", "__version__",
+    "Snapshot", "vr_gradient", "WorkerNode", "__version__",
 ]

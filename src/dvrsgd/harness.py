@@ -1,9 +1,10 @@
 """Experiment harness: config files, cluster assembly, CSV output, sweeps.
 
-``run_cluster`` wires a problem, a partitioning, and an algorithm into
-scheduler/server/worker nodes over either the simulated or the socket
-transport and runs it to completion.  ``run_experiment`` does the same from an
-``ExperimentConfig`` and writes one CSV row per stage:
+``run_cluster`` (simulated transport) and ``run_cluster_socket`` (real TCP)
+wire a problem, a partitioning, and an algorithm into scheduler/server/worker
+nodes the same way and run the cluster until every node can shut down.
+``run_experiment`` does the same from an ``ExperimentConfig`` and writes one
+CSV row per stage:
 
     stage, objective, wall_time, comp_time, comm_time
 
@@ -18,7 +19,6 @@ import dataclasses
 import logging
 import os
 import sys
-import threading
 import time
 import typing
 from dataclasses import dataclass, field
@@ -72,25 +72,31 @@ def _build_nodes(problem: Problem, hyper: HyperParams, algo: str, *, seed: int,
     return sched, server, workers, parts
 
 
+def _run_nodes(cluster, problem: Problem, hyper: HyperParams, algo: str,
+               **build) -> RunResult:
+    """Register the scheduler, server and workers that ``_build_nodes``
+    makes on ``cluster`` and run it until every node can shut down."""
+    sched, server, workers, parts = _build_nodes(problem, hyper, algo, **build)
+    cluster.register("scheduler", sched)
+    cluster.register("server", server)
+    for p, wk in enumerate(workers):
+        cluster.register(f"worker:{p}", wk)
+    trace = cluster.run_until_quiescent()
+    return RunResult(records=sched.records, snapshots=server.snapshot_history,
+                     final_w=server.w, trace=trace, partitioning=parts,
+                     stopped_early=sched.stopped_early)
+
+
 def run_cluster(problem: Problem, hyper: HyperParams, *, algo: str = "dvrsgd",
                 seed: int = 0, latency: LatencyModel | None = None,
                 grad_tick: float = 0.0, partition_strategy: str = "contiguous",
                 partition_seed: int = 0, stop_rule=None, w0=None,
                 max_events: int = 10_000_000, collect_trace: bool = True) -> RunResult:
     """Run one algorithm end-to-end on the deterministic simulated cluster."""
-    sched, server, workers, parts = _build_nodes(
-        problem, hyper, algo, seed=seed, grad_tick=grad_tick,
-        partition_strategy=partition_strategy, partition_seed=partition_seed,
-        stop_rule=stop_rule, w0=w0)
-    sim = SimCluster(latency, max_events=max_events, collect_trace=collect_trace)
-    sim.register("scheduler", sched)
-    sim.register("server", server)
-    for p, wk in enumerate(workers):
-        sim.register(f"worker:{p}", wk)
-    trace = sim.run_until_quiescent()
-    return RunResult(records=sched.records, snapshots=server.snapshot_history,
-                     final_w=server.w, trace=trace if collect_trace else None,
-                     partitioning=parts, stopped_early=sched.stopped_early)
+    return _run_nodes(SimCluster(latency, max_events=max_events, collect_trace=collect_trace),
+                      problem, hyper, algo, seed=seed, grad_tick=grad_tick,
+                      partition_strategy=partition_strategy,
+                      partition_seed=partition_seed, stop_rule=stop_rule, w0=w0)
 
 
 def run_cluster_socket(problem: Problem, hyper: HyperParams,
@@ -100,25 +106,10 @@ def run_cluster_socket(problem: Problem, hyper: HyperParams,
                        timeout: float = 60.0) -> RunResult:
     """Run all roles in-process over real TCP sockets, served by one selector
     loop on one thread."""
-    sched, server, workers, parts = _build_nodes(
-        problem, hyper, algo, seed=seed, grad_tick=0.0,
-        partition_strategy=partition_strategy, partition_seed=partition_seed,
-        stop_rule=stop_rule, w0=w0)
-    cluster = SocketCluster(addresses, timeout=timeout)
-    done = threading.Event()
-    sched.on_finish = done.set
-    cluster.register("scheduler", sched)
-    cluster.register("server", server)
-    for p, wk in enumerate(workers):
-        cluster.register(f"worker:{p}", wk)
-    try:
-        cluster.start()
-        cluster.wait(done)
-    finally:
-        cluster.close()
-    return RunResult(records=sched.records, snapshots=server.snapshot_history,
-                     final_w=server.w, trace=None, partitioning=parts,
-                     stopped_early=sched.stopped_early)
+    return _run_nodes(SocketCluster(addresses, timeout=timeout), problem, hyper, algo,
+                      seed=seed, grad_tick=0.0,
+                      partition_strategy=partition_strategy,
+                      partition_seed=partition_seed, stop_rule=stop_rule, w0=w0)
 
 
 def _run_serial_svrg(problem: Problem, hyper: HyperParams, seed: int) -> RunResult:

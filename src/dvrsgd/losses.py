@@ -74,11 +74,6 @@ class Sample:
         self.values = values
         self.label = label
 
-    def dense(self, dim: int) -> np.ndarray:
-        x = np.zeros(dim)
-        x[self.indices] = self.values
-        return x
-
 
 class Problem:
     """Immutable finite-sum problem over a dense feature matrix.

@@ -6,6 +6,9 @@ evaluation task with timestamp s*m+1 to all workers and the server and waits
 for every worker's objective push before moving on.  Stage 0 is a bootstrap
 evaluation round: it establishes the initial snapshot (anchor and full
 gradient) and records the starting objective before any update task exists.
+The run ends by protocol: the scheduler sends STOP to every worker and the
+server and is then done, and either transport stops once every node can shut
+down.
 
 Also home to ``compute_rate_gamma``, the linear-rate constant
 
@@ -111,7 +114,6 @@ class SchedulerNode(Node):
         self.stopped_early = False
         self._pending: dict[int, EvalPush] = {}
         self._t0 = None
-        self.on_finish = None  # optional callback for socket-mode completion
 
     def _worker_eps(self):
         return [f"worker:{p}" for p in range(self.hyper.P)]
@@ -141,8 +143,6 @@ class SchedulerNode(Node):
         for ep in self._worker_eps():
             self.send(ep, Stop())
         self.send(self.server_ep, Stop())
-        if self.on_finish is not None:
-            self.on_finish()
 
     def handle(self, src: str, msg):
         if self.done:

@@ -4,7 +4,9 @@ Both transports honor the same contract:
 
 * exactly-once delivery,
 * FIFO order per (sender, receiver) pair,
-* each node's handler runs serialized (one event at a time per node).
+* each node's handler runs serialized (one event at a time per node),
+* ``run_until_quiescent`` runs the cluster until every hosted node reports
+  ``can_shutdown()``, or until the first failure.
 
 ``SimCluster`` is a single-threaded discrete-event loop over logical time.
 Latencies come from a seeded ``LatencyModel``; deliveries that would overtake
@@ -19,10 +21,11 @@ inbound stream's buffer and runs the receiving node's handler inline, so a
 frame costs one wake-up; outbound frames go out through non-blocking sockets,
 queued per connection while the socket is full.  It exists to show the same
 node code runs as an actual distributed program; the simulator is the
-substrate for experiments and tests.  The first exception from a node, or the
-first inbound stream that cannot be read or decoded (one that ends inside a
-frame included), stops the loop, and ``wait`` re-raises it as a
-``TransportError`` naming the endpoint.
+substrate for experiments and tests.  The loop returns by itself once every
+node it hosts can shut down.  Before that, the first exception from a node,
+or the first inbound stream that cannot be read or decoded or that ends (at a
+frame boundary or inside a frame), stops the loop; ``wait`` joins the loop and
+re-raises the failure as a ``TransportError`` naming the endpoint.
 """
 
 import heapq
@@ -196,7 +199,8 @@ class SimCluster:
         """Dispatch events in (time, seq) order until the queue drains.
 
         Returns the ordered trace (sends interleaved with deliveries in
-        causal order).  Raises LivelockError past ``max_events`` dispatches.
+        causal order), or None when ``collect_trace`` is off.  Raises
+        LivelockError past ``max_events`` dispatches.
         """
         if not self._started:
             self._started = True
@@ -212,7 +216,7 @@ class SimCluster:
             dispatched += 1
             if dispatched > self.max_events:
                 raise LivelockError(f"exceeded {self.max_events} events without quiescing")
-        return self.trace
+        return self.trace if self.collect_trace else None
 
 
 class _Connection:
@@ -235,7 +239,8 @@ class _Connection:
 class SocketCluster:
     """TCP transport: every endpoint listens and dials peers lazily, one
     connection per (sender, receiver) pair, and one selector loop on one
-    thread accepts, reads, writes and runs every node's handler inline."""
+    thread accepts, reads, writes and runs every node's handler inline until
+    every node can shut down or the first failure."""
 
     def __init__(self, addresses: dict[str, tuple[str, int]], *, timeout: float = 60.0):
         self.addresses = dict(addresses)
@@ -282,13 +287,16 @@ class SocketCluster:
         self._thread = threading.Thread(target=self._loop, name="socket-loop", daemon=True)
         self._thread.start()
 
+    def _quiescent(self) -> bool:
+        return all(node.can_shutdown() for node in self.nodes.values())
+
     def _loop(self):
         # on_start runs here too, so the loop thread is the only writer
         for endpoint, node in self.nodes.items():
             self._run_node(endpoint, node.on_start)
             if self._stopping.is_set():
                 return
-        while not self._stopping.is_set():
+        while not self._stopping.is_set() and not self._quiescent():
             for key, mask in self._sel.select():
                 if self._stopping.is_set():  # a failure or close(): drop the rest
                     break
@@ -329,6 +337,8 @@ class SocketCluster:
             if not chunk:
                 if conn.inbuf:
                     raise protocol.DecodeError("stream ended inside a frame")
+                if not self._quiescent():
+                    raise ConnectionError("peer closed the stream while the run was live")
                 self._sel.unregister(conn.sock)
                 conn.sock.close()
                 self._accepted.discard(conn)
@@ -415,26 +425,27 @@ class SocketCluster:
             self._failure = (where, exc)
             self._stopping.set()
 
-    def _raise_failure(self):
+    def wait(self):
+        """Join the loop, which returns once every node can shut down or at
+        the first failure; raise that failure, or a ``TransportError`` if the
+        loop is still running after the timeout or ended any other way."""
+        self._thread.join(self.timeout)
         if self._failure is not None:
             where, exc = self._failure
             raise TransportError(f"{where}: {exc!r}") from exc
+        if self._thread.is_alive():
+            raise TransportError(f"cluster did not finish within {self.timeout}s")
+        if not self._quiescent():
+            raise TransportError("socket loop stopped before every node could shut down")
 
-    def wait(self, done: threading.Event):
-        """Block until ``done`` is set; raise the first node or stream failure
-        as soon as it happens, or a ``TransportError`` after the timeout."""
-        deadline = time.monotonic() + self.timeout
-        while not done.wait(0.05):
-            self._raise_failure()
-            if time.monotonic() >= deadline:
-                raise TransportError(f"cluster did not finish within {self.timeout}s")
-        # let STOP frames and any final-round pushes land before teardown
-        deadline = time.monotonic() + self.timeout
-        while time.monotonic() < deadline:
-            self._raise_failure()
-            if all(n.can_shutdown() for n in self.nodes.values()):
-                break
-            time.sleep(0.01)
+    def run_until_quiescent(self) -> None:
+        """Start the loop, wait for it and close every socket; no trace is
+        kept."""
+        try:
+            self.start()
+            self.wait()
+        finally:
+            self.close()
 
     def close(self):
         """Stop the loop, join its thread, then close every socket."""

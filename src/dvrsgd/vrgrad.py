@@ -5,8 +5,7 @@ The estimator for a mini-batch Bt is
     (1/|Bt|) * sum_{i in Bt} [grad f_i(w) - grad f_i(anchor)] + anchor_grad
 
 which is unbiased for grad F(w) and whose variance vanishes as both w and the
-anchor approach the optimum.  ``plain_gradient`` is the uncorrected mini-batch
-mean used by the non-variance-reduced baselines.
+anchor approach the optimum.
 """
 
 from dataclasses import dataclass
@@ -14,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import (Problem, _check_indices, _check_param, _gradient_rows, _ordered_sum,
-                     full_gradient, mean_gradient)
+                     full_gradient)
 
-__all__ = ["Snapshot", "make_snapshot", "vr_gradient", "plain_gradient", "draw_batch"]
+__all__ = ["Snapshot", "make_snapshot", "vr_gradient", "draw_batch"]
 
 
 @dataclass(frozen=True)
@@ -49,11 +48,6 @@ def vr_gradient(problem: Problem, w, snapshot: Snapshot, batch) -> np.ndarray:
     diff = buf[0]
     diff -= buf[1]
     return _ordered_sum(diff) / idx.size + snapshot.anchor_grad
-
-
-def plain_gradient(problem: Problem, w, batch) -> np.ndarray:
-    """Uncorrected mini-batch mean of sample gradients."""
-    return mean_gradient(problem, w, batch)
 
 
 def draw_batch(rng: np.random.Generator, pool: np.ndarray, size: int) -> np.ndarray:

@@ -31,7 +31,7 @@ from .protocol import (EvalPush, PullRequest, PullResponse, SnapshotBroadcast,
                        Stop, TaskAssign, TaskId, TaskKind, UpdatePush)
 from .server import HyperParams, ProtocolError
 from .transport import Node
-from .vrgrad import Snapshot, draw_batch, plain_gradient, vr_gradient
+from .vrgrad import Snapshot, draw_batch, vr_gradient
 
 __all__ = ["WorkerNode", "sampling_stream", "intermediate_iterate", "update_stage", "eval_stage"]
 
@@ -130,7 +130,7 @@ class WorkerNode(Node):
             delta = vr_gradient(self.problem, w_hat, self.snapshot, batch)
             cost = self.grad_tick * 2 * self.hyper.B
         else:
-            delta = plain_gradient(self.problem, w_hat, batch)
+            delta = mean_gradient(self.problem, w_hat, batch)
             cost = self.grad_tick * self.hyper.B
         w_bar = intermediate_iterate(w_hat, delta, self.hyper.eta)
         push = UpdatePush(self.worker_id, task, w_bar, delta)

@@ -107,7 +107,7 @@ def test_config_validation_lists_all_errors(tmp_path):
 def test_run_experiment_writes_csv(tmp_path):
     cfg = small_config(tmp_path)
     records = run_experiment(cfg)
-    lines = open(cfg.out).read().splitlines()
+    lines = Path(cfg.out).read_text().splitlines()
     assert lines[0] == "stage,objective,wall_time,comp_time,comm_time"
     assert len(lines) == len(records) + 1 == 5  # stages 0..3
     first = lines[1].split(",")
@@ -118,13 +118,13 @@ def test_deterministic_runs_identical_csv(tmp_path):
     cfg = small_config(tmp_path, latency="uniform", lo=1.0, hi=5.0, transport_seed=4)
     run_experiment(cfg, out=str(tmp_path / "a.csv"))
     run_experiment(cfg, out=str(tmp_path / "b.csv"))
-    assert open(tmp_path / "a.csv", "rb").read() == open(tmp_path / "b.csv", "rb").read()
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_zero_stages_header_only(tmp_path):
     cfg = small_config(tmp_path, S=0)
     run_experiment(cfg)
-    assert open(cfg.out).read() == "stage,objective,wall_time,comp_time,comm_time\n"
+    assert Path(cfg.out).read_text() == "stage,objective,wall_time,comp_time,comm_time\n"
 
 
 def test_serial_svrg_algo_path(tmp_path):
@@ -138,7 +138,7 @@ def test_sweep_theta_zero_matches_dsvrg(tmp_path):
     cfg = small_config(tmp_path, target_objective=0.5)
     out_dir = tmp_path / "sweep"
     summary = sweep(cfg, "theta", ["0.0", "0.5"], out_dir=str(out_dir), gnuplot=True)
-    rows = open(summary).read().splitlines()
+    rows = Path(summary).read_text().splitlines()
     assert rows[0] == "value,stages_to_target,total_time,comp_time,comm_time"
     assert len(rows) == 3
     assert (out_dir / "sweep_theta.gp").exists()
@@ -146,14 +146,14 @@ def test_sweep_theta_zero_matches_dsvrg(tmp_path):
     import dataclasses
     dsvrg_cfg = dataclasses.replace(cfg, algo="dsvrg", out=str(tmp_path / "dsvrg.csv"))
     run_experiment(dsvrg_cfg)
-    assert (open(out_dir / "theta_0.0.csv").read().splitlines()[1:]
-            == open(tmp_path / "dsvrg.csv").read().splitlines()[1:])
+    assert ((out_dir / "theta_0.0.csv").read_text().splitlines()[1:]
+            == (tmp_path / "dsvrg.csv").read_text().splitlines()[1:])
 
 
 def test_sweep_workers_emits_all_rows(tmp_path):
     cfg = small_config(tmp_path, target_objective=1e-4, n=64, B=4)
     summary = sweep(cfg, "workers", [1, 2, 4], out_dir=str(tmp_path / "ws"))
-    rows = open(summary).read().splitlines()[1:]
+    rows = Path(summary).read_text().splitlines()[1:]
     assert [r.split(",")[0] for r in rows] == ["1", "2", "4"]
 
 
@@ -168,7 +168,7 @@ def test_sweep_tau_under_latency_reduces_pull_wait(tmp_path):
                        latency="uniform", lo=1.0, hi=5.0, transport_seed=2,
                        grad_tick=0.01)
     summary = sweep(cfg, "tau", [1, 4, 16], out_dir=str(tmp_path / "taus"))
-    rows = [line.split(",") for line in open(summary).read().splitlines()[1:]]
+    rows = [line.split(",") for line in Path(summary).read_text().splitlines()[1:]]
     comm = [float(r[4]) for r in rows]
     assert comm[0] >= comm[1] >= comm[2]
 
@@ -272,12 +272,16 @@ def test_socket_multi_worker_completes_final_snapshot():
 
 
 def test_socket_cluster_timeout():
-    import threading
-    from dvrsgd.transport import SocketCluster, TransportError
-    cluster = SocketCluster({}, timeout=0.2)
-    never = threading.Event()
-    with pytest.raises(TransportError):
-        cluster.wait(never)
+    from dvrsgd.transport import Node, SocketCluster, TransportError
+
+    class Idle(Node):  # never done, so the loop never ends by itself
+        def handle(self, src, msg):
+            pass
+
+    cluster = SocketCluster({"a": ("127.0.0.1", 0)}, timeout=0.2)
+    cluster.register("a", Idle())
+    with pytest.raises(TransportError, match="did not finish within 0.2s"):
+        cluster.run_until_quiescent()
 
 
 @pytest.mark.parametrize("text", ["[hyper]\ntau = 1\ntau = 2\n", "tau = 1\n[hyper]\n",

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from dvrsgd import losses
 from dvrsgd.losses import KINDS, full_gradient, loss_sum, make_synthetic, mean_gradient
-from dvrsgd.vrgrad import make_snapshot, plain_gradient, vr_gradient
+from dvrsgd.vrgrad import make_snapshot, vr_gradient
 
 
 def reference_rows(problem, w, idx):
@@ -86,7 +86,6 @@ def test_kernel_matches_one_shot_reference_bitwise(monkeypatch, block_elems, kin
         for idx in (rng.permutation(p.n)[:size], rng.integers(0, p.n, size=size)):
             want = reference_mean(p, w, idx)
             assert np.array_equal(mean_gradient(p, w, idx), want)
-            assert np.array_equal(plain_gradient(p, w, idx), want)
             diff = reference_rows(p, w, idx) - reference_rows(p, anchor, idx)
             want_vr = reference_sum(diff) / idx.size + snap.anchor_grad
             assert np.array_equal(vr_gradient(p, w, snap, idx), want_vr)

@@ -14,7 +14,9 @@ ALL_KINDS = [
 
 def test_sample_invariants():
     s = Sample([0, 2, 5], [1.0, -2.0, 0.5], 1)
-    assert np.array_equal(s.dense(6), [1.0, 0.0, -2.0, 0.0, 0.0, 0.5])
+    dense = np.zeros(6)
+    dense[s.indices] = s.values
+    assert np.array_equal(dense, [1.0, 0.0, -2.0, 0.0, 0.0, 0.5])
     with pytest.raises(ValueError):
         Sample([2, 1], [1.0, 1.0], 0)  # not strictly increasing
     with pytest.raises(ValueError):

@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from dvrsgd.protocol import (DecodeError, EvalPush, PullRequest, PullResponse,
+from dvrsgd.protocol import (DecodeError, EvalPush, Message, PullRequest, PullResponse,
                              SnapshotBroadcast, Stop, TaskAssign, TaskId, TaskKind,
                              UpdatePush, decode, encode)
 
@@ -98,16 +102,43 @@ def test_floats_preserved_bit_exactly():
     assert out.grad.shape == v.shape
 
 
-def test_truncation_rejected():
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        frame = encode(rand_message(rng))
-        for cut in (4, len(frame) // 2, len(frame) - 1):
-            if cut < len(frame):
+# one strategy per wire field kind; a message's field types name its kinds
+FIELD_VALUES = {
+    "u32": st.integers(0, 2**32 - 1),
+    "f64": st.floats(width=64),
+    "task": st.builds(TaskId, st.integers(1, 2**64 - 1), st.sampled_from(TaskKind)),
+    "vec": st.lists(st.floats(width=64), max_size=6).map(
+        lambda xs: np.array(xs, dtype=np.float64)),
+}
+
+
+def messages(cls):
+    return st.builds(cls, *(FIELD_VALUES[f.type] for f in dataclasses.fields(cls)))
+
+
+def with_header(frame: bytes) -> bytes:
+    """``frame`` with its length header rewritten to match its length."""
+    return (len(frame) - 4).to_bytes(4, "little") + frame[4:] if len(frame) >= 4 else frame
+
+
+@given(st.data())
+def test_truncation_rejected(data):
+    # every message round-trips bit-exactly (NaN payloads and -0.0 included);
+    # every strict prefix and every one-byte extension of its frame is
+    # rejected, both with the frame's own length header and with a header
+    # that matches the new length, which reaches the field-level checks
+    assert len(Message) == 7
+    for cls in Message:
+        msg = data.draw(messages(cls))
+        frame = encode(msg)
+        out = decode(frame)
+        assert type(out) is cls
+        assert encode(out) == frame
+        extended = frame + bytes([data.draw(st.integers(0, 255))])
+        for bad in [frame[:cut] for cut in range(len(frame))] + [extended]:
+            for candidate in (bad, with_header(bad)):
                 with pytest.raises(DecodeError):
-                    decode(frame[:cut])
-        with pytest.raises(DecodeError):
-            decode(frame + b"\x00")
+                    decode(candidate)
 
 
 def test_bad_tag_rejected():

@@ -181,23 +181,37 @@ def test_timers_fire_at_requested_time():
 
 
 class Sink(Recorder):
-    """A Recorder that may always shut down, so ``wait`` returns as soon as
-    its event is set."""
+    """A Recorder that can shut down once it holds ``expect`` frames, so a
+    socket loop hosting only sinks returns by itself after that."""
+
+    def __init__(self, expect):
+        super().__init__()
+        self.expect = expect
 
     def can_shutdown(self):
-        return True
+        return len(self.seen) >= self.expect
 
 
 class Gate(Sink):
     """Holds the loop inside its handler until ``release`` is set."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, expect):
+        super().__init__(expect)
         self.release = threading.Event()
 
     def handle(self, src, msg):
         super().handle(src, msg)
         self.release.wait(5.0)
+
+
+class Talker(Sink):
+    """A Sink that sends a fixed script of messages on start."""
+
+    def __init__(self, script, expect):
+        super().__init__(expect)
+        self.script = script
+
+    on_start = Chatter.on_start
 
 
 def _started(**nodes):
@@ -239,7 +253,7 @@ def _until(cond, timeout=5.0) -> bool:
 
 
 def test_close_closes_accepted_connections():
-    sink = Sink()
+    sink = Sink(expect=2)
     cluster = _started(a=sink)
     clients = []
     try:
@@ -247,6 +261,7 @@ def test_close_closes_accepted_connections():
             clients.append(_raw_client(cluster, "a", name))
             clients[-1].sendall(protocol.encode(Stop()))
         assert _until(lambda: len(sink.seen) == 2)
+        cluster.wait()  # the loop returns by itself once the sink is done
         assert sorted(src for _, src, _ in sink.seen) == ["p", "q"]  # both accepted
     finally:
         cluster.close()
@@ -256,7 +271,7 @@ def test_close_closes_accepted_connections():
 
 
 def test_reset_stream_fails_the_run_naming_the_reader():
-    gate = Gate()
+    gate = Gate(expect=2)  # still live after the first frame
     cluster = _started(a=gate)
     try:
         client = _raw_client(cluster, "a")
@@ -265,7 +280,7 @@ def test_reset_stream_fails_the_run_naming_the_reader():
         _reset(client)
         gate.release.set()
         with pytest.raises(TransportError, match=r"^a <- peer: ConnectionResetError"):
-            cluster.wait(threading.Event())
+            cluster.wait()
     finally:
         gate.release.set()
         cluster.close()
@@ -298,7 +313,7 @@ def test_unreadable_stream_fails_the_run_unless_closing(closing):
 
 
 def test_connection_arriving_while_closing_is_closed():
-    gate = Gate()
+    gate = Gate(expect=2)  # live, so only close() stops the loop
     cluster = _started(a=gate)
     closer = threading.Thread(target=cluster.close)
     try:
@@ -319,7 +334,7 @@ def test_connection_arriving_while_closing_is_closed():
 
 
 def test_truncated_frame_fails_fast_naming_the_reader():
-    cluster = _started(a=Sink())
+    cluster = _started(a=Sink(expect=1))
     try:
         client = _raw_client(cluster, "a")
         client.sendall(struct.pack("<I", 100) + bytes(10))
@@ -327,8 +342,50 @@ def test_truncated_frame_fails_fast_naming_the_reader():
         t0 = time.monotonic()
         with pytest.raises(TransportError,
                            match=r"^a <- peer: DecodeError\('stream ended inside a frame'\)$"):
-            cluster.wait(threading.Event())
+            cluster.wait()
         assert time.monotonic() - t0 < 1.0
+    finally:
+        cluster.close()
+
+
+def test_peer_closing_while_live_fails_fast_naming_the_reader():
+    # an EOF at a frame boundary before every node can shut down is a
+    # vanished peer, not the end of the run
+    sink = Sink(expect=2)
+    cluster = _started(a=sink)
+    try:
+        client = _raw_client(cluster, "a")
+        client.sendall(protocol.encode(Stop()))
+        client.close()
+        t0 = time.monotonic()
+        with pytest.raises(TransportError, match=r"^a <- peer: ConnectionError\(") as info:
+            cluster.wait()
+        assert time.monotonic() - t0 < 1.0
+        assert isinstance(info.value.__cause__, ConnectionError)
+        assert [(src, msg) for _, src, msg in sink.seen] == [("peer", Stop())]
+    finally:
+        cluster.close()
+
+
+def test_loop_returns_by_itself_once_every_node_can_shut_down():
+    a, b = Talker([("b", Stop())], expect=1), Talker([("a", Stop())], expect=1)
+    cluster = _started(a=a, b=b)
+    try:
+        cluster.wait()
+        assert not cluster._thread.is_alive()
+    finally:
+        cluster.close()
+    assert [(src, msg) for _, src, msg in a.seen] == [("b", Stop())]
+    assert [(src, msg) for _, src, msg in b.seen] == [("a", Stop())]
+
+
+def test_loop_stopped_before_quiescence_is_an_error():
+    cluster = _started(a=Sink(expect=1))
+    try:
+        cluster._stopping.set()  # as close() does, but with the run still live
+        cluster._wake[1].send(b"\x00")
+        with pytest.raises(TransportError, match="stopped before every node could shut down"):
+            cluster.wait()
     finally:
         cluster.close()
 
@@ -345,7 +402,7 @@ def test_unreachable_endpoint_fails_within_the_connect_timeout():
     try:
         cluster.start()
         with pytest.raises(TransportError, match=r"^a: TransportError\('cannot connect a -> b"):
-            cluster.wait(threading.Event())
+            cluster.wait()
     finally:
         cluster.close()
         filler.close()
@@ -353,28 +410,16 @@ def test_unreachable_endpoint_fails_within_the_connect_timeout():
     assert time.monotonic() - t0 < 2.0
 
 
-class Talker(Sink):
-    """A Sink that sends a fixed script of messages on start."""
-
-    def __init__(self, script):
-        super().__init__()
-        self.script = script
-
-    on_start = Chatter.on_start
-
-
 def test_frame_larger_than_socket_buffers_arrives_bit_exact():
     # a 16 MiB frame is more than loopback TCP buffers hold, so the one loop
     # must interleave writing it with reading it, here also to itself
     big = PullResponse(TaskId(1, TaskKind.UPDATE),
                        np.random.default_rng(0).standard_normal(2**21))
-    a, b = Talker([("b", big), ("b", Stop()), ("a", big)]), Sink()
+    a, b = Talker([("b", big), ("b", Stop()), ("a", big)], expect=1), Sink(expect=2)
     cluster = _started(a=a, b=b)
     try:
         assert _until(lambda: (len(a.seen), len(b.seen)) == (1, 2), timeout=10.0)
-        done = threading.Event()
-        done.set()
-        cluster.wait(done)  # raises a recorded failure
+        cluster.wait()  # raises a recorded failure
     finally:
         cluster.close()
     assert [(src, type(msg)) for _, src, msg in b.seen] == [("a", PullResponse), ("a", Stop)]
@@ -417,7 +462,7 @@ def test_socket_run_with_hundreds_of_workers_completes():
 
 def test_close_joins_the_loop_of_an_idle_cluster():
     before = set(threading.enumerate())
-    cluster = _started(a=Sink())
+    cluster = _started(a=Sink(expect=1))
     assert len(set(threading.enumerate()) - before) == 1
     cluster.close()
     assert set(threading.enumerate()) - before == set()

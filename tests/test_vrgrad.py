@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from dvrsgd.losses import full_gradient, make_synthetic, sample_gradient
-from dvrsgd.vrgrad import Snapshot, draw_batch, make_snapshot, plain_gradient, vr_gradient
+from dvrsgd.losses import full_gradient, make_synthetic, mean_gradient, sample_gradient
+from dvrsgd.vrgrad import Snapshot, draw_batch, make_snapshot, vr_gradient
 from helpers import quad_solution
 
 
@@ -47,7 +47,7 @@ def test_variance_shrinkage_near_optimum():
     anchor = w_star + 1e-3 * rng.normal(size=p.dim)
     snap = make_snapshot(p, anchor, stage=0)
     vr = np.array([vr_gradient(p, w, snap, [i]) for i in range(p.n)])
-    plain = np.array([plain_gradient(p, w, [i]) for i in range(p.n)])
+    plain = np.array([mean_gradient(p, w, [i]) for i in range(p.n)])
     var = lambda g: float(np.mean(np.sum((g - g.mean(axis=0)) ** 2, axis=1)))
     assert var(vr) < var(plain)
 
@@ -55,13 +55,13 @@ def test_variance_shrinkage_near_optimum():
 def test_plain_gradient_special_cases(problem):
     rng = np.random.default_rng(6)
     w = rng.normal(size=problem.dim)
-    assert np.array_equal(plain_gradient(problem, w, [4]), sample_gradient(problem, w, 4))
-    assert np.array_equal(plain_gradient(problem, w, np.arange(problem.n)),
+    assert np.array_equal(mean_gradient(problem, w, [4]), sample_gradient(problem, w, 4))
+    assert np.array_equal(mean_gradient(problem, w, np.arange(problem.n)),
                           full_gradient(problem, w))
     # anchored at w the per-sample corrections cancel, leaving anchor_grad:
     # seeding the snapshot with the plain gradient makes vr reduce to plain
     batch = [2, 9, 11]
-    g = plain_gradient(problem, w, batch)
+    g = mean_gradient(problem, w, batch)
     snap = Snapshot(anchor=w.copy(), anchor_grad=g, stage=0)
     assert np.array_equal(vr_gradient(problem, w, snap, batch), g)
 
@@ -72,7 +72,7 @@ def test_empty_batch_rejected(problem):
     with pytest.raises(ValueError):
         vr_gradient(problem, w, snap, [])
     with pytest.raises(ValueError):
-        plain_gradient(problem, w, [])
+        mean_gradient(problem, w, [])
 
 
 def test_draw_batch():
