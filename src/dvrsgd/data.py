@@ -105,10 +105,6 @@ class Partitioning:
     counts: np.ndarray          # n_p
     weights: np.ndarray         # q_p = n_p / N
 
-    @property
-    def num_workers(self) -> int:
-        return self.counts.shape[0]
-
     def indices_for(self, p: int) -> np.ndarray:
         return np.nonzero(self.assignments == p)[0]
 

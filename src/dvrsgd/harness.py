@@ -105,7 +105,7 @@ def run_cluster_socket(problem: Problem, hyper: HyperParams,
                        partition_seed: int = 0, stop_rule=None, w0=None,
                        timeout: float = 60.0) -> RunResult:
     """Run all roles in-process over real TCP sockets, served by one selector
-    loop on one thread."""
+    loop that runs on the calling thread."""
     return _run_nodes(SocketCluster(addresses, timeout=timeout), problem, hyper, algo,
                       seed=seed, grad_tick=0.0,
                       partition_strategy=partition_strategy,
@@ -137,6 +137,15 @@ _INI_SECTIONS = {
 }
 _INI_KEY = {name: (section, "seed" if name.endswith("_seed") else name)
             for section, names in _INI_SECTIONS.items() for name in names.split()}
+
+
+def _address(text: str, source: str) -> tuple[str, int]:
+    """``(host, port)`` from ``host:port``; ``source`` names where the text
+    came from in the error for any other form."""
+    host, _, port = text.rpartition(":")
+    if not host or not port.isdecimal() or int(port) > 65535:
+        raise ValueError(f"{source}: expected host:port, got {text!r}")
+    return host, int(port)
 
 
 @dataclass
@@ -290,8 +299,8 @@ class ExperimentConfig:
             cfg = cls(**values)
             if "endpoints" in cp:
                 for name, addr in cp["endpoints"].items():
-                    host, port = addr.rsplit(":", 1)
-                    cfg.endpoints[name.replace(".", ":")] = (host, int(port))
+                    cfg.endpoints[name.replace(".", ":")] = _address(
+                        addr, f"{path}: [endpoints] {name}")
             return cfg
         except configparser.Error as exc:
             # duplicated keys, keys before any section, a lone % in a value
@@ -303,8 +312,7 @@ class ExperimentConfig:
         for name in list(eps):
             env = "DVRSGD_" + name.upper().replace(":", "_")
             if env in os.environ:
-                host, port = os.environ[env].rsplit(":", 1)
-                eps[name] = (host, int(port))
+                eps[name] = _address(os.environ[env], env)
         return eps
 
 

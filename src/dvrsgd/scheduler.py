@@ -101,12 +101,11 @@ def relative_decrease(rtol: float) -> Callable[[list[ProgressRecord]], bool]:
 
 class SchedulerNode(Node):
     def __init__(self, hyper: HyperParams, weights, n_total: int, *, seed: int = 0,
-                 stop_rule=None, server: str = "server"):
+                 stop_rule=None):
         self.hyper = hyper
         self.weights = np.asarray(weights, dtype=np.float64)
         self.n_total = n_total
         self.stop_rule = stop_rule or fixed_stages()
-        self.server_ep = server
         self.rng = assignment_stream(seed)
         self.records: list[ProgressRecord] = []
         self.stage = 0
@@ -130,7 +129,7 @@ class SchedulerNode(Node):
         self._pending = {}
         for ep in self._worker_eps():
             self.send(ep, TaskAssign(task))
-        self.send(self.server_ep, TaskAssign(task))
+        self.send("server", TaskAssign(task))
 
     def _issue_stage(self, stage: int):
         plan = plan_stage(stage, self.hyper.m, self.weights, self.rng)
@@ -142,7 +141,7 @@ class SchedulerNode(Node):
         self.done = True
         for ep in self._worker_eps():
             self.send(ep, Stop())
-        self.send(self.server_ep, Stop())
+        self.send("server", Stop())
 
     def handle(self, src: str, msg):
         if self.done:

@@ -134,8 +134,7 @@ class ParamServer(Node):
     """
 
     def __init__(self, dim: int, hyper: HyperParams, weights, *,
-                 update_rule=None, gate_bound="tau", w0=None,
-                 worker_endpoints=None):
+                 update_rule=None, gate_bound="tau", w0=None):
         self.hyper = hyper
         self.weights = np.asarray(weights, dtype=np.float64)
         if self.weights.shape != (hyper.P,):
@@ -143,7 +142,6 @@ class ParamServer(Node):
         self.w = np.zeros(dim) if w0 is None else np.asarray(w0, dtype=np.float64).copy()
         self.update_rule = update_rule or _hybrid_rule
         self.gate_bound = hyper.tau if gate_bound == "tau" else gate_bound
-        self.worker_endpoints = worker_endpoints or [f"worker:{p}" for p in range(hyper.P)]
         self.finished = FinishedTasks()
         # heap of ((threshold, timestamp, arrival), endpoint, request)
         self.pending_pulls: list[tuple[tuple[int, int, int], str, PullRequest]] = []
@@ -250,8 +248,8 @@ class ParamServer(Node):
         self.snapshot_history.append(snap)
         self._eval_done_stage = self._eval_stage
         if not self.stopped:
-            for dst in self.worker_endpoints:
-                self.send(dst, SnapshotBroadcast(grad))
+            for p in range(self.hyper.P):
+                self.send(f"worker:{p}", SnapshotBroadcast(grad))
         return snap
 
     def _eval_round_open(self) -> bool:

@@ -14,25 +14,24 @@ an earlier message on the same pair are clamped to preserve FIFO order, and
 ties are broken by a global sequence number, so a fixed seed replays the exact
 same schedule.  It records a full event trace for invariant checking.
 
-``SocketCluster`` serves every registered node from one ``selectors`` loop on
-one thread, behind real TCP endpoints speaking the frame format from
-``protocol``.  The loop accepts connections, cuts complete frames out of each
-inbound stream's buffer and runs the receiving node's handler inline, so a
-frame costs one wake-up; outbound frames go out through non-blocking sockets,
-queued per connection while the socket is full.  It exists to show the same
-node code runs as an actual distributed program; the simulator is the
-substrate for experiments and tests.  The loop returns by itself once every
-node it hosts can shut down.  Before that, the first exception from a node,
-or the first inbound stream that cannot be read or decoded or that ends (at a
-frame boundary or inside a frame), stops the loop; ``wait`` joins the loop and
-re-raises the failure as a ``TransportError`` naming the endpoint.
+``SocketCluster`` serves every registered node behind real TCP endpoints
+speaking the frame format from ``protocol``, from one ``selectors`` loop that
+``wait`` runs on the calling thread.  The loop accepts connections, cuts
+complete frames out of each inbound stream's buffer and runs the receiving
+node's handler inline, so a frame costs one wake-up; outbound frames go out
+through non-blocking sockets, queued per connection while the socket is full.
+It exists to show the same node code runs as an actual distributed program;
+the simulator is the substrate for experiments and tests.  The loop returns
+once every node it hosts can shut down.  Before that, the first exception from
+a node, or the first inbound stream that cannot be read or decoded or that
+ends (at a frame boundary or inside a frame), ends it, and ``wait`` raises
+that failure as a ``TransportError`` naming the endpoint.
 """
 
 import heapq
 import selectors
 import socket
 import struct
-import threading
 import time
 from dataclasses import dataclass
 
@@ -238,9 +237,9 @@ class _Connection:
 
 class SocketCluster:
     """TCP transport: every endpoint listens and dials peers lazily, one
-    connection per (sender, receiver) pair, and one selector loop on one
-    thread accepts, reads, writes and runs every node's handler inline until
-    every node can shut down or the first failure."""
+    connection per (sender, receiver) pair, and one selector loop, run on the
+    calling thread by ``wait``, accepts, reads, writes and runs every node's
+    handler inline until every node can shut down or the first failure."""
 
     def __init__(self, addresses: dict[str, tuple[str, int]], *, timeout: float = 60.0):
         self.addresses = dict(addresses)
@@ -250,10 +249,7 @@ class SocketCluster:
         self._conns: dict[tuple[str, str], _Connection] = {}
         self._accepted: set[_Connection] = set()
         self._sel: selectors.BaseSelector | None = None
-        self._wake: tuple[socket.socket, socket.socket] | None = None
-        self._thread: threading.Thread | None = None
         self._t0 = time.monotonic()
-        self._stopping = threading.Event()
         self._failure: tuple[str, Exception] | None = None
 
     @property
@@ -270,9 +266,8 @@ class SocketCluster:
         return self._listeners[endpoint].getsockname()[1]
 
     def start(self):
+        """Bind every hosted endpoint's listener; ``wait`` serves them."""
         self._sel = selectors.DefaultSelector()
-        self._wake = socket.socketpair()
-        self._sel.register(self._wake[0], selectors.EVENT_READ)
         for endpoint in self.nodes:
             host, port = self.addresses[endpoint]
             # each endpoint dials this one at most once, and the loop may be
@@ -284,31 +279,36 @@ class SocketCluster:
             # rebind in case port 0 was requested
             self.addresses[endpoint] = (host, srv.getsockname()[1])
             self._sel.register(srv, selectors.EVENT_READ, endpoint)
-        self._thread = threading.Thread(target=self._loop, name="socket-loop", daemon=True)
-        self._thread.start()
 
     def _quiescent(self) -> bool:
         return all(node.can_shutdown() for node in self.nodes.values())
 
-    def _loop(self):
-        # on_start runs here too, so the loop thread is the only writer
+    def wait(self):
+        """Start every node and run the loop on the calling thread until
+        every node can shut down; raise the first failure, or a
+        ``TransportError`` once ``timeout`` has passed."""
+        deadline = time.monotonic() + self.timeout
         for endpoint, node in self.nodes.items():
             self._run_node(endpoint, node.on_start)
-            if self._stopping.is_set():
-                return
-        while not self._stopping.is_set() and not self._quiescent():
-            for key, mask in self._sel.select():
-                if self._stopping.is_set():  # a failure or close(): drop the rest
+            if self._failure is not None:
+                break
+        while self._failure is None and not self._quiescent():
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TransportError(f"cluster did not finish within {self.timeout}s")
+            for key, mask in self._sel.select(left):
+                if self._failure is not None:  # drop the rest of the batch
                     break
                 data = key.data
-                if data is None:
-                    self._wake[0].recv(64)  # close() has begun
-                elif isinstance(data, str):
+                if isinstance(data, str):
                     self._accept(key.fileobj, data)
                 elif mask & selectors.EVENT_WRITE:
                     self._flush(data)
                 else:
                     self._read(data)
+        if self._failure is not None:
+            where, exc = self._failure
+            raise TransportError(f"{where}: {exc!r}") from exc
 
     def _run_node(self, endpoint: str, fn, *args):
         try:
@@ -358,7 +358,7 @@ class SocketCluster:
                     continue
                 msg = protocol.decode(frame)
                 self._run_node(conn.endpoint, self.nodes[conn.endpoint].handle, conn.src, msg)
-                if self._stopping.is_set():
+                if self._failure is not None:
                     return
             del buf[:pos]
         except BlockingIOError:
@@ -407,8 +407,8 @@ class SocketCluster:
             self._sel.unregister(conn.sock)
 
     def send(self, src: str, dst: str, msg):
-        """Queue ``msg`` on the (src, dst) stream; called from node code, so
-        on the loop thread."""
+        """Queue ``msg`` on the (src, dst) stream; called from node code,
+        inside the loop."""
         if dst not in self.addresses:
             raise TransportError(f"unknown endpoint {dst!r}")
         conn = self._conns.get((src, dst)) or self._dial(src, dst)
@@ -419,28 +419,14 @@ class SocketCluster:
         self.nodes[endpoint].handle(endpoint, msg)
 
     def _fail(self, where: str, exc: Exception):
-        """Record the first failure of any node or stream and stop the loop;
-        once close() has begun, an error is part of the teardown."""
-        if not self._stopping.is_set():
+        """Record the first failure of any node or stream, which ends the
+        loop; a later one is a consequence of it and is dropped."""
+        if self._failure is None:
             self._failure = (where, exc)
-            self._stopping.set()
-
-    def wait(self):
-        """Join the loop, which returns once every node can shut down or at
-        the first failure; raise that failure, or a ``TransportError`` if the
-        loop is still running after the timeout or ended any other way."""
-        self._thread.join(self.timeout)
-        if self._failure is not None:
-            where, exc = self._failure
-            raise TransportError(f"{where}: {exc!r}") from exc
-        if self._thread.is_alive():
-            raise TransportError(f"cluster did not finish within {self.timeout}s")
-        if not self._quiescent():
-            raise TransportError("socket loop stopped before every node could shut down")
 
     def run_until_quiescent(self) -> None:
-        """Start the loop, wait for it and close every socket; no trace is
-        kept."""
+        """Bind, run the loop until every node can shut down and close every
+        socket; no trace is kept."""
         try:
             self.start()
             self.wait()
@@ -448,14 +434,9 @@ class SocketCluster:
             self.close()
 
     def close(self):
-        """Stop the loop, join its thread, then close every socket."""
-        self._stopping.set()
-        if self._thread is not None:
-            self._wake[1].send(b"\x00")
-            self._thread.join()
-            self._thread = None
+        """Close every socket and the selector."""
         socks = [*self._listeners.values(), *(c.sock for c in self._conns.values()),
-                 *(c.sock for c in self._accepted), *(self._wake or ())]
+                 *(c.sock for c in self._accepted)]
         for sock_ in socks:
             sock_.close()
         self._listeners.clear()

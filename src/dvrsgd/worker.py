@@ -67,8 +67,7 @@ class _ComputeDone:
 
 class WorkerNode(Node):
     def __init__(self, worker_id: int, problem: Problem, indices, hyper: HyperParams, *,
-                 gradient: str = "vr", seed: int = 0, grad_tick: float = 0.0,
-                 server: str = "server", scheduler: str = "scheduler"):
+                 gradient: str = "vr", seed: int = 0, grad_tick: float = 0.0):
         if gradient not in ("vr", "plain"):
             raise ValueError("gradient must be 'vr' or 'plain'")
         self.worker_id = worker_id
@@ -80,8 +79,6 @@ class WorkerNode(Node):
         self.hyper = hyper
         self.gradient = gradient
         self.grad_tick = grad_tick
-        self.server_ep = server
-        self.scheduler_ep = scheduler
         self.rng = sampling_stream(seed, worker_id)
 
         self.queue: deque[TaskId] = deque()
@@ -115,7 +112,7 @@ class WorkerNode(Node):
         task = self.queue.popleft()
         self.waiting = task
         self._pull_sent_at = self.now
-        self.send(self.server_ep, PullRequest(self.worker_id, task))
+        self.send("server", PullRequest(self.worker_id, task))
 
     # -- task execution ------------------------------------------------------
 
@@ -134,7 +131,7 @@ class WorkerNode(Node):
             cost = self.grad_tick * self.hyper.B
         w_bar = intermediate_iterate(w_hat, delta, self.hyper.eta)
         push = UpdatePush(self.worker_id, task, w_bar, delta)
-        self._emit_after(cost, [(self.server_ep, push)])
+        self._emit_after(cost, [("server", push)])
 
     def _run_evaluation(self, task: TaskId, w_hat: np.ndarray):
         self.anchor = w_hat
@@ -145,7 +142,7 @@ class WorkerNode(Node):
         self.comp_time += cost
         push = EvalPush(self.worker_id, local_grad, obj_sum, self.comp_time, self.comm_time)
         self.computing = True
-        self.after(cost, _ComputeDone([(self.server_ep, push), (self.scheduler_ep, push)]))
+        self.after(cost, _ComputeDone([("server", push), ("scheduler", push)]))
 
     # -- message handling ------------------------------------------------------
 

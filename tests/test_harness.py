@@ -297,6 +297,29 @@ def test_config_malformed_file_is_a_clean_error(tmp_path, text, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("value", ["127.0.0.1", "127.0.0.1:x", "127.0.0.1:65536"],
+                         ids=["no-port", "bad-port", "port-out-of-range"])
+@pytest.mark.parametrize("where", ["file", "env"])
+def test_malformed_endpoint_is_a_clean_error_naming_it(tmp_path, monkeypatch, capsys,
+                                                        where, value):
+    roles = ("scheduler", "server", "worker:0", "worker:1")
+    cfg = small_config(tmp_path, mode="socket",
+                       endpoints={r: ("127.0.0.1", 0) for r in roles})
+    path = tmp_path / "exp.ini"
+    cfg.to_file(path)
+    if where == "file":
+        text = path.read_text()
+        assert "server = 127.0.0.1:0\n" in text
+        path.write_text(text.replace("server = 127.0.0.1:0\n", f"server = {value}\n"))
+        source = f"{path}: [endpoints] server"
+    else:
+        monkeypatch.setenv("DVRSGD_SCHEDULER", value)
+        source = "DVRSGD_SCHEDULER"
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {source}: expected host:port, got {value!r}\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_config_file_round_trip_numpy_scalars(tmp_path):
     cfg = small_config(tmp_path, eta=np.float64(0.1), theta=np.float32(0.25),
                        lam=np.float64(1e-3), tau=np.int64(4), S=np.int32(7))

@@ -182,26 +182,21 @@ def test_timers_fire_at_requested_time():
 
 class Sink(Recorder):
     """A Recorder that can shut down once it holds ``expect`` frames, so a
-    socket loop hosting only sinks returns by itself after that."""
+    socket loop hosting only sinks returns by itself after that.  ``act``
+    runs inside the handler after each frame, on the loop."""
 
-    def __init__(self, expect):
+    def __init__(self, expect, act=None):
         super().__init__()
         self.expect = expect
-
-    def can_shutdown(self):
-        return len(self.seen) >= self.expect
-
-
-class Gate(Sink):
-    """Holds the loop inside its handler until ``release`` is set."""
-
-    def __init__(self, expect):
-        super().__init__(expect)
-        self.release = threading.Event()
+        self.act = act
 
     def handle(self, src, msg):
         super().handle(src, msg)
-        self.release.wait(5.0)
+        if self.act is not None:
+            self.act()
+
+    def can_shutdown(self):
+        return len(self.seen) >= self.expect
 
 
 class Talker(Sink):
@@ -241,109 +236,94 @@ def _sees_close(sock) -> bool:
         return sock.recv(1) == b""
     except ConnectionResetError:
         return True
-    finally:
-        sock.close()
-
-
-def _until(cond, timeout=5.0) -> bool:
-    deadline = time.monotonic() + timeout
-    while not cond() and time.monotonic() < deadline:
-        time.sleep(0.001)
-    return cond()
 
 
 def test_close_closes_accepted_connections():
     sink = Sink(expect=2)
     cluster = _started(a=sink)
-    clients = []
     try:
-        for name in ("p", "q"):
-            clients.append(_raw_client(cluster, "a", name))
-            clients[-1].sendall(protocol.encode(Stop()))
-        assert _until(lambda: len(sink.seen) == 2)
-        cluster.wait()  # the loop returns by itself once the sink is done
-        assert sorted(src for _, src, _ in sink.seen) == ["p", "q"]  # both accepted
+        with _raw_client(cluster, "a", "p") as p, _raw_client(cluster, "a", "q") as q:
+            for client in (p, q):
+                client.sendall(protocol.encode(Stop()))
+            cluster.wait()  # the loop returns by itself once the sink is done
+            assert sorted(src for _, src, _ in sink.seen) == ["p", "q"]  # both accepted
+            cluster.close()
+            for client in (p, q):
+                assert client.recv(1) == b""  # an EOF, not a reset: the stream was ours
     finally:
         cluster.close()
-    for client in clients:
-        assert client.recv(1) == b""  # an EOF, not a reset: the stream was ours
-        client.close()
 
 
 def test_reset_stream_fails_the_run_naming_the_reader():
-    gate = Gate(expect=2)  # still live after the first frame
-    cluster = _started(a=gate)
+    # the sink resets the client from inside its handler, so the loop's next
+    # read of that stream meets the RST; it is still live after one frame
+    cluster = _started(a=Sink(expect=2, act=lambda: _reset(client)))
     try:
-        client = _raw_client(cluster, "a")
-        client.sendall(protocol.encode(Stop()))
-        assert _until(lambda: gate.seen)  # the loop is held in the handler
-        _reset(client)
-        gate.release.set()
-        with pytest.raises(TransportError, match=r"^a <- peer: ConnectionResetError"):
-            cluster.wait()
+        with _raw_client(cluster, "a") as client:
+            client.sendall(protocol.encode(Stop()))
+            with pytest.raises(TransportError, match=r"^a <- peer: ConnectionResetError"):
+                cluster.wait()
     finally:
-        gate.release.set()
         cluster.close()
 
 
 @pytest.mark.parametrize("closing", [False, True])
 def test_unreadable_stream_fails_the_run_unless_closing(closing):
-    # close() may begin on another thread while the loop reads a reset
-    # stream; that read is driven here directly, with and without close()
-    # begun
+    # a read of a reset stream, driven here directly, is the run's failure
+    # unless an earlier failure has already ended the run: the first stands
     cluster = SocketCluster({"a": ("127.0.0.1", 0)}, timeout=5.0)
-    with socket.create_server(("127.0.0.1", 0)) as srv:
-        client = socket.create_connection(srv.getsockname(), timeout=5.0)
+    first = RuntimeError("first")
+    if closing:
+        cluster._fail("b", first)
+    with socket.create_server(("127.0.0.1", 0)) as srv, \
+            socket.create_connection(srv.getsockname(), timeout=5.0) as client:
         sock, _ = srv.accept()
-    sock.setblocking(False)
-    _reset(client)
-    assert select.select([sock], [], [], 5.0)[0]
+        with sock:
+            sock.setblocking(False)
+            _reset(client)
+            assert select.select([sock], [], [], 5.0)[0]
+            cluster._read(transport._Connection(sock, "a", "a <- peer"))
     if closing:
-        cluster._stopping.set()
-    try:
-        cluster._read(transport._Connection(sock, "a", "a <- peer"))
-    finally:
-        sock.close()
-    if closing:
-        assert cluster._failure is None
+        assert cluster._failure == ("b", first)
     else:
         where, exc = cluster._failure
         assert where == "a <- peer" and isinstance(exc, ConnectionResetError)
-        assert cluster._stopping.is_set()
 
 
 def test_connection_arriving_while_closing_is_closed():
-    gate = Gate(expect=2)  # live, so only close() stops the loop
-    cluster = _started(a=gate)
-    closer = threading.Thread(target=cluster.close)
+    # the sink's handler dials once more and the run then ends, so the late
+    # connection is still queued at the listener, never accepted, at close()
+    late = []
+
+    def dial():
+        late.append(_raw_client(cluster, "a", "late"))
+
+    cluster = _started(a=Sink(expect=1, act=dial))
     try:
-        first = _raw_client(cluster, "a")
-        first.sendall(protocol.encode(Stop()))
-        assert _until(lambda: gate.seen)
-        late = _raw_client(cluster, "a", "late")  # queued while the loop is held
-        closer.start()
-        _until(cluster._stopping.is_set)
-        gate.release.set()
-        closer.join(5.0)
-        assert not closer.is_alive()
+        with _raw_client(cluster, "a") as first:
+            first.sendall(protocol.encode(Stop()))
+            cluster.wait()
+            assert len(late) == 1
+            cluster.close()
+            assert _sees_close(first)
+            assert _sees_close(late[0])
     finally:
-        gate.release.set()
+        for client in late:
+            client.close()
         cluster.close()
-    assert _sees_close(first)
-    assert _sees_close(late)
 
 
 def test_truncated_frame_fails_fast_naming_the_reader():
     cluster = _started(a=Sink(expect=1))
     try:
-        client = _raw_client(cluster, "a")
-        client.sendall(struct.pack("<I", 100) + bytes(10))
-        client.close()
-        t0 = time.monotonic()
-        with pytest.raises(TransportError,
-                           match=r"^a <- peer: DecodeError\('stream ended inside a frame'\)$"):
-            cluster.wait()
-        assert time.monotonic() - t0 < 1.0
+        with _raw_client(cluster, "a") as client:
+            client.sendall(struct.pack("<I", 100) + bytes(10))
+            client.close()
+            t0 = time.monotonic()
+            with pytest.raises(TransportError,
+                               match=r"^a <- peer: DecodeError\('stream ended inside a frame'\)$"):
+                cluster.wait()
+            assert time.monotonic() - t0 < 1.0
     finally:
         cluster.close()
 
@@ -354,15 +334,15 @@ def test_peer_closing_while_live_fails_fast_naming_the_reader():
     sink = Sink(expect=2)
     cluster = _started(a=sink)
     try:
-        client = _raw_client(cluster, "a")
-        client.sendall(protocol.encode(Stop()))
-        client.close()
-        t0 = time.monotonic()
-        with pytest.raises(TransportError, match=r"^a <- peer: ConnectionError\(") as info:
-            cluster.wait()
-        assert time.monotonic() - t0 < 1.0
-        assert isinstance(info.value.__cause__, ConnectionError)
-        assert [(src, msg) for _, src, msg in sink.seen] == [("peer", Stop())]
+        with _raw_client(cluster, "a") as client:
+            client.sendall(protocol.encode(Stop()))
+            client.close()
+            t0 = time.monotonic()
+            with pytest.raises(TransportError, match=r"^a <- peer: ConnectionError\(") as info:
+                cluster.wait()
+            assert time.monotonic() - t0 < 1.0
+            assert isinstance(info.value.__cause__, ConnectionError)
+            assert [(src, msg) for _, src, msg in sink.seen] == [("peer", Stop())]
     finally:
         cluster.close()
 
@@ -372,22 +352,10 @@ def test_loop_returns_by_itself_once_every_node_can_shut_down():
     cluster = _started(a=a, b=b)
     try:
         cluster.wait()
-        assert not cluster._thread.is_alive()
     finally:
         cluster.close()
     assert [(src, msg) for _, src, msg in a.seen] == [("b", Stop())]
     assert [(src, msg) for _, src, msg in b.seen] == [("a", Stop())]
-
-
-def test_loop_stopped_before_quiescence_is_an_error():
-    cluster = _started(a=Sink(expect=1))
-    try:
-        cluster._stopping.set()  # as close() does, but with the run still live
-        cluster._wake[1].send(b"\x00")
-        with pytest.raises(TransportError, match="stopped before every node could shut down"):
-            cluster.wait()
-    finally:
-        cluster.close()
 
 
 def test_unreachable_endpoint_fails_within_the_connect_timeout():
@@ -418,8 +386,7 @@ def test_frame_larger_than_socket_buffers_arrives_bit_exact():
     a, b = Talker([("b", big), ("b", Stop()), ("a", big)], expect=1), Sink(expect=2)
     cluster = _started(a=a, b=b)
     try:
-        assert _until(lambda: (len(a.seen), len(b.seen)) == (1, 2), timeout=10.0)
-        cluster.wait()  # raises a recorded failure
+        cluster.wait()
     finally:
         cluster.close()
     assert [(src, type(msg)) for _, src, msg in b.seen] == [("a", PullResponse), ("a", Stop)]
@@ -429,7 +396,7 @@ def test_frame_larger_than_socket_buffers_arrives_bit_exact():
         assert np.array_equal(got.w, big.w)
 
 
-def test_socket_run_starts_one_thread_and_leaves_none():
+def test_socket_run_starts_no_thread():
     p = make_synthetic("quadratic", 200, 5, seed=1)
     h = HyperParams(eta=0.01, theta=0.5, tau=2, B=4, m=40, S=3, P=2)
     roles = ["scheduler", "server", "worker:0", "worker:1"]
@@ -437,13 +404,13 @@ def test_socket_run_starts_one_thread_and_leaves_none():
     during = []
 
     def note_threads(records):
-        during.append(set(threading.enumerate()) - before)
+        during.append(set(threading.enumerate()))
         return False
 
     run_cluster_socket(p, h, {r: ("127.0.0.1", 0) for r in roles}, seed=3,
                        stop_rule=note_threads, timeout=30.0)
-    assert during and all(len(new) == 1 for new in during)
-    assert [t for t in threading.enumerate() if t not in before] == []
+    assert during and all(now == before for now in during)
+    assert set(threading.enumerate()) == before
 
 
 def test_socket_run_with_hundreds_of_workers_completes():
@@ -453,37 +420,30 @@ def test_socket_run_with_hundreds_of_workers_completes():
     p = make_synthetic("quadratic", 2 * P, 5, seed=1)
     h = HyperParams(eta=0.01, theta=0.5, tau=2, B=1, m=P, S=1, P=P)
     roles = ["scheduler", "server", *(f"worker:{k}" for k in range(P))]
-    before = set(threading.enumerate())
     result = run_cluster_socket(p, h, {r: ("127.0.0.1", 0) for r in roles}, seed=3,
                                 timeout=30.0)
     assert [r.stage for r in result.records] == [0, 1]
-    assert [t for t in threading.enumerate() if t not in before] == []
 
 
-def test_close_joins_the_loop_of_an_idle_cluster():
-    before = set(threading.enumerate())
+def test_close_of_an_idle_cluster_closes_its_listener():
     cluster = _started(a=Sink(expect=1))
-    assert len(set(threading.enumerate()) - before) == 1
+    listener = cluster._listeners["a"]
     cluster.close()
-    assert set(threading.enumerate()) - before == set()
+    assert listener.fileno() == -1
     cluster.close()  # a second close is harmless
 
 
 def _run_with_fault(expect: str):
     """Run a small socket cluster with a 30 s timeout, which a patched-in
-    fault must end within 3 s with the ``expect``ed error and no thread left
-    running; return the error."""
+    fault must end within 3 s with the ``expect``ed error; return the
+    error."""
     p = make_synthetic("quadratic", 200, 5, seed=1)
     h = HyperParams(eta=0.01, theta=0.5, tau=2, B=4, m=40, S=3, P=2)
     roles = ["scheduler", "server", "worker:0", "worker:1"]
-    before = set(threading.enumerate())
     t0 = time.monotonic()
     with pytest.raises(TransportError, match=expect) as info:
         run_cluster_socket(p, h, {r: ("127.0.0.1", 0) for r in roles}, seed=3, timeout=30.0)
     assert time.monotonic() - t0 < 3.0
-    for t in set(threading.enumerate()) - before:
-        t.join(5.0)
-        assert not t.is_alive(), f"{t.name} outlived the failed run"
     return info.value
 
 
