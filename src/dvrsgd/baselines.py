@@ -23,7 +23,8 @@ import numpy as np
 from .losses import Problem, full_gradient
 from .server import HyperParams
 from .vrgrad import Snapshot, draw_batch, vr_gradient
-from .worker import sampling_stream, update_stage
+from .protocol import update_stage
+from .worker import sampling_stream
 
 __all__ = ["BASELINES", "AlgoConfig", "serial_svrg", "dpg_update", "DownpourAdagrad",
            "DecayingSgd", "algo_config"]
@@ -34,7 +35,7 @@ SSP_STALENESS = 2
 
 
 def serial_svrg(problem: Problem, eta: float, m: int, S: int, seed: int = 0, *,
-                anchor: str = "random", B: int = 1, w0=None) -> list[np.ndarray]:
+                anchor: str = "random", B: int = 1) -> list[np.ndarray]:
     """Single-machine SVRG; returns the anchor trajectory [w~0, ..., w~S].
 
     ``anchor`` selects the next stage anchor: "random" picks w^t for a uniform
@@ -47,8 +48,7 @@ def serial_svrg(problem: Problem, eta: float, m: int, S: int, seed: int = 0, *,
         raise ValueError("anchor must be 'random' or 'last'")
     rng = sampling_stream(seed, 0)
     pool = np.arange(problem.n)
-    w = np.zeros(problem.dim) if w0 is None else np.asarray(w0, dtype=np.float64).copy()
-    trajectory = [w]
+    trajectory = [np.zeros(problem.dim)]
     for stage in range(1, S + 1):
         snap = Snapshot(anchor=trajectory[-1],
                         anchor_grad=full_gradient(problem, trajectory[-1]),

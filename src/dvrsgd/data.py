@@ -44,8 +44,7 @@ def _parse_line(line: str, lineno: int) -> Sample:
         raise DataFormatError(f"line {lineno}: {exc}")
 
 
-def load_libsvm(path, *, lam: float = 0.0, dim: int | None = None,
-                kind: str | None = None) -> Problem:
+def load_libsvm(path, *, lam: float = 0.0, dim: int | None = None) -> Problem:
     """Load a LibSVM-format classification file into a Problem.
 
     K = number of distinct labels; binary files become ``l2-logistic``
@@ -77,8 +76,7 @@ def load_libsvm(path, *, lam: float = 0.0, dim: int | None = None,
         X[i, s.indices] = s.values
         y[i] = label_map[s.label]
     k = len(label_map)
-    if kind is None:
-        kind = "l2-logistic" if k == 2 else "multiclass-logistic"
+    kind = "l2-logistic" if k == 2 else "multiclass-logistic"
     return Problem(kind, X, y, lam=lam, num_classes=k,
                    mu=(lam if lam > 0 else None))
 

@@ -38,8 +38,6 @@ from .worker import WorkerNode
 __all__ = ["ExperimentConfig", "RunResult", "run_cluster", "run_experiment",
            "sweep", "write_csv", "main"]
 
-log = logging.getLogger(__name__)
-
 CSV_HEADER = "stage,objective,wall_time,comp_time,comm_time"
 SWEEP_HEADER = "value,stages_to_target,total_time,comp_time,comm_time"
 
@@ -56,14 +54,14 @@ class RunResult:
 
 def _build_nodes(problem: Problem, hyper: HyperParams, algo: str, *, seed: int,
                  grad_tick: float, partition_strategy: str, partition_seed: int,
-                 stop_rule, w0):
+                 stop_rule):
     cfg = algo_config(algo)
     if cfg.theta_override is not None:
         hyper = dataclasses.replace(hyper, theta=cfg.theta_override)
     parts = partition(problem, hyper.P, partition_strategy, seed=partition_seed)
     rule = cfg.rule(hyper, problem.dim) if cfg.rule is not None else None
     server = ParamServer(problem.dim, hyper, parts.weights,
-                         update_rule=rule, gate_bound=cfg.gate(hyper), w0=w0)
+                         update_rule=rule, gate_bound=cfg.gate(hyper))
     workers = [WorkerNode(p, problem, parts.indices_for(p), hyper,
                           gradient=cfg.gradient, seed=seed, grad_tick=grad_tick)
                for p in range(hyper.P)]
@@ -90,26 +88,26 @@ def _run_nodes(cluster, problem: Problem, hyper: HyperParams, algo: str,
 def run_cluster(problem: Problem, hyper: HyperParams, *, algo: str = "dvrsgd",
                 seed: int = 0, latency: LatencyModel | None = None,
                 grad_tick: float = 0.0, partition_strategy: str = "contiguous",
-                partition_seed: int = 0, stop_rule=None, w0=None,
+                partition_seed: int = 0, stop_rule=None,
                 max_events: int = 10_000_000, collect_trace: bool = True) -> RunResult:
     """Run one algorithm end-to-end on the deterministic simulated cluster."""
     return _run_nodes(SimCluster(latency, max_events=max_events, collect_trace=collect_trace),
                       problem, hyper, algo, seed=seed, grad_tick=grad_tick,
                       partition_strategy=partition_strategy,
-                      partition_seed=partition_seed, stop_rule=stop_rule, w0=w0)
+                      partition_seed=partition_seed, stop_rule=stop_rule)
 
 
 def run_cluster_socket(problem: Problem, hyper: HyperParams,
                        addresses: dict[str, tuple[str, int]], *, algo: str = "dvrsgd",
                        seed: int = 0, partition_strategy: str = "contiguous",
-                       partition_seed: int = 0, stop_rule=None, w0=None,
+                       partition_seed: int = 0, stop_rule=None,
                        timeout: float = 60.0) -> RunResult:
     """Run all roles in-process over real TCP sockets, served by one selector
     loop that runs on the calling thread."""
     return _run_nodes(SocketCluster(addresses, timeout=timeout), problem, hyper, algo,
                       seed=seed, grad_tick=0.0,
                       partition_strategy=partition_strategy,
-                      partition_seed=partition_seed, stop_rule=stop_rule, w0=w0)
+                      partition_seed=partition_seed, stop_rule=stop_rule)
 
 
 def _run_serial_svrg(problem: Problem, hyper: HyperParams, seed: int) -> RunResult:
@@ -194,10 +192,15 @@ class ExperimentConfig:
     endpoints: dict = field(default_factory=dict)
 
     def validate(self) -> list[str]:
-        errors = []
+        """Every reason this config cannot run: the error of each object it
+        builds, then the rules that no constructor checks."""
+        builders = [self.stop_rule, self.latency_model, lambda: self.build_hyper(self.n)]
         if self.algo != "svrg":
+            builders.append(lambda: algo_config(self.algo))
+        errors = []
+        for build in builders:
             try:
-                algo_config(self.algo)
+                build()
             except ValueError as exc:
                 errors.append(str(exc))
         if self.source not in ("synthetic", "libsvm"):
@@ -206,20 +209,6 @@ class ExperimentConfig:
             errors.append("libsvm source needs a path")
         if self.mode not in ("sim", "socket"):
             errors.append(f"unknown transport mode {self.mode!r}")
-        if self.latency not in LatencyModel.KINDS:
-            errors.append(f"unknown latency kind {self.latency!r}")
-        if self.stop not in ("fixed", "target", "reldecrease"):
-            errors.append(f"unknown stopping rule {self.stop!r}")
-        if self.stop == "target" and self.stop_param is None and self.target_objective is None:
-            errors.append("stop=target needs stop_param or target_objective")
-        if self.eta <= 0:
-            errors.append("eta must be > 0")
-        if not 0.0 <= self.theta <= 1.0:
-            errors.append("theta must lie in [0, 1]")
-        if self.tau < 0 or self.B < 1 or self.P < 1 or self.S < 0:
-            errors.append("need tau >= 0, B >= 1, P >= 1, S >= 0")
-        if self.m is not None and self.m < 1:
-            errors.append("m must be >= 1 when given")
         if self.mode == "socket" and not self.endpoints:
             errors.append("socket mode needs [endpoints]")
         return errors
@@ -234,8 +223,10 @@ class ExperimentConfig:
         return make_synthetic(self.kind, self.n, self.d, num_classes=self.k,
                               lam=self.lam, seed=self.problem_seed)
 
-    def build_hyper(self, problem: Problem) -> HyperParams:
-        m = self.m if self.m is not None else -(-problem.n // self.B)
+    def build_hyper(self, n: int) -> HyperParams:
+        """Hyperparameters for ``n`` samples; an unset m is ceil(n / B), and a
+        B below 1 is left for ``HyperParams`` to reject."""
+        m = self.m if self.m is not None else -(-n // max(self.B, 1))
         return HyperParams(eta=self.eta, theta=self.theta, tau=self.tau,
                            B=self.B, m=m, S=self.S, P=self.P)
 
@@ -244,12 +235,16 @@ class ExperimentConfig:
                             mean=self.mean, seed=self.transport_seed)
 
     def stop_rule(self):
+        if self.stop == "fixed":
+            return fixed_stages()
         if self.stop == "target":
             target = self.stop_param if self.stop_param is not None else self.target_objective
+            if target is None:
+                raise ValueError("stop=target needs stop_param or target_objective")
             return objective_target(target)
         if self.stop == "reldecrease":
             return relative_decrease(self.stop_param if self.stop_param is not None else 1e-8)
-        return fixed_stages()
+        raise ValueError(f"unknown stopping rule {self.stop!r}")
 
     # -- file form ------------------------------------------------------------
 
@@ -330,21 +325,21 @@ def run_experiment(config: ExperimentConfig, *, out=None) -> list[ProgressRecord
     if errors:
         raise ValueError("invalid config:\n  " + "\n  ".join(errors))
     problem = config.build_problem()
-    hyper = config.build_hyper(problem)
+    hyper = config.build_hyper(problem.n)
     if config.algo == "svrg":
         result = _run_serial_svrg(problem, hyper, config.seed)
-    elif config.mode == "socket":
-        result = run_cluster_socket(problem, hyper, config.resolve_endpoints(),
-                                    algo=config.algo, seed=config.seed,
-                                    partition_strategy=config.strategy,
-                                    partition_seed=config.partition_seed,
-                                    stop_rule=config.stop_rule(), timeout=config.timeout)
     else:
-        result = run_cluster(problem, hyper, algo=config.algo, seed=config.seed,
-                             latency=config.latency_model(), grad_tick=config.grad_tick,
-                             partition_strategy=config.strategy,
-                             partition_seed=config.partition_seed,
-                             stop_rule=config.stop_rule(), collect_trace=False)
+        if config.mode == "socket":
+            # logical compute ticks exist only in sim, as in run_cluster_socket
+            cluster = SocketCluster(config.resolve_endpoints(), timeout=config.timeout)
+            grad_tick = 0.0
+        else:
+            cluster = SimCluster(config.latency_model(), collect_trace=False)
+            grad_tick = config.grad_tick
+        result = _run_nodes(cluster, problem, hyper, config.algo, seed=config.seed,
+                            grad_tick=grad_tick, partition_strategy=config.strategy,
+                            partition_seed=config.partition_seed,
+                            stop_rule=config.stop_rule())
     write_csv(result.records, out or config.out)
     return result.records
 

@@ -26,8 +26,8 @@ from enum import IntEnum
 import numpy as np
 
 __all__ = [
-    "TaskKind", "TaskId", "TaskAssign", "PullRequest", "PullResponse",
-    "UpdatePush", "EvalPush", "Stop", "SnapshotBroadcast",
+    "TaskKind", "TaskId", "update_stage", "eval_stage", "TaskAssign", "PullRequest",
+    "PullResponse", "UpdatePush", "EvalPush", "Stop", "SnapshotBroadcast",
     "Message", "DecodeError", "encode", "decode",
 ]
 
@@ -49,6 +49,16 @@ class TaskId:
     def __post_init__(self):
         if self.timestamp < 1:
             raise ValueError("task timestamps start at 1")
+
+
+def update_stage(task: TaskId, m: int) -> int:
+    """Stage s of an update task: timestamps (s-1)*m+1 .. s*m."""
+    return (task.timestamp - 1) // m + 1
+
+
+def eval_stage(task: TaskId, m: int) -> int:
+    """Stage s of an evaluation task: timestamp s*m + 1."""
+    return (task.timestamp - 1) // m
 
 
 _U32 = struct.Struct("<I")
@@ -93,7 +103,7 @@ _KINDS = {
 
 
 class _Message:
-    """Equality, hashing and repr shared by every message, driven by ``_wire``."""
+    """Equality and repr shared by every message, driven by ``_wire``."""
 
     __slots__ = ()
     _tag = 0    # set per message by _message
@@ -105,9 +115,6 @@ class _Message:
         return all(np.array_equal(getattr(self, name), getattr(other, name)) if kind == "vec"
                    else getattr(self, name) == getattr(other, name)
                    for name, kind, _, _ in self._wire)
-
-    def __hash__(self):
-        return hash(tuple(getattr(self, name) for name, _, _, _ in self._wire))
 
     def __repr__(self):
         shown = (f"{name}=<{len(getattr(self, name))}>" if kind == "vec"

@@ -59,10 +59,6 @@ class StagePlan:
     tasks: tuple[TaskId, ...]
     assignment: tuple[int, ...]  # worker id per task, in timestamp order
 
-    @property
-    def eval_task(self) -> TaskId:
-        return TaskId(self.stage * len(self.tasks) + 1, TaskKind.EVALUATION)
-
 
 def assignment_stream(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
@@ -109,7 +105,7 @@ class SchedulerNode(Node):
         self.rng = assignment_stream(seed)
         self.records: list[ProgressRecord] = []
         self.stage = 0
-        self.done = False
+        self.stopped = False
         self.stopped_early = False
         self._pending: dict[int, EvalPush] = {}
         self._t0 = None
@@ -138,13 +134,13 @@ class SchedulerNode(Node):
         self._issue_evaluation(stage)
 
     def _finish(self):
-        self.done = True
+        self.stopped = True
         for ep in self._worker_eps():
             self.send(ep, Stop())
         self.send("server", Stop())
 
     def handle(self, src: str, msg):
-        if self.done:
+        if self.stopped:
             return
         if not isinstance(msg, EvalPush):
             log.info("scheduler ignoring %r from %s", msg, src)

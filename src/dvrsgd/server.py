@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .protocol import (EvalPush, PullRequest, PullResponse, SnapshotBroadcast,
-                       Stop, TaskAssign, TaskKind, UpdatePush)
+                       Stop, TaskAssign, TaskKind, UpdatePush, eval_stage)
 from .transport import Node
 from .vrgrad import Snapshot
 
@@ -134,12 +134,12 @@ class ParamServer(Node):
     """
 
     def __init__(self, dim: int, hyper: HyperParams, weights, *,
-                 update_rule=None, gate_bound="tau", w0=None):
+                 update_rule=None, gate_bound="tau"):
         self.hyper = hyper
         self.weights = np.asarray(weights, dtype=np.float64)
         if self.weights.shape != (hyper.P,):
             raise ValueError("need one partition weight per worker")
-        self.w = np.zeros(dim) if w0 is None else np.asarray(w0, dtype=np.float64).copy()
+        self.w = np.zeros(dim)
         self.update_rule = update_rule or _hybrid_rule
         self.gate_bound = hyper.tau if gate_bound == "tau" else gate_bound
         self.finished = FinishedTasks()
@@ -148,7 +148,6 @@ class ParamServer(Node):
         self._pending_keys: set[tuple[int, int, TaskKind]] = set()
         self._last_answered: dict[int, tuple[int, int]] = {}
         self._arrival = 0
-        self.snapshot: Snapshot | None = None
         self.snapshot_history: list[Snapshot] = []
         self._eval_stage = -1
         self._eval_done_stage = -1
@@ -195,7 +194,7 @@ class ParamServer(Node):
         key = self._order_key(req.task)
         self._last_answered[req.worker] = max(key, self._last_answered.get(req.worker, key))
         if req.task.kind == TaskKind.EVALUATION:
-            stage = (req.task.timestamp - 1) // self.hyper.m
+            stage = eval_stage(req.task, self.hyper.m)
             if stage != self._eval_stage:
                 # stage-final w; frozen here, before any next-stage update lands
                 self._eval_stage = stage
@@ -244,7 +243,6 @@ class ParamServer(Node):
         ordered = sorted(eval_pushes, key=lambda p: p.worker)
         grad = aggregate_local_gradients([p.local_grad for p in ordered], self.weights)
         snap = Snapshot(anchor=self._eval_anchor, anchor_grad=grad, stage=self._eval_stage)
-        self.snapshot = snap
         self.snapshot_history.append(snap)
         self._eval_done_stage = self._eval_stage
         if not self.stopped:
@@ -262,14 +260,9 @@ class ParamServer(Node):
     # -- message handling ---------------------------------------------------
 
     def handle(self, src: str, msg):
-        if self.stopped:
-            # a STOP ends new work, but an evaluation round whose pulls were
-            # already answered still completes; the final snapshot must exist
-            if isinstance(msg, EvalPush) and self._eval_round_open():
-                self._eval_pushes[msg.worker] = msg
-                if len(self._eval_pushes) == self.hyper.P:
-                    self.stage_end(list(self._eval_pushes.values()))
-                return
+        # a STOP ends new work, but an evaluation round whose pulls were
+        # already answered still completes; the final snapshot must exist
+        if self.stopped and not (isinstance(msg, EvalPush) and self._eval_round_open()):
             log.info("server stopped; discarding %r from %s", msg, src)
             return
         if isinstance(msg, PullRequest):

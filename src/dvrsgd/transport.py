@@ -65,24 +65,19 @@ class LatencyModel:
     """Seeded per-message latency source for the simulated cluster.
 
     kinds: constant(value), uniform(lo, hi), exponential(mean),
-    adversarial (heavy-tailed seeded mixture), trace (explicit cycle).
+    adversarial (heavy-tailed seeded mixture).
     """
 
-    KINDS = ("constant", "uniform", "exponential", "adversarial", "trace")
+    KINDS = ("constant", "uniform", "exponential", "adversarial")
 
-    def __init__(self, kind="constant", *, value=0.0, lo=0.0, hi=1.0, mean=1.0,
-                 trace=None, seed=0):
+    def __init__(self, kind="constant", *, value=0.0, lo=0.0, hi=1.0, mean=1.0, seed=0):
         if kind not in self.KINDS:
             raise ValueError(f"unknown latency kind {kind!r}")
-        if kind == "trace" and not trace:
-            raise ValueError("trace latency model needs a nonempty trace")
         self.kind = kind
         self.value = float(value)
         self.lo = float(lo)
         self.hi = float(hi)
         self.mean = float(mean)
-        self.trace = [float(t) for t in trace] if trace else None
-        self.seed = seed
         self._rng = np.random.default_rng(seed)
         self._pos = 0
         self._block: list[float] = []
@@ -99,13 +94,10 @@ class LatencyModel:
     def sample(self) -> float:
         if self.kind == "constant":
             return self.value
-        if self.kind == "trace":
-            v = self.trace[self._pos % len(self.trace)]
-        else:
-            if self._pos == len(self._block):
-                self._block = self._draw(_LATENCY_BLOCK).tolist()
-                self._pos = 0
-            v = self._block[self._pos]
+        if self._pos == len(self._block):
+            self._block = self._draw(_LATENCY_BLOCK).tolist()
+            self._pos = 0
+        v = self._block[self._pos]
         self._pos += 1
         return v
 
@@ -127,6 +119,7 @@ class Node:
 
     endpoint = None
     transport = None
+    stopped = False
 
     def bind(self, transport, endpoint: str):
         self.transport = transport
@@ -148,7 +141,7 @@ class Node:
 
     def can_shutdown(self) -> bool:
         """True once this node has no further protocol obligations."""
-        return getattr(self, "stopped", False) or getattr(self, "done", False)
+        return self.stopped
 
     def handle(self, src: str, msg):
         raise NotImplementedError

@@ -28,7 +28,8 @@ import numpy as np
 
 from .losses import Problem, loss_sum, mean_gradient
 from .protocol import (EvalPush, PullRequest, PullResponse, SnapshotBroadcast,
-                       Stop, TaskAssign, TaskId, TaskKind, UpdatePush)
+                       Stop, TaskAssign, TaskId, TaskKind, UpdatePush, eval_stage,
+                       update_stage)
 from .server import HyperParams, ProtocolError
 from .transport import Node
 from .vrgrad import Snapshot, draw_batch, vr_gradient
@@ -46,16 +47,6 @@ def sampling_stream(seed: int, stream_id: int) -> np.random.Generator:
 def intermediate_iterate(w_hat: np.ndarray, delta: np.ndarray, eta: float) -> np.ndarray:
     """w_bar = w_hat - eta * delta, the locally updated delayed iterate."""
     return w_hat - eta * delta
-
-
-def update_stage(task: TaskId, m: int) -> int:
-    """Stage s of an update task: timestamps (s-1)*m+1 .. s*m."""
-    return (task.timestamp - 1) // m + 1
-
-
-def eval_stage(task: TaskId, m: int) -> int:
-    """Stage s of an evaluation task: timestamp s*m + 1."""
-    return (task.timestamp - 1) // m
 
 
 @dataclass

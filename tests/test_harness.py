@@ -5,10 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dvrsgd.baselines import BASELINES
 from dvrsgd.harness import (ExperimentConfig, main, run_cluster, run_cluster_socket,
                             run_experiment, sweep)
 from dvrsgd.losses import make_synthetic
 from dvrsgd.server import HyperParams
+from dvrsgd.transport import LatencyModel
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def small_config(tmp_path, **kw):
@@ -73,10 +77,13 @@ def test_config_file_bytes_pinned(tmp_path, cfg, digest):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+def readme_ini():
+    return README.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+
+
 def test_readme_example_config_loads(tmp_path):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     path = tmp_path / "readme.ini"
-    path.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+    path.write_text(readme_ini())
     cfg = ExperimentConfig.from_file(path)
     assert cfg.validate() == []
     assert (cfg.algo, cfg.tau, cfg.B, cfg.m, cfg.grad_tick) == ("dvrsgd", 8, 20, None, 0.01)
@@ -93,6 +100,46 @@ def test_config_rejects_unknown_keys(tmp_path, name):
         ExperimentConfig.from_file(path)
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 1
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_readme_lists_exactly_the_latency_kinds_and_algorithms():
+    comments = {}
+    for line in readme_ini().splitlines():
+        key, _, rest = line.partition("=")
+        comments[key.strip()] = rest.partition(";")[2].replace("|", " ").split()
+    assert sorted(comments["latency"]) == sorted(LatencyModel.KINDS)
+    assert sorted(comments["algo"]) == sorted([*BASELINES, "svrg"])
+
+
+@pytest.mark.parametrize("fields,owner", [
+    (dict(latency="trace"), lambda: LatencyModel("trace")),
+    (dict(stop="targt"), lambda: ExperimentConfig(stop="targt").stop_rule()),
+    (dict(stop="target"), lambda: ExperimentConfig(stop="target").stop_rule()),
+    (dict(B=0, m=None), lambda: HyperParams(eta=0.1, B=0)),
+    (dict(m=0), lambda: HyperParams(eta=0.1, m=0)),
+    (dict(eta=-1.0), lambda: HyperParams(eta=-1.0)),
+    (dict(theta=2.0), lambda: HyperParams(eta=0.1, theta=2.0)),
+], ids=["latency-trace", "stop-typo", "stop-target-no-target", "B-0-m-unset", "m-0",
+        "eta-negative", "theta-above-1"])
+def test_validate_reports_the_owning_constructors_error(tmp_path, capsys, fields, owner):
+    with pytest.raises(ValueError) as exc:
+        owner()
+    cfg = small_config(tmp_path, **fields)
+    assert cfg.validate() == [str(exc.value)]
+    path = tmp_path / "exp.ini"
+    cfg.to_file(path)
+    assert main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: invalid config:\n  {exc.value}\n"
+    assert not Path(cfg.out).exists()
+
+
+@pytest.mark.parametrize("stop,message", [
+    ("targt", "unknown stopping rule 'targt'"),
+    ("target", "stop=target needs stop_param or target_objective"),
+], ids=["typo", "no-target"])
+def test_stop_rule_rejects_unknown_name_and_missing_target(stop, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(stop=stop).stop_rule()
 
 
 def test_config_validation_lists_all_errors(tmp_path):
@@ -218,6 +265,17 @@ def test_socket_matches_sim_single_worker(tmp_path):
     sock = run_cluster_socket(p, h, addrs, seed=4, timeout=30.0)
     assert np.array_equal(sim.final_w, sock.final_w)
     assert [r.objective for r in sim.records] == [r.objective for r in sock.records]
+
+
+def test_run_experiment_socket_mode_matches_sim(tmp_path):
+    # P=1, tau=0 at zero latency: both modes run the same schedule
+    sim = small_config(tmp_path, P=1, tau=0, out=str(tmp_path / "sim.csv"))
+    sock = dataclasses.replace(sim, mode="socket", out=str(tmp_path / "socket.csv"),
+                               endpoints={r: ("127.0.0.1", 0)
+                                          for r in ("scheduler", "server", "worker:0")})
+    assert [r.objective for r in run_experiment(sim)] == \
+        [r.objective for r in run_experiment(sock)]
+    assert len(Path(sock.out).read_text().splitlines()) == sim.S + 2
 
 
 def test_endpoint_env_override(tmp_path, monkeypatch):

@@ -16,8 +16,6 @@ def test_plan_stage_timestamps():
     plan = plan_stage(3, 10, [0.5, 0.5], rng)
     assert [t.timestamp for t in plan.tasks] == list(range(21, 31))
     assert all(t.kind == TaskKind.UPDATE for t in plan.tasks)
-    assert plan.eval_task.timestamp == 31
-    assert plan.eval_task.kind == TaskKind.EVALUATION
 
 
 def test_assignment_uniform_chi_square():

@@ -97,7 +97,7 @@ def test_answered_pull_state_bounded_by_worker_count():
     hyper = HyperParams(eta=0.02, theta=0.5, tau=2, B=3, m=20, S=4, P=6)
     sched, server, workers, _ = _build_nodes(
         p, hyper, "dvrsgd", seed=1, grad_tick=0.01, partition_strategy="contiguous",
-        partition_seed=0, stop_rule=None, w0=None)
+        partition_seed=0, stop_rule=None)
     sim = SimCluster(LatencyModel("uniform", lo=1.0, hi=5.0, seed=2), collect_trace=False)
     sim.register("scheduler", sched)
     sim.register("server", server)

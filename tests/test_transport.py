@@ -125,17 +125,14 @@ def test_livelock_detection():
 
 def test_latency_model_determinism_and_domain():
     for kind, kwargs in [("uniform", dict(lo=1, hi=5)), ("exponential", dict(mean=2)),
-                         ("adversarial", {}), ("trace", dict(trace=[1, 9, 2]))]:
+                         ("adversarial", {})]:
         a = LatencyModel(kind, seed=5, **kwargs)
         b = LatencyModel(kind, seed=5, **kwargs)
         xs = [a.sample() for _ in range(40)]
         assert xs == [b.sample() for _ in range(40)]
         assert all(x >= 0 for x in xs)
-    assert LatencyModel("trace", trace=[1, 9]).sample() == 1.0
     with pytest.raises(ValueError):
         LatencyModel("warp")
-    with pytest.raises(ValueError):
-        LatencyModel("trace", trace=[])
 
 
 @pytest.mark.parametrize("kind,kwargs,draw", [
@@ -154,12 +151,10 @@ def test_block_drawn_latencies_equal_scalar_draws(kind, kwargs, draw):
     assert all(type(x) is float for x in got)
 
 
-def test_constant_and_trace_latencies_unchanged():
+def test_constant_latency_unchanged():
     n = transport._LATENCY_BLOCK + 7
     constant = LatencyModel("constant", value=2.5, seed=9)
     assert [constant.sample() for _ in range(n)] == [2.5] * n
-    cycle = LatencyModel("trace", trace=[1, 9, 2], seed=9)
-    assert [cycle.sample() for _ in range(n)] == [[1.0, 9.0, 2.0][i % 3] for i in range(n)]
 
 
 def test_timers_fire_at_requested_time():
