@@ -22,7 +22,7 @@ import numpy as np
 
 from .losses import Problem, full_gradient
 from .server import HyperParams
-from .vrgrad import Snapshot, draw_batch, vr_gradient
+from .vrgrad import Snapshot, draw_batches, vr_gradient
 from .protocol import update_stage
 from .worker import sampling_stream
 
@@ -55,8 +55,9 @@ def serial_svrg(problem: Problem, eta: float, m: int, S: int, seed: int = 0, *,
                         stage=stage - 1)
         w = snap.anchor
         candidates = [w]  # w^0 .. w^{m-1}
-        for t in range(m):
-            batch = draw_batch(rng, pool, B)
+        # the stage's m batches as one block, so rng.integers(m) below
+        # still follows exactly m draw_batch draws
+        for t, batch in enumerate(draw_batches(rng, pool, B, m)):
             w = w - eta * vr_gradient(problem, w, snap, batch)
             if t < m - 1:
                 candidates.append(w)

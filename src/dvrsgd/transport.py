@@ -18,8 +18,9 @@ same schedule.  It records a full event trace for invariant checking.
 speaking the frame format from ``protocol``, from one ``selectors`` loop that
 ``wait`` runs on the calling thread.  The loop accepts connections, cuts
 complete frames out of each inbound stream's buffer and runs the receiving
-node's handler inline, so a frame costs one wake-up; outbound frames go out
-through non-blocking sockets, queued per connection while the socket is full.
+node's handler inline, so a frame costs one wake-up; outbound frames queue
+per connection, and each pass of the loop sends every queue that grew with
+one non-blocking ``send``.
 It exists to show the same node code runs as an actual distributed program;
 the simulator is the substrate for experiments and tests.  The loop returns
 once every node it hosts can shut down.  Before that, the first exception from
@@ -241,6 +242,7 @@ class SocketCluster:
         self._listeners: dict[str, socket.socket] = {}
         self._conns: dict[tuple[str, str], _Connection] = {}
         self._accepted: set[_Connection] = set()
+        self._unsent: list[_Connection] = []  # gained bytes since the last _send_unsent
         self._sel: selectors.BaseSelector | None = None
         self._t0 = time.monotonic()
         self._failure: tuple[str, Exception] | None = None
@@ -285,6 +287,7 @@ class SocketCluster:
             self._run_node(endpoint, node.on_start)
             if self._failure is not None:
                 break
+        self._send_unsent()
         while self._failure is None and not self._quiescent():
             left = deadline - time.monotonic()
             if left <= 0:
@@ -299,6 +302,7 @@ class SocketCluster:
                     self._flush(data)
                 else:
                     self._read(data)
+            self._send_unsent()
         if self._failure is not None:
             where, exc = self._failure
             raise TransportError(f"{where}: {exc!r}") from exc
@@ -374,18 +378,28 @@ class SocketCluster:
         return conn
 
     def _write(self, conn: _Connection, frame: bytes):
-        """Send what the socket takes now and queue the rest behind anything
-        already queued; the loop flushes the queue when the socket drains."""
-        if conn.outbuf:
-            conn.outbuf += frame
-            return
-        try:
-            sent = conn.sock.send(frame)
-        except BlockingIOError:
-            sent = 0
-        if sent < len(frame):
-            conn.outbuf += frame[sent:]
-            self._sel.register(conn.sock, selectors.EVENT_WRITE, conn)
+        """Queue ``frame`` behind the stream's unsent bytes; the loop sends
+        each stream's queue once per pass, so frames written in one pass go
+        out in one ``send``."""
+        if not conn.outbuf:
+            self._unsent.append(conn)
+        conn.outbuf += frame
+
+    def _send_unsent(self):
+        """Send every queue that gained bytes since the last call; what a
+        socket does not take waits for EVENT_WRITE and ``_flush``."""
+        unsent, self._unsent = self._unsent, []
+        for conn in unsent:
+            try:
+                sent = conn.sock.send(conn.outbuf)
+            except BlockingIOError:
+                sent = 0
+            except OSError as exc:
+                self._fail(conn.where, exc)
+                return
+            del conn.outbuf[:sent]
+            if conn.outbuf:
+                self._sel.register(conn.sock, selectors.EVENT_WRITE, conn)
 
     def _flush(self, conn: _Connection):
         try:

@@ -5,7 +5,9 @@ The estimator for a mini-batch Bt is
     (1/|Bt|) * sum_{i in Bt} [grad f_i(w) - grad f_i(anchor)] + anchor_grad
 
 which is unbiased for grad F(w) and whose variance vanishes as both w and the
-anchor approach the optimum.
+anchor approach the optimum.  Each mini-batch Bt is drawn uniformly without
+replacement by ``draw_batch``, or by ``draw_batches`` many at a time with the
+same result.
 """
 
 from dataclasses import dataclass
@@ -15,7 +17,19 @@ import numpy as np
 from .losses import (Problem, _check_indices, _check_param, _gradient_rows, _ordered_sum,
                      full_gradient)
 
-__all__ = ["Snapshot", "make_snapshot", "vr_gradient", "draw_batch"]
+__all__ = ["Snapshot", "make_snapshot", "vr_gradient", "draw_batch", "draw_batches",
+           "BatchStream"]
+
+# NumPy's choice(n, size, replace=False) runs Floyd's algorithm unless
+# n > _FLOYD_MAX_POOL and size > n // 50
+_FLOYD_MAX_POOL = 10000
+
+# A BatchStream serves its first _BLOCK batches one choice call each, then
+# draws _BLOCK at a time.  A block costs about 40 us plus 1 us a row against
+# about 10 us a choice call, so a long stream pays the fixed cost once per 64
+# batches, and the short streams of a P=256 cluster (about 24 batches each)
+# hold no block at all.
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -51,13 +65,97 @@ def vr_gradient(problem: Problem, w, snapshot: Snapshot, batch) -> np.ndarray:
 
 
 def draw_batch(rng: np.random.Generator, pool: np.ndarray, size: int) -> np.ndarray:
-    """Sample ``size`` distinct entries of ``pool`` uniformly, returned sorted.
+    """Sample ``size`` distinct entries of ``pool`` uniformly, in pool order.
 
-    Every mini-batch in the package (serial and distributed alike) comes from
-    this helper, so equal generator states yield equal batch sequences.
+    Every mini-batch in the package (serial and distributed alike) is this
+    draw, made here or ``draw_batches`` rows at a time, so equal generator
+    states yield equal batch sequences.
     """
-    if size < 1 or size > pool.shape[0]:
-        raise ValueError(f"batch size {size} invalid for pool of {pool.shape[0]}")
+    _check_batch_size(pool, size)
     picked = rng.choice(pool.shape[0], size=size, replace=False)
     picked.sort()
     return pool[picked]
+
+
+def draw_batches(rng: np.random.Generator, pool: np.ndarray, size: int,
+                 count: int) -> np.ndarray:
+    """``count`` successive ``draw_batch(rng, pool, size)`` results as the rows
+    of one array, leaving ``rng`` in the state those calls leave.
+
+    ``choice(n, size, replace=False)`` runs Floyd's algorithm (Bentley and
+    Floyd, CACM 1987): for t = 0..size-1 it draws v_t on [0, n-size+t] and
+    picks v_t, or n-size+t if an earlier pick equals v_t.  It then shuffles,
+    drawing on [0, i] for i = size-1..1; ``draw_batch`` sorts the picks, so
+    those draws only advance the generator.  One ``integers`` call with those
+    bounds, tiled ``count`` times, makes the same Lemire draws in the same
+    order.  Where NumPy tail-shuffles an arange instead (n > 10000 and
+    size > n // 50), this calls ``draw_batch`` once per row.
+    """
+    _check_batch_size(pool, size)
+    n = pool.shape[0]
+    if n > _FLOYD_MAX_POOL and size > n // 50:
+        return np.array([draw_batch(rng, pool, size) for _ in range(count)],
+                        dtype=pool.dtype).reshape(count, size)
+    first = n - size  # Floyd's step t falls back to first + t
+    # exclusive bounds of one choice call's draws: Floyd's, then the shuffle's
+    bounds = np.concatenate((np.arange(first + 1, n + 1), np.arange(size, 1, -1)))
+    draws = rng.integers(0, bounds, (count, bounds.size))[:, :size]
+    # Step t collides when its draw repeats an earlier draw of its row, or
+    # equals first + u for an earlier step u that collided.  Sorting the
+    # (draw, step) keys finds the repeats, and picking first + step for them
+    # is exact unless the second case occurs; that leaves a repeated pick in
+    # the sorted row, and such rows are redone step by step.
+    keys = draws * size
+    keys += np.arange(size)
+    keys.sort(axis=1)
+    values, steps = np.divmod(keys, size)
+    repeat = np.zeros(keys.shape, dtype=bool)
+    np.equal(values[:, 1:], values[:, :-1], out=repeat[:, 1:])
+    steps += first
+    picks = np.where(repeat, steps, values)
+    picks.sort(axis=1)
+    clash = picks[:, 1:] == picks[:, :-1]
+    if clash.any():
+        for row in np.flatnonzero(clash.any(axis=1)).tolist():
+            picks[row] = _floyd(draws[row].tolist(), first)
+    return pool[picks]
+
+
+def _floyd(draws: list, first: int) -> list:
+    """Floyd's picks from one row of draws, sorted."""
+    picked = set()
+    for fallback, v in enumerate(draws, first):
+        picked.add(fallback if v in picked else v)
+    return sorted(picked)
+
+
+def _check_batch_size(pool: np.ndarray, size: int):
+    if size < 1 or size > pool.shape[0]:
+        raise ValueError(f"batch size {size} invalid for pool of {pool.shape[0]}")
+
+
+class BatchStream:
+    """The ``draw_batch(rng, pool, size)`` sequence, drawn by ``draw_batches``
+    a block at a time once the stream has served ``_BLOCK`` batches.  Nothing
+    is drawn before the first ``next``."""
+
+    __slots__ = ("rng", "pool", "size", "_block", "_next", "_served")
+
+    def __init__(self, rng: np.random.Generator, pool: np.ndarray, size: int):
+        _check_batch_size(pool, size)
+        self.rng = rng
+        self.pool = pool
+        self.size = size
+        self._block = None
+        self._next = _BLOCK  # rows of the block served so far
+        self._served = 0  # batches served one draw at a time, up to _BLOCK
+
+    def next(self) -> np.ndarray:
+        if self._served < _BLOCK:
+            self._served += 1
+            return draw_batch(self.rng, self.pool, self.size)
+        if self._next == _BLOCK:
+            self._block = draw_batches(self.rng, self.pool, self.size, _BLOCK)
+            self._next = 0
+        self._next += 1
+        return self._block[self._next - 1]

@@ -17,7 +17,9 @@ of stage s until the snapshot of stage s-1 (anchor set at the evaluation,
 anchor gradient received by broadcast) is complete.
 
 Mini-batch randomness comes from a per-worker stream derived from
-(seed, worker id), so runs are reproducible regardless of message timing.
+(seed, worker id), so runs are reproducible regardless of message timing.  The
+worker draws its batches a block at a time (``vrgrad.BatchStream``), the same
+batches as one draw per update.
 """
 
 import logging
@@ -32,7 +34,7 @@ from .protocol import (EvalPush, PullRequest, PullResponse, SnapshotBroadcast,
                        update_stage)
 from .server import HyperParams, ProtocolError
 from .transport import Node
-from .vrgrad import Snapshot, draw_batch, vr_gradient
+from .vrgrad import BatchStream, Snapshot, vr_gradient
 
 __all__ = ["WorkerNode", "sampling_stream", "intermediate_iterate", "update_stage", "eval_stage"]
 
@@ -42,6 +44,14 @@ log = logging.getLogger(__name__)
 def sampling_stream(seed: int, stream_id: int) -> np.random.Generator:
     """Mini-batch RNG stream for (seed, stream_id); worker p uses stream p."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0, stream_id)))
+
+
+def draw_batch(batches: BatchStream) -> np.ndarray:
+    """One update's mini-batch: the next ``vrgrad.draw_batch`` result of the
+    worker's stream, which draws them a block at a time.  The per-update draw
+    keeps this name so that it can be traced per call (``bench/layers.py``
+    patches it)."""
+    return batches.next()
 
 
 def intermediate_iterate(w_hat: np.ndarray, delta: np.ndarray, eta: float) -> np.ndarray:
@@ -70,7 +80,7 @@ class WorkerNode(Node):
         self.hyper = hyper
         self.gradient = gradient
         self.grad_tick = grad_tick
-        self.rng = sampling_stream(seed, worker_id)
+        self.batches = BatchStream(sampling_stream(seed, worker_id), self.indices, hyper.B)
 
         self.queue: deque[TaskId] = deque()
         self.waiting: TaskId | None = None
@@ -107,13 +117,22 @@ class WorkerNode(Node):
 
     # -- task execution ------------------------------------------------------
 
-    def _emit_after(self, cost: float, sends: list):
+    def _charge(self, started: float, modelled: float) -> float:
+        """Add one task's compute cost to comp_time and return it: the
+        modelled ``grad_tick`` cost plus the transport time that passed since
+        ``started`` (real seconds on sockets; exactly 0.0 in sim, whose clock
+        stands still inside a handler)."""
+        cost = modelled + (self.now - started)
         self.comp_time += cost
+        return cost
+
+    def _emit_after(self, cost: float, sends: list):
         self.computing = True
         self.after(cost, _ComputeDone(sends))
 
     def _run_update(self, task: TaskId, w_hat: np.ndarray):
-        batch = draw_batch(self.rng, self.indices, self.hyper.B)
+        started = self.now
+        batch = draw_batch(self.batches)
         if self.gradient == "vr":
             delta = vr_gradient(self.problem, w_hat, self.snapshot, batch)
             cost = self.grad_tick * 2 * self.hyper.B
@@ -122,18 +141,17 @@ class WorkerNode(Node):
             cost = self.grad_tick * self.hyper.B
         w_bar = intermediate_iterate(w_hat, delta, self.hyper.eta)
         push = UpdatePush(self.worker_id, task, w_bar, delta)
-        self._emit_after(cost, [("server", push)])
+        self._emit_after(self._charge(started, cost), [("server", push)])
 
     def _run_evaluation(self, task: TaskId, w_hat: np.ndarray):
+        started = self.now
         self.anchor = w_hat
         self._last_eval_stage = eval_stage(task, self.hyper.m)
         local_grad = mean_gradient(self.problem, w_hat, self.indices)
         obj_sum = loss_sum(self.problem, w_hat, self.indices)
-        cost = self.grad_tick * self.indices.shape[0]
-        self.comp_time += cost
+        cost = self._charge(started, self.grad_tick * self.indices.shape[0])
         push = EvalPush(self.worker_id, local_grad, obj_sum, self.comp_time, self.comm_time)
-        self.computing = True
-        self.after(cost, _ComputeDone([("server", push), ("scheduler", push)]))
+        self._emit_after(cost, [("server", push), ("scheduler", push)])
 
     # -- message handling ------------------------------------------------------
 

@@ -4,9 +4,11 @@ import pytest
 from dvrsgd.baselines import (ADAGRAD_EPS0, BASELINES, DecayingSgd, DownpourAdagrad,
                               algo_config, dpg_update, serial_svrg)
 from dvrsgd.harness import run_cluster
-from dvrsgd.losses import make_synthetic, objective
+from dvrsgd.losses import full_gradient, make_synthetic, objective
 from dvrsgd.protocol import TaskId, TaskKind, UpdatePush
 from dvrsgd.server import HyperParams
+from dvrsgd.vrgrad import Snapshot, vr_gradient
+from dvrsgd.worker import sampling_stream
 from helpers import quad_solution
 
 
@@ -31,6 +33,34 @@ def test_serial_svrg_deterministic():
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
     c = serial_svrg(p, eta=0.2, m=40, S=3, seed=5)
     assert not np.array_equal(a[-1], c[-1])
+
+
+def _serial_svrg_one_draw_per_step(problem, eta, m, S, seed, anchor, B):
+    """serial_svrg as a loop that draws each step's batch with its own
+    ``rng.choice`` call."""
+    rng = sampling_stream(seed, 0)
+    trajectory = [np.zeros(problem.dim)]
+    for stage in range(1, S + 1):
+        w = trajectory[-1]
+        snap = Snapshot(anchor=w, anchor_grad=full_gradient(problem, w), stage=stage - 1)
+        iterates = [w]
+        for _ in range(m):
+            batch = np.sort(rng.choice(problem.n, B, replace=False))
+            w = w - eta * vr_gradient(problem, w, snap, batch)
+            iterates.append(w)
+        trajectory.append(iterates[int(rng.integers(m))] if anchor == "random" else w)
+    return trajectory
+
+
+@pytest.mark.parametrize("anchor", ["random", "last"])
+def test_serial_svrg_equals_one_draw_per_step(anchor):
+    # the random anchor draw follows each stage's block of m batches, so
+    # a drift at the block boundary shows in the next stage's batches
+    p = make_synthetic("l2-logistic", 60, 4, lam=0.05, seed=8)
+    got = serial_svrg(p, eta=0.1, m=37, S=4, seed=9, anchor=anchor, B=5)
+    want = _serial_svrg_one_draw_per_step(p, 0.1, 37, 4, 9, anchor, 5)
+    assert len(got) == len(want)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_serial_svrg_contracts_ten_fold_per_stage():

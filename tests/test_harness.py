@@ -329,6 +329,20 @@ def test_socket_multi_worker_completes_final_snapshot():
     assert np.isfinite(r.final_w).all()
 
 
+def test_socket_comp_time_counts_real_compute_seconds():
+    p = make_synthetic("quadratic", 200, 5, seed=1)
+    h = HyperParams(eta=0.01, theta=0.5, tau=2, B=4, m=40, S=2, P=2)
+    addrs = {r: ("127.0.0.1", 0) for r in ("scheduler", "server", "worker:0", "worker:1")}
+    r = run_cluster_socket(p, h, addrs, seed=3, timeout=30.0)
+    # the CSV's comp_time column is comp_total
+    comp = [rec.comp_total for rec in r.records]
+    assert len(comp) == 3 and comp[0] > 0.0
+    assert comp == sorted(comp)
+    for worker in range(2):
+        per_worker = [rec.comp_times[worker] for rec in r.records]
+        assert per_worker == sorted(per_worker)
+
+
 def test_socket_cluster_timeout():
     from dvrsgd.transport import Node, SocketCluster, TransportError
 

@@ -391,6 +391,33 @@ def test_frame_larger_than_socket_buffers_arrives_bit_exact():
         assert np.array_equal(got.w, big.w)
 
 
+def test_frames_written_in_one_pass_go_out_in_one_send(monkeypatch):
+    # b answers a's one frame with k frames from inside its handler: each
+    # stream's HELLO and frames of a pass leave in one send, FIFO and intact
+    k = 5
+    replies = [PullResponse(TaskId(i, TaskKind.UPDATE), np.random.default_rng(i).standard_normal(7))
+               for i in range(1, k + 1)]
+    a = Talker([("b", Stop())], expect=k)
+    b = Sink(expect=1, act=lambda: [b.send("a", msg) for msg in replies])
+    sends = []
+    real_send = socket.socket.send
+
+    def counting_send(sock, data, *flags):
+        sends.append(len(data))
+        return real_send(sock, data, *flags)
+
+    monkeypatch.setattr(socket.socket, "send", counting_send)
+    cluster = _started(a=a, b=b)
+    try:
+        cluster.wait()
+    finally:
+        cluster.close()
+    assert len(sends) == 2
+    assert [src for _, src, _ in a.seen] == ["b"] * k
+    for (_, _, got), want in zip(a.seen, replies):
+        assert got.task == want.task and np.array_equal(got.w, want.w)
+
+
 def test_socket_run_starts_no_thread():
     p = make_synthetic("quadratic", 200, 5, seed=1)
     h = HyperParams(eta=0.01, theta=0.5, tau=2, B=4, m=40, S=3, P=2)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dvrsgd.losses import full_gradient, make_synthetic, mean_gradient, sample_gradient
-from dvrsgd.vrgrad import Snapshot, draw_batch, make_snapshot, vr_gradient
+from dvrsgd.vrgrad import (BatchStream, Snapshot, draw_batch, draw_batches, make_snapshot,
+                           vr_gradient)
 from helpers import quad_solution
 
 
@@ -89,6 +92,66 @@ def test_draw_batch():
         draw_batch(rng, pool, 21)
     with pytest.raises(ValueError):
         draw_batch(rng, pool, 0)
+
+
+def _choice_batches(rng, pool, size, count):
+    """``count`` batches drawn the way ``draw_batch`` is specified."""
+    return [pool[np.sort(rng.choice(pool.shape[0], size, replace=False))] for _ in range(count)]
+
+
+@st.composite
+def block_draws(draw):
+    """(pool, size, count, seed): small pools of any batch size, and pools on
+    both sides of NumPy's tail-shuffle cutoff (n > 10000, size > n // 50)."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 400))
+        size = draw(st.integers(1, n))
+        count = draw(st.integers(0, 70))
+    else:
+        n = draw(st.sampled_from([10000, 10001, 12000]))
+        size = draw(st.sampled_from([1, n // 50, n // 50 + 1, 2 * n // 3]))
+        count = draw(st.integers(0, 3))
+    pool = np.arange(n, dtype=np.int64) * 3 + 7
+    if draw(st.booleans()):
+        pool = np.random.default_rng(n).permutation(pool)
+    return pool, size, count, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_draws())
+def test_draw_batches_are_successive_choice_draws(case):
+    pool, size, count, seed = case
+    want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = _choice_batches(want_rng, pool, size, count)
+    got = draw_batches(got_rng, pool, size, count)
+    assert got.shape == (count, size) and got.dtype == pool.dtype
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_draw_batch_keeps_pool_order():
+    pool = np.array([40, 10, 30, 20])
+    got = draw_batch(np.random.default_rng(3), pool, 4)
+    assert got.tolist() == pool.tolist()
+
+
+def test_batch_stream_is_the_draw_batch_sequence_across_blocks():
+    pool = np.random.default_rng(1).permutation(np.arange(100, 350))
+    stream = BatchStream(np.random.default_rng(5), pool, 20)
+    rng = np.random.default_rng(5)
+    for _ in range(300):  # the one-draw-at-a-time start, then several blocks
+        assert np.array_equal(stream.next(), draw_batch(rng, pool, 20))
+
+
+def test_batch_stream_draws_nothing_until_asked():
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    BatchStream(rng, np.arange(10), 3)
+    assert rng.bit_generator.state == before
+    with pytest.raises(ValueError):
+        BatchStream(rng, np.arange(10), 11)
+    with pytest.raises(ValueError):
+        draw_batches(rng, np.arange(10), 0, 4)
 
 
 def test_snapshot_validation():

@@ -6,7 +6,8 @@ from dvrsgd.protocol import (EvalPush, PullRequest, PullResponse, SnapshotBroadc
                              Stop, TaskAssign, TaskId, TaskKind, UpdatePush)
 from dvrsgd.server import HyperParams
 from dvrsgd.transport import Node, SimCluster
-from dvrsgd.vrgrad import make_snapshot
+from dvrsgd import worker as worker_module
+from dvrsgd.vrgrad import draw_batch, make_snapshot
 from dvrsgd.worker import (WorkerNode, eval_stage, intermediate_iterate,
                            sampling_stream, update_stage)
 
@@ -86,6 +87,34 @@ def test_fixed_seed_reproduces_batches(problem):
 
     assert batches(42) == batches(42)
     assert batches(42) != batches(43)
+
+
+def test_batches_across_block_refills_are_the_draw_batch_sequence(problem, monkeypatch):
+    # past the one-draw-at-a-time start and across block refills, over an
+    # unsorted partition
+    indices = np.random.default_rng(2).permutation(problem.n)[:25]
+    hyper = HyperParams(eta=0.1, theta=0.5, tau=0, B=4, m=200, S=1, P=1)
+    drawn, original = [], worker_module.draw_batch
+
+    def recording(batches):
+        drawn.append(original(batches))
+        return drawn[-1]
+
+    monkeypatch.setattr(worker_module, "draw_batch", recording)
+    sim = SimCluster()
+    server = ScriptedServer(np.zeros(problem.dim))
+    worker = WorkerNode(0, problem, indices, hyper, seed=6)
+    sim.register("server", server)
+    sim.register("scheduler", SchedulerSink())
+    sim.register("worker:0", worker)
+    snap = make_snapshot(problem, np.zeros(problem.dim), stage=0)
+    worker.anchor, worker.snapshot = snap.anchor, snap
+    for k in range(1, 201):
+        sim.send("scheduler", "worker:0", TaskAssign(TaskId(k, TaskKind.UPDATE)))
+    sim.run_until_quiescent()
+    assert len(server.pushes) == len(drawn) == 200
+    rng, pool = sampling_stream(6, 0), np.sort(indices)
+    assert all(np.array_equal(got, draw_batch(rng, pool, 4)) for got in drawn)
 
 
 def test_batch_larger_than_partition_rejected(problem):
