@@ -6,7 +6,7 @@ feature dimension defaults to the largest index in the file (override with
 ``dim`` when train/validation splits must agree).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -102,9 +102,10 @@ class Partitioning:
     assignments: np.ndarray     # sample index -> worker id
     counts: np.ndarray          # n_p
     weights: np.ndarray         # q_p = n_p / N
+    subsets: tuple = field(repr=False)  # D_p as ascending sample indices
 
     def indices_for(self, p: int) -> np.ndarray:
-        return np.nonzero(self.assignments == p)[0]
+        return self.subsets[p]
 
 
 def partition(problem: Problem, P: int, strategy: str = "contiguous", *,
@@ -126,8 +127,11 @@ def partition(problem: Problem, P: int, strategy: str = "contiguous", *,
     base, extra = divmod(n, P)
     counts = np.array([base + (1 if p < extra else 0) for p in range(P)], dtype=np.int64)
     assignments = np.empty(n, dtype=np.int64)
+    subsets = []
     start = 0
     for p, c in enumerate(counts):
-        assignments[order[start:start + c]] = p
+        subsets.append(np.sort(order[start:start + c]))
+        assignments[subsets[p]] = p
         start += c
-    return Partitioning(assignments=assignments, counts=counts, weights=counts / n)
+    return Partitioning(assignments=assignments, counts=counts, weights=counts / n,
+                        subsets=tuple(subsets))

@@ -79,7 +79,12 @@ def _run_nodes(cluster, problem: Problem, hyper: HyperParams, algo: str,
     cluster.register("server", server)
     for p, wk in enumerate(workers):
         cluster.register(f"worker:{p}", wk)
-    trace = cluster.run_until_quiescent()
+    try:
+        trace = cluster.run_until_quiescent()
+    finally:
+        # each node holds the cluster and the cluster its nodes: breaking the
+        # cycle frees a finished run without the cyclic GC
+        cluster.nodes.clear()
     return RunResult(records=sched.records, snapshots=server.snapshot_history,
                      final_w=server.w, trace=trace, partitioning=parts,
                      stopped_early=sched.stopped_early)

@@ -16,7 +16,8 @@ fields in wire order.  The four field kinds are
           survive the wire bit-exactly
 
 ``encode``, ``decode``, equality and repr all walk that table.  Messages are
-immutable values; handlers never mutate a received payload.
+immutable values; handlers never mutate a received payload, and ``decode``
+enforces it: a decoded vector is a read-only view over the frame's bytes.
 """
 
 import struct
@@ -87,7 +88,7 @@ def _read_vec(buf: bytes, pos: int):
     pos += _U64.size
     if n > (len(buf) - pos) // 8:
         raise DecodeError("vector length exceeds frame")
-    return np.frombuffer(buf, "<f8", n, pos).copy(), pos + 8 * n
+    return np.frombuffer(buf, "<f8", n, pos), pos + 8 * n
 
 
 # field kind -> (append value to a bytearray, read (value, next pos) at a pos);
@@ -166,7 +167,8 @@ def decode(buf: bytes):
     """Parse one complete frame back into a message.
 
     Raises DecodeError on truncation, trailing bytes, an unknown tag, a bad
-    task id, or a vector longer than the frame.
+    task id, or a vector longer than the frame.  Vectors are views over
+    ``buf``, read-only when ``buf`` is ``bytes``.
     """
     if len(buf) < 5:
         raise DecodeError("frame too short")

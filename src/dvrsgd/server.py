@@ -228,7 +228,7 @@ class ParamServer(Node):
         if push.task.kind != TaskKind.UPDATE:
             raise ProtocolError("update push must carry an update task")
         new_w = self.update_rule(self, push)
-        if not np.all(np.isfinite(new_w)):
+        if not np.isfinite(new_w).all():
             raise FloatingPointError(f"w diverged at task {push.task.timestamp}")
         self.w = new_w
         self.finished.mark(push.task.timestamp)

@@ -8,6 +8,15 @@ which is unbiased for grad F(w) and whose variance vanishes as both w and the
 anchor approach the optimum.  Each mini-batch Bt is drawn uniformly without
 replacement by ``draw_batch``, or by ``draw_batches`` many at a time with the
 same result.
+
+The public functions check their inputs: ``make_snapshot`` and
+``vr_gradient`` reject a w of the wrong shape or with a non-finite entry and
+an empty or out-of-range batch, and the samplers reject a batch size outside
+1..len(pool).  ``_vr_gradient``, the kernel behind ``vr_gradient``, checks
+nothing; a worker calls it on every update and trusts the boundaries its
+inputs passed: the worker checks its partition once when it is built, the
+server never stores (and so never sends) a non-finite w, and the snapshot
+anchor is a w the server sent.
 """
 
 from dataclasses import dataclass
@@ -55,8 +64,15 @@ def make_snapshot(problem: Problem, w, stage: int) -> Snapshot:
 
 def vr_gradient(problem: Problem, w, snapshot: Snapshot, batch) -> np.ndarray:
     """Variance-reduced mini-batch gradient at w, corrected by the snapshot."""
-    w = _check_param(problem, w)
-    idx = _check_indices(problem, batch)
+    return _vr_gradient(problem, _check_param(problem, w), snapshot,
+                        _check_indices(problem, batch))
+
+
+def _vr_gradient(problem: Problem, w: np.ndarray, snapshot: Snapshot,
+                 idx: np.ndarray) -> np.ndarray:
+    """``vr_gradient`` without its input checks: w is a float64 vector and
+    idx a nonempty int64 array of in-range sample indices.  A w whose length
+    differs from the anchor's still raises, in ``np.array``."""
     buf = _gradient_rows(problem, np.array((w, snapshot.anchor)), idx,
                          np.empty((2, idx.size, problem.dim)))
     diff = buf[0]

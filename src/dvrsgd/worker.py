@@ -34,7 +34,10 @@ from .protocol import (EvalPush, PullRequest, PullResponse, SnapshotBroadcast,
                        update_stage)
 from .server import HyperParams, ProtocolError
 from .transport import Node
-from .vrgrad import BatchStream, Snapshot, vr_gradient
+from .vrgrad import BatchStream, Snapshot
+# the unchecked kernel (the vrgrad docstring says why the inputs need no
+# check), under the name the per-update trace patches
+from .vrgrad import _vr_gradient as vr_gradient
 
 __all__ = ["WorkerNode", "sampling_stream", "intermediate_iterate", "update_stage", "eval_stage"]
 
@@ -73,7 +76,15 @@ class WorkerNode(Node):
             raise ValueError("gradient must be 'vr' or 'plain'")
         self.worker_id = worker_id
         self.problem = problem
-        self.indices = np.sort(np.asarray(indices, dtype=np.int64))
+        indices = np.asarray(indices, dtype=np.int64)
+        if indices.ndim != 1 or indices.size == 0:
+            raise ValueError(f"worker {worker_id} needs a nonempty 1-D partition")
+        # a partition's subsets come sorted and are kept, not copied
+        self.indices = indices if (indices[:-1] <= indices[1:]).all() else np.sort(indices)
+        # sorted, so the ends bound every index: the updates check none of them
+        if self.indices[0] < 0 or self.indices[-1] >= problem.n:
+            raise ValueError(f"partition of worker {worker_id} has a sample index "
+                             f"outside 0..{problem.n - 1}")
         if hyper.B > self.indices.shape[0]:
             raise ValueError(f"mini-batch size {hyper.B} exceeds partition size "
                              f"{self.indices.shape[0]} of worker {worker_id}")

@@ -104,6 +104,14 @@ def test_partition_disjoint_cover_randomized():
         assert abs(parts.weights.sum() - 1.0) <= 1e-15
 
 
+@pytest.mark.parametrize("strategy", ["contiguous", "shuffled"])
+@pytest.mark.parametrize("n, P", [(1, 1), (7, 3), (50, 50), (101, 8), (8192, 256)])
+def test_partition_subsets_are_the_assignment_scans(strategy, n, P):
+    parts = partition(make_synthetic("quadratic", n, 2, seed=1), P, strategy, seed=9)
+    for q in range(P):
+        assert np.array_equal(parts.indices_for(q), np.nonzero(parts.assignments == q)[0])
+
+
 def test_partition_rejects_more_workers_than_samples():
     p = make_synthetic("l2-logistic", 4, 3, seed=0)
     with pytest.raises(ValueError):

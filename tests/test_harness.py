@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import hashlib
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,7 @@ from dvrsgd.harness import (ExperimentConfig, main, run_cluster, run_cluster_soc
                             run_experiment, sweep)
 from dvrsgd.losses import make_synthetic
 from dvrsgd.server import HyperParams
-from dvrsgd.transport import LatencyModel
+from dvrsgd.transport import LatencyModel, TransportError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -341,6 +343,55 @@ def test_socket_comp_time_counts_real_compute_seconds():
     for worker in range(2):
         per_worker = [rec.comp_times[worker] for rec in r.records]
         assert per_worker == sorted(per_worker)
+
+
+@pytest.mark.parametrize("transport", ["sim", "socket"])
+def test_finished_run_freed_without_the_cyclic_gc(monkeypatch, transport):
+    import dvrsgd.harness as harness_module
+
+    built = []
+    original = harness_module._build_nodes
+
+    def recording(*args, **kw):
+        nodes = original(*args, **kw)
+        built.append(weakref.ref(nodes[2][0]))
+        return nodes
+
+    monkeypatch.setattr(harness_module, "_build_nodes", recording)
+    p = make_synthetic("quadratic", 40, 3, seed=2)
+    h = HyperParams(eta=0.05, theta=0.5, tau=1, B=2, m=5, S=2, P=2)
+    addrs = {r: ("127.0.0.1", 0) for r in ("scheduler", "server", "worker:0", "worker:1")}
+    gc.disable()
+    try:
+        if transport == "sim":
+            result = run_cluster(p, h, seed=1)
+        else:
+            result = run_cluster_socket(p, h, addrs, seed=1, timeout=20.0)
+        assert len(result.records) == 3
+        assert built[0]() is None
+    finally:
+        gc.enable()
+
+
+def diverging_run():
+    # a step size far past 2/L: w overflows and the server refuses it
+    p = make_synthetic("quadratic", 200, 10)
+    return p, HyperParams(eta=2.0, theta=0.5, tau=2, B=5, m=40, S=30, P=2)
+
+
+def test_diverging_run_fails_in_sim():
+    p, h = diverging_run()
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(FloatingPointError, match="w diverged at task"):
+        run_cluster(p, h, seed=0)
+
+
+def test_diverging_run_fails_fast_on_sockets_naming_the_server():
+    p, h = diverging_run()
+    addrs = {r: ("127.0.0.1", 0) for r in ("scheduler", "server", "worker:0", "worker:1")}
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(TransportError, match=r"^server: FloatingPointError.*w diverged"):
+        run_cluster_socket(p, h, addrs, seed=0, timeout=20.0)
 
 
 def test_socket_cluster_timeout():

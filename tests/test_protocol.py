@@ -82,6 +82,20 @@ def test_update_push_round_trip_d3():
     assert out.w_bar.dtype == np.float64
 
 
+def test_decoded_vectors_are_read_only_views_with_the_same_bits():
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        msg = rand_message(rng)
+        out = decode(encode(msg))
+        for name, kind, _, _ in msg._wire:
+            if kind == "vec":
+                got = getattr(out, name)
+                assert got.flags.writeable is False
+                assert got.tobytes() == getattr(msg, name).tobytes()
+                with pytest.raises(ValueError):
+                    got[:1] = 0.0
+
+
 def test_empty_bytes_rejected():
     with pytest.raises(DecodeError):
         decode(b"")

@@ -133,6 +133,19 @@ def test_apply_update_theta_endpoints():
         assert 1 in server.finished
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_update_rejected_and_state_kept(bad):
+    # the server never stores a non-finite w, so the w it sends needs no check
+    server, _ = make_server(theta=0.5, eta=0.1)
+    server.apply_update(UpdatePush(0, TaskId(1, TaskKind.UPDATE), np.ones(2), np.ones(2)))
+    w = server.w.copy()
+    push = UpdatePush(0, TaskId(2, TaskKind.UPDATE), np.ones(2), np.array([1.0, bad]))
+    with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="task 2"):
+        server.apply_update(push)
+    assert np.array_equal(server.w, w)
+    assert server.finished.watermark == 1 and 2 not in server.finished
+
+
 def test_duplicate_update_rejected():
     server, _ = make_server()
     push = UpdatePush(0, TaskId(1, TaskKind.UPDATE), np.zeros(2), np.zeros(2))

@@ -7,7 +7,7 @@ from dvrsgd.protocol import (EvalPush, PullRequest, PullResponse, SnapshotBroadc
 from dvrsgd.server import HyperParams
 from dvrsgd.transport import Node, SimCluster
 from dvrsgd import worker as worker_module
-from dvrsgd.vrgrad import draw_batch, make_snapshot
+from dvrsgd.vrgrad import draw_batch, make_snapshot, vr_gradient
 from dvrsgd.worker import (WorkerNode, eval_stage, intermediate_iterate,
                            sampling_stream, update_stage)
 
@@ -121,6 +121,46 @@ def test_batch_larger_than_partition_rejected(problem):
     hyper = HyperParams(eta=0.1, B=31, m=1, S=1, P=1)
     with pytest.raises(ValueError):
         WorkerNode(0, problem, np.arange(problem.n), hyper)
+
+
+@pytest.mark.parametrize("indices, match", [
+    ([], "worker 3 needs a nonempty"),
+    ([4, -1, 2], "partition of worker 3 has a sample index"),
+    ([0, 30], "partition of worker 3 has a sample index"),
+])
+def test_bad_partition_rejected_naming_the_worker(problem, indices, match):
+    hyper = HyperParams(eta=0.1, B=1, m=1, S=1, P=4)
+    with pytest.raises(ValueError, match=match):
+        WorkerNode(3, problem, indices, hyper)
+
+
+def test_update_pull_with_wrong_length_w_raises_without_pushing(problem):
+    hyper = HyperParams(eta=0.1, theta=0.5, tau=0, B=4, m=5, S=1, P=1)
+    sim, server, _, worker = build(problem, hyper, np.zeros(problem.dim + 1), seed=3)
+    snap = make_snapshot(problem, np.zeros(problem.dim), stage=0)
+    worker.anchor, worker.snapshot = snap.anchor, snap
+    sim.send("scheduler", "worker:0", TaskAssign(TaskId(1, TaskKind.UPDATE)))
+    with pytest.raises(ValueError):
+        sim.run_until_quiescent()
+    assert server.pushes == []
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "l2-logistic", "multiclass-logistic"])
+def test_worker_kernel_is_the_checked_vr_gradient_bit_for_bit(kind):
+    p = make_synthetic(kind, 40, 5, num_classes=3, lam=0.01, seed=7)
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        snap = make_snapshot(p, rng.normal(size=p.dim), stage=0)
+        w = rng.normal(size=p.dim)
+        batch = np.sort(rng.choice(p.n, int(rng.integers(1, p.n + 1)), replace=False))
+        assert worker_module.vr_gradient is not vr_gradient
+        assert np.array_equal(worker_module.vr_gradient(p, w, snap, batch),
+                              vr_gradient(p, w, snap, batch))
+    with pytest.raises(ValueError, match="non-finite"):
+        vr_gradient(p, np.full(p.dim, np.nan), snap, [0])
+    for batch in ([], [-1], [p.n]):
+        with pytest.raises(ValueError, match="sample index"):
+            vr_gradient(p, w, snap, batch)
 
 
 def test_evaluation_task_single_sample_partition(problem):
