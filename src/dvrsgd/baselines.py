@@ -77,13 +77,13 @@ def dpg_update(w: np.ndarray, w_hat: np.ndarray, theta: float) -> np.ndarray:
 class DownpourAdagrad:
     """Per-coordinate adaptive server step; no delay bound.
 
-    acc_j starts at eps0; each push does acc_j += g_j^2 then
+    acc_j starts at ADAGRAD_EPS0; each push does acc_j += g_j^2 then
     w_j -= eta * g_j / sqrt(acc_j).
     """
 
-    def __init__(self, eta: float, dim: int, eps0: float = ADAGRAD_EPS0):
+    def __init__(self, eta: float, dim: int):
         self.eta = eta
-        self.acc = np.full(dim, eps0)
+        self.acc = np.full(dim, ADAGRAD_EPS0)
 
     def __call__(self, server, push) -> np.ndarray:
         g = push.delta
@@ -92,15 +92,14 @@ class DownpourAdagrad:
 
 
 class DecayingSgd:
-    """Plain SGD server step whose rate decays by a fixed factor per stage."""
+    """Plain SGD server step whose rate decays by SSP_DECAY per stage."""
 
-    def __init__(self, eta0: float, m: int, decay: float = SSP_DECAY):
+    def __init__(self, eta0: float, m: int):
         self.eta0 = eta0
         self.m = m
-        self.decay = decay
 
     def rate(self, stage: int) -> float:
-        return self.eta0 * self.decay ** (stage - 1)
+        return self.eta0 * SSP_DECAY ** (stage - 1)
 
     def __call__(self, server, push) -> np.ndarray:
         eta = self.rate(update_stage(push.task, self.m))

@@ -3,8 +3,8 @@
 ``run_cluster`` (simulated transport) and ``run_cluster_socket`` (real TCP)
 wire a problem, a partitioning, and an algorithm into scheduler/server/worker
 nodes the same way and run the cluster until every node can shut down.
-``run_experiment`` does the same from an ``ExperimentConfig`` and writes one
-CSV row per stage:
+``run_experiment`` calls one of them, as an ``ExperimentConfig``'s ``mode``
+says, and writes one CSV row per stage:
 
     stage, objective, wall_time, comp_time, comm_time
 
@@ -94,9 +94,9 @@ def run_cluster(problem: Problem, hyper: HyperParams, *, algo: str = "dvrsgd",
                 seed: int = 0, latency: LatencyModel | None = None,
                 grad_tick: float = 0.0, partition_strategy: str = "contiguous",
                 partition_seed: int = 0, stop_rule=None,
-                max_events: int = 10_000_000, collect_trace: bool = True) -> RunResult:
+                collect_trace: bool = True) -> RunResult:
     """Run one algorithm end-to-end on the deterministic simulated cluster."""
-    return _run_nodes(SimCluster(latency, max_events=max_events, collect_trace=collect_trace),
+    return _run_nodes(SimCluster(latency, collect_trace=collect_trace),
                       problem, hyper, algo, seed=seed, grad_tick=grad_tick,
                       partition_strategy=partition_strategy,
                       partition_seed=partition_seed, stop_rule=stop_rule)
@@ -117,7 +117,7 @@ def run_cluster_socket(problem: Problem, hyper: HyperParams,
 
 def _run_serial_svrg(problem: Problem, hyper: HyperParams, seed: int) -> RunResult:
     t0 = time.perf_counter()
-    trajectory = serial_svrg(problem, hyper.eta, hyper.m, hyper.S, seed=seed)
+    trajectory = serial_svrg(problem, hyper.eta, hyper.m, hyper.S, seed=seed, B=hyper.B)
     records = []
     for s, w in enumerate(trajectory):
         records.append(ProgressRecord(stage=s, objective=objective(problem, w),
@@ -334,17 +334,14 @@ def run_experiment(config: ExperimentConfig, *, out=None) -> list[ProgressRecord
     if config.algo == "svrg":
         result = _run_serial_svrg(problem, hyper, config.seed)
     else:
+        common = dict(algo=config.algo, seed=config.seed, partition_strategy=config.strategy,
+                      partition_seed=config.partition_seed, stop_rule=config.stop_rule())
         if config.mode == "socket":
-            # logical compute ticks exist only in sim, as in run_cluster_socket
-            cluster = SocketCluster(config.resolve_endpoints(), timeout=config.timeout)
-            grad_tick = 0.0
+            result = run_cluster_socket(problem, hyper, config.resolve_endpoints(),
+                                        timeout=config.timeout, **common)
         else:
-            cluster = SimCluster(config.latency_model(), collect_trace=False)
-            grad_tick = config.grad_tick
-        result = _run_nodes(cluster, problem, hyper, config.algo, seed=config.seed,
-                            grad_tick=grad_tick, partition_strategy=config.strategy,
-                            partition_seed=config.partition_seed,
-                            stop_rule=config.stop_rule())
+            result = run_cluster(problem, hyper, latency=config.latency_model(),
+                                 grad_tick=config.grad_tick, collect_trace=False, **common)
     write_csv(result.records, out or config.out)
     return result.records
 

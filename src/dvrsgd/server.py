@@ -18,9 +18,11 @@ in for a daemon thread plus a computing thread sharing a lock on w):
   finished.
 
 Finished timestamps are tracked as a watermark plus a sparse overflow set,
-since tasks complete nearly in order.  A worker takes its tasks in order, one
-pull at a time, so duplicate pulls are caught with one last-answered key per
-worker plus the set of buffered pulls: bounded state over any run length.
+since tasks complete nearly in order.  The scheduler hands each worker its
+tasks in task order and every pair of roles is FIFO, so a worker's pulls
+arrive in that order: the server keeps one key per worker, the last pull to
+arrive, buffered or answered, and rejects any pull at or below it.  That is
+bounded state over any run length.
 """
 
 import heapq
@@ -143,10 +145,9 @@ class ParamServer(Node):
         self.update_rule = update_rule or _hybrid_rule
         self.gate_bound = hyper.tau if gate_bound == "tau" else gate_bound
         self.finished = FinishedTasks()
-        # heap of ((threshold, timestamp, arrival), endpoint, request)
-        self.pending_pulls: list[tuple[tuple[int, int, int], str, PullRequest]] = []
-        self._pending_keys: set[tuple[int, int, TaskKind]] = set()
-        self._last_answered: dict[int, tuple[int, int]] = {}
+        # heap of ((threshold, timestamp, arrival), request)
+        self.pending_pulls: list[tuple[tuple[int, int, int], PullRequest]] = []
+        self._last_pull: dict[int, tuple[int, int]] = {}  # worker -> _order_key
         self._arrival = 0
         self.snapshot_history: list[Snapshot] = []
         self._eval_stage = -1
@@ -174,25 +175,21 @@ class ParamServer(Node):
     def gate_pull(self, req: PullRequest) -> bool:
         """Answer ``req`` now if eligible, else buffer it.  Returns True if answered."""
         task = req.task
-        pending_key = (req.worker, task.timestamp, task.kind)
-        if self._order_key(task) <= self._last_answered.get(req.worker, (-1, 0)) or \
-                pending_key in self._pending_keys:
+        key = self._order_key(task)
+        if key <= self._last_pull.get(req.worker, (-1, 0)):
             raise ProtocolError(f"duplicate pull from worker {req.worker} for {task}")
         if task.kind == TaskKind.UPDATE and task.timestamp in self.finished:
             raise ProtocolError(f"pull for already-finished task {task}")
+        self._last_pull[req.worker] = key
         threshold = self._threshold(task)
         if threshold <= self.finished.watermark:
             self._respond(req)
             return True
         self._arrival += 1
-        heapq.heappush(self.pending_pulls, ((threshold, task.timestamp, self._arrival),
-                                            f"worker:{req.worker}", req))
-        self._pending_keys.add(pending_key)
+        heapq.heappush(self.pending_pulls, ((threshold, task.timestamp, self._arrival), req))
         return False
 
     def _respond(self, req: PullRequest):
-        key = self._order_key(req.task)
-        self._last_answered[req.worker] = max(key, self._last_answered.get(req.worker, key))
         if req.task.kind == TaskKind.EVALUATION:
             stage = eval_stage(req.task, self.hyper.m)
             if stage != self._eval_stage:
@@ -217,8 +214,7 @@ class ParamServer(Node):
         while pending and pending[0][0][0] <= watermark:
             released.append(heapq.heappop(pending))
         released.sort(key=lambda e: e[0][1:])
-        for _, _, req in released:
-            self._pending_keys.discard((req.worker, req.task.timestamp, req.task.kind))
+        for _, req in released:
             self._respond(req)
 
     # -- updates and stage end ---------------------------------------------
@@ -278,9 +274,7 @@ class ParamServer(Node):
                 raise ProtocolError("server only accepts evaluation task assignments")
         elif isinstance(msg, Stop):
             self.stopped = True
-            for _, _, req in self.pending_pulls:
-                log.info("discarding deferred pull %r after STOP", req)
+            log.info("discarding %d deferred pulls after STOP", len(self.pending_pulls))
             self.pending_pulls.clear()
-            self._pending_keys.clear()
         else:
             raise ProtocolError(f"server cannot handle {type(msg).__name__}")

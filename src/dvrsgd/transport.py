@@ -242,7 +242,7 @@ class SocketCluster:
         self._listeners: dict[str, socket.socket] = {}
         self._conns: dict[tuple[str, str], _Connection] = {}
         self._accepted: set[_Connection] = set()
-        self._unsent: list[_Connection] = []  # gained bytes since the last _send_unsent
+        self._unsent: list[_Connection] = []  # queues for the next _send_unsent
         self._sel: selectors.BaseSelector | None = None
         self._t0 = time.monotonic()
         self._failure: tuple[str, Exception] | None = None
@@ -299,7 +299,9 @@ class SocketCluster:
                 if isinstance(data, str):
                     self._accept(key.fileobj, data)
                 elif mask & selectors.EVENT_WRITE:
-                    self._flush(data)
+                    # the stream can take more: back on the list to send
+                    self._sel.unregister(data.sock)
+                    self._unsent.append(data)
                 else:
                     self._read(data)
             self._send_unsent()
@@ -328,7 +330,8 @@ class SocketCluster:
 
     def _read(self, conn: _Connection):
         """Take what the stream has, and hand every complete frame in the
-        buffer to the receiving node; the first frame is the HELLO."""
+        buffer to the receiving node; the first frame must be the HELLO:
+        tag 0, then the sender's endpoint name in UTF-8."""
         try:
             chunk = conn.sock.recv(_RECV_BYTES)
             if not chunk:
@@ -350,6 +353,8 @@ class SocketCluster:
                 frame = bytes(buf[pos:end])
                 pos = end
                 if conn.src is None:
+                    if frame[4:5] != b"\x00":
+                        raise protocol.DecodeError("stream does not open with a HELLO frame")
                     conn.src = frame[5:].decode("utf-8")
                     conn.where = f"{conn.endpoint} <- {conn.src}"
                     continue
@@ -386,8 +391,9 @@ class SocketCluster:
         conn.outbuf += frame
 
     def _send_unsent(self):
-        """Send every queue that gained bytes since the last call; what a
-        socket does not take waits for EVENT_WRITE and ``_flush``."""
+        """Send every queue on the list; the only code that sends.  A queue
+        joins the list when it gains bytes or when its socket becomes
+        writable again; what a socket does not take waits for EVENT_WRITE."""
         unsent, self._unsent = self._unsent, []
         for conn in unsent:
             try:
@@ -400,18 +406,6 @@ class SocketCluster:
             del conn.outbuf[:sent]
             if conn.outbuf:
                 self._sel.register(conn.sock, selectors.EVENT_WRITE, conn)
-
-    def _flush(self, conn: _Connection):
-        try:
-            sent = conn.sock.send(conn.outbuf)
-        except BlockingIOError:
-            return
-        except OSError as exc:
-            self._fail(conn.where, exc)
-            return
-        del conn.outbuf[:sent]
-        if not conn.outbuf:
-            self._sel.unregister(conn.sock)
 
     def send(self, src: str, dst: str, msg):
         """Queue ``msg`` on the (src, dst) stream; called from node code,

@@ -97,7 +97,7 @@ def test_criterion_04_rate_bound_holds(quad_problem):
     bound = compute_rate_gamma(mu, L, eta, theta, m, tau)
     assert bound.is_contraction, "m was chosen large enough for gamma < 1"
     h = HyperParams(eta=eta, theta=theta, tau=tau, B=1, m=m, S=50, P=8)
-    r = run_cluster(p, h, seed=5, collect_trace=False, max_events=20_000_000)
+    r = run_cluster(p, h, seed=5, collect_trace=False)
     sub = np.maximum([rec.objective - f_star for rec in r.records], 1e-18)
     ratios = sub[5:51] / sub[4:50]
     measured = float(np.exp(np.mean(np.log(ratios))))

@@ -115,4 +115,4 @@ def test_threshold_heap_matches_sort_and_scan(case):
         assert heap_sent == ref_sent
         assert len(heap.pending_pulls) == len(ref.pending_pulls)
     heap.handle("scheduler", Stop())
-    assert heap.pending_pulls == [] and heap._pending_keys == set()
+    assert heap.pending_pulls == []

@@ -7,10 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dvrsgd.baselines import BASELINES
+from dvrsgd.baselines import BASELINES, serial_svrg
 from dvrsgd.harness import (ExperimentConfig, main, run_cluster, run_cluster_socket,
                             run_experiment, sweep)
-from dvrsgd.losses import make_synthetic
+from dvrsgd.losses import make_synthetic, objective
 from dvrsgd.server import HyperParams
 from dvrsgd.transport import LatencyModel, TransportError
 
@@ -181,6 +181,15 @@ def test_serial_svrg_algo_path(tmp_path):
     records = run_experiment(cfg)
     assert len(records) == 4
     assert records[-1].objective < records[0].objective
+
+
+def test_serial_svrg_algo_path_draws_batches_of_B(tmp_path):
+    cfg = small_config(tmp_path, algo="svrg", n=200, d=5, B=5, m=None, S=3)
+    records = run_experiment(cfg)
+    problem = cfg.build_problem()
+    want = serial_svrg(problem, cfg.eta, cfg.build_hyper(problem.n).m, cfg.S, seed=cfg.seed,
+                       B=cfg.B)
+    assert [r.objective for r in records] == [objective(problem, w) for w in want]
 
 
 def test_sweep_theta_zero_matches_dsvrg(tmp_path):

@@ -106,8 +106,18 @@ def test_answered_pull_state_bounded_by_worker_count():
     sim.run_until_quiescent()
     assert len(sched.records) == hyper.S + 1
     # S*m update pulls and (S+1)*P evaluation pulls were answered
-    assert len(server._last_answered) <= hyper.P
-    assert server.pending_pulls == [] and server._pending_keys == set()
+    assert len(server._last_pull) <= hyper.P
+    assert server.pending_pulls == []
+
+
+def test_out_of_order_pull_rejected():
+    # a worker pulls its tasks in task order, so task 2 after task 3 repeats
+    # a pull: only a faulty peer sends one
+    server, _ = make_server(tau=0)
+    assert server.gate_pull(PullRequest(0, TaskId(3, TaskKind.UPDATE))) is False
+    with pytest.raises(ProtocolError, match="duplicate pull from worker 0"):
+        server.gate_pull(PullRequest(0, TaskId(2, TaskKind.UPDATE)))
+    assert len(server.pending_pulls) == 1
 
 
 def test_pull_for_finished_task_rejected():
@@ -155,13 +165,13 @@ def test_duplicate_update_rejected():
 
 
 def test_update_releases_deferred_pulls_in_timestamp_order():
-    server, sim = make_server(tau=0, P=1)
+    server, sim = make_server(tau=0, P=2)
     # tau=0: a pull for t may only be answered once all < t finished
     assert server.gate_pull(PullRequest(0, TaskId(3, TaskKind.UPDATE))) is False
-    assert server.gate_pull(PullRequest(0, TaskId(2, TaskKind.UPDATE))) is False
+    assert server.gate_pull(PullRequest(1, TaskId(2, TaskKind.UPDATE))) is False
     server.apply_update(UpdatePush(0, TaskId(1, TaskKind.UPDATE), np.zeros(2), np.zeros(2)))
     # only t=2 becomes eligible; t=3 still waits on 2
-    assert [r.task.timestamp for _, _, r in server.pending_pulls] == [3]
+    assert [r.task.timestamp for _, r in server.pending_pulls] == [3]
 
 
 def test_watermark_overflow_set():

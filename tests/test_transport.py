@@ -10,7 +10,7 @@ import pytest
 from dvrsgd import protocol, transport
 from dvrsgd.harness import run_cluster_socket
 from dvrsgd.losses import make_synthetic
-from dvrsgd.protocol import PullResponse, Stop, TaskId, TaskKind, UpdatePush
+from dvrsgd.protocol import PullResponse, Stop, TaskAssign, TaskId, TaskKind, UpdatePush
 from dvrsgd.server import HyperParams
 from dvrsgd.transport import (LatencyModel, LivelockError, Node, SimCluster, SocketCluster,
                               TransportError)
@@ -306,6 +306,23 @@ def test_connection_arriving_while_closing_is_closed():
         for client in late:
             client.close()
         cluster.close()
+
+
+def test_stream_not_opening_with_a_hello_fails_the_run():
+    # without the check, the TaskAssign frame was taken as the sender's name
+    # and the Stop delivered from a sender named by its bytes
+    sink = Sink(expect=1)
+    cluster = _started(a=sink)
+    try:
+        with socket.create_connection(("127.0.0.1", cluster.bound_port("a")),
+                                      timeout=5.0) as client:
+            client.sendall(protocol.encode(TaskAssign(TaskId(1, TaskKind.UPDATE)))
+                           + protocol.encode(Stop()))
+            with pytest.raises(TransportError, match=r"^a: DecodeError"):
+                cluster.wait()
+    finally:
+        cluster.close()
+    assert sink.seen == []
 
 
 def test_truncated_frame_fails_fast_naming_the_reader():
