@@ -85,7 +85,7 @@ class DownpourAdagrad:
         self.eta = eta
         self.acc = np.full(dim, ADAGRAD_EPS0)
 
-    def __call__(self, server, push) -> np.ndarray:
+    def __call__(self, server, push, w_hat) -> np.ndarray:
         g = push.delta
         self.acc = self.acc + g * g
         return server.w - self.eta * g / np.sqrt(self.acc)
@@ -101,7 +101,7 @@ class DecayingSgd:
     def rate(self, stage: int) -> float:
         return self.eta0 * SSP_DECAY ** (stage - 1)
 
-    def __call__(self, server, push) -> np.ndarray:
+    def __call__(self, server, push, w_hat) -> np.ndarray:
         eta = self.rate(update_stage(push.task, self.m))
         return server.w - eta * push.delta
 
@@ -130,8 +130,8 @@ def _gate_ssp(hyper: HyperParams):
 
 
 def _rule_convex(hyper: HyperParams, dim: int):
-    def rule(server, push):
-        return dpg_update(server.w, push.w_bar, hyper.theta)
+    def rule(server, push, w_hat):
+        return dpg_update(server.w, w_hat - hyper.eta * push.delta, hyper.theta)
     return rule
 
 

@@ -199,7 +199,8 @@ class ExperimentConfig:
     def validate(self) -> list[str]:
         """Every reason this config cannot run: the error of each object it
         builds, then the rules that no constructor checks."""
-        builders = [self.stop_rule, self.latency_model, lambda: self.build_hyper(self.n)]
+        builders = [self.stop_rule, self.latency_model, lambda: self.build_hyper(self.n),
+                    lambda: WorkerNode.check_grad_tick(self.grad_tick)]
         if self.algo != "svrg":
             builders.append(lambda: algo_config(self.algo))
         errors = []

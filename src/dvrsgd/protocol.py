@@ -18,6 +18,11 @@ fields in wire order.  The four field kinds are
 ``encode``, ``decode``, equality and repr all walk that table.  Messages are
 immutable values; handlers never mutate a received payload, and ``decode``
 enforces it: a decoded vector is a read-only view over the frame's bytes.
+An ``UpdatePush`` carries ``delta`` alone: the server forms w_bar itself.
+
+Over TCP every stream opens with one HELLO frame, which is outside the message
+table and never passes through ``encode``/``decode``: tag 0, then the
+sender's endpoint name in UTF-8 (``hello`` and ``read_hello``).
 """
 
 import struct
@@ -29,7 +34,7 @@ import numpy as np
 __all__ = [
     "TaskKind", "TaskId", "update_stage", "eval_stage", "TaskAssign", "PullRequest",
     "PullResponse", "UpdatePush", "EvalPush", "Stop", "SnapshotBroadcast",
-    "Message", "DecodeError", "encode", "decode",
+    "Message", "DecodeError", "encode", "decode", "FRAME_HEAD", "hello", "read_hello",
 ]
 
 
@@ -63,6 +68,7 @@ def eval_stage(task: TaskId, m: int) -> int:
 
 
 _U32 = struct.Struct("<I")
+FRAME_HEAD = _U32  # every frame's header: the body length
 _U64 = struct.Struct("<Q")
 _F64 = struct.Struct("<d")
 _TASK = struct.Struct("<QB")
@@ -142,7 +148,7 @@ def _message(tag: int, name: str, spec: str = "", **defaults):
 TaskAssign = _message(1, "TaskAssign", "task:task")
 PullRequest = _message(2, "PullRequest", "worker:u32 task:task")
 PullResponse = _message(3, "PullResponse", "task:task w:vec")
-UpdatePush = _message(4, "UpdatePush", "worker:u32 task:task w_bar:vec delta:vec")
+UpdatePush = _message(4, "UpdatePush", "worker:u32 task:task delta:vec")
 EvalPush = _message(5, "EvalPush", "worker:u32 local_grad:vec local_obj_sum:f64 "
                     "comp_time:f64 comm_time:f64", comp_time=0.0, comm_time=0.0)
 Stop = _message(6, "Stop")
@@ -159,7 +165,7 @@ def encode(msg) -> bytes:
     body.append(msg._tag)
     for name, _, pack, _ in msg._wire:
         pack(body, getattr(msg, name))
-    _U32.pack_into(body, 0, len(body) - 4)
+    FRAME_HEAD.pack_into(body, 0, len(body) - 4)
     return bytes(body)
 
 
@@ -172,7 +178,7 @@ def decode(buf: bytes):
     """
     if len(buf) < 5:
         raise DecodeError("frame too short")
-    (body_len,) = _U32.unpack_from(buf)
+    (body_len,) = FRAME_HEAD.unpack_from(buf)
     if body_len != len(buf) - 4:
         raise DecodeError(f"frame length mismatch: header says {body_len}, got {len(buf) - 4}")
     cls = _BY_TAG.get(buf[4])
@@ -188,3 +194,17 @@ def decode(buf: bytes):
     if pos != len(buf):
         raise DecodeError("trailing bytes after message payload")
     return cls(*values)
+
+
+def hello(name: str) -> bytes:
+    """The HELLO frame that opens a stream from endpoint ``name``."""
+    body = name.encode("utf-8")
+    return FRAME_HEAD.pack(len(body) + 1) + b"\x00" + body
+
+
+def read_hello(frame: bytes) -> str:
+    """The sender's endpoint name from a stream's first frame, which must be
+    a HELLO."""
+    if frame[4:5] != b"\x00":
+        raise DecodeError("stream does not open with a HELLO frame")
+    return frame[5:].decode("utf-8")

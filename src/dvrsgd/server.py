@@ -12,17 +12,18 @@ in for a daemon thread plus a computing thread sharing a lock on w):
   needs.  After every applied update the pulls whose threshold the watermark
   has reached are popped and answered in ascending (timestamp, arrival)
   order; the rest of the heap is not touched.
-* update application -- each UpdatePush replaces w wholesale via the
-  configured update rule (default: the hybrid rule
-  w = (1-theta)*(w - eta*delta) + theta*w_bar) and marks its timestamp
-  finished.
+* update application -- each UpdatePush carries delta alone; the server
+  forms w_bar = w_hat - eta*delta from the w_hat it answered the pull with,
+  replaces w via the configured update rule (default: the hybrid rule
+  w = (1-theta)*(w - eta*delta) + theta*w_bar) and marks the task finished.
 
 Finished timestamps are tracked as a watermark plus a sparse overflow set,
 since tasks complete nearly in order.  The scheduler hands each worker its
 tasks in task order and every pair of roles is FIFO, so a worker's pulls
-arrive in that order: the server keeps one key per worker, the last pull to
-arrive, buffered or answered, and rejects any pull at or below it.  That is
-bounded state over any run length.
+arrive in that order.  The server keeps one record per worker: the key of the
+last pull to arrive, rejecting any pull at or below it, and the w_hat that
+pull was answered with until its update push lands; a push that answers no
+update pull released to its worker is rejected.  That is bounded state.
 """
 
 import heapq
@@ -104,14 +105,14 @@ class FinishedTasks:
         return self.watermark >= t - 1
 
 
-def apply_hybrid(w, delta, w_bar, eta: float, theta: float) -> np.ndarray:
-    """Hybrid delayed update: w <- (1-theta)*(w - eta*delta) + theta*w_bar."""
-    return (1.0 - theta) * (w - eta * delta) + theta * w_bar
+def apply_hybrid(w, w_hat, delta, eta: float, theta: float) -> np.ndarray:
+    """Hybrid update w <- (1-theta)*(w - eta*delta) + theta*w_bar, w_bar = w_hat - eta*delta."""
+    step = eta * delta
+    return (1.0 - theta) * (w - step) + theta * (w_hat - step)
 
 
-def _hybrid_rule(server: "ParamServer", push: UpdatePush) -> np.ndarray:
-    return apply_hybrid(server.w, push.delta, push.w_bar,
-                        server.hyper.eta, server.hyper.theta)
+def _hybrid_rule(server: "ParamServer", push: UpdatePush, w_hat: np.ndarray) -> np.ndarray:
+    return apply_hybrid(server.w, w_hat, push.delta, server.hyper.eta, server.hyper.theta)
 
 
 def aggregate_local_gradients(grads: list[np.ndarray], weights) -> np.ndarray:
@@ -131,8 +132,8 @@ class ParamServer(Node):
     """Server role (Node).  See module docstring for the gating contract.
 
     ``gate_bound`` overrides the delay bound used for update-task pulls:
-    ``None`` means unbounded (downpour-style).  ``update_rule`` maps
-    (server, push) -> new w; the default is the hybrid rule.
+    ``None`` means unbounded (downpour-style).  ``update_rule`` maps (server,
+    push, w_hat answered to its pull) -> new w; the default is the hybrid rule.
     """
 
     def __init__(self, dim: int, hyper: HyperParams, weights, *,
@@ -147,7 +148,7 @@ class ParamServer(Node):
         self.finished = FinishedTasks()
         # heap of ((threshold, timestamp, arrival), request)
         self.pending_pulls: list[tuple[tuple[int, int, int], PullRequest]] = []
-        self._last_pull: dict[int, tuple[int, int]] = {}  # worker -> _order_key
+        self._last_pull: dict[int, list] = {}  # worker -> [_order_key, w_hat or None]
         self._arrival = 0
         self.snapshot_history: list[Snapshot] = []
         self._eval_stage = -1
@@ -176,11 +177,11 @@ class ParamServer(Node):
         """Answer ``req`` now if eligible, else buffer it.  Returns True if answered."""
         task = req.task
         key = self._order_key(task)
-        if key <= self._last_pull.get(req.worker, (-1, 0)):
+        if key <= self._last_pull.get(req.worker, ((-1, 0), None))[0]:
             raise ProtocolError(f"duplicate pull from worker {req.worker} for {task}")
         if task.kind == TaskKind.UPDATE and task.timestamp in self.finished:
             raise ProtocolError(f"pull for already-finished task {task}")
-        self._last_pull[req.worker] = key
+        self._last_pull[req.worker] = [key, None]
         threshold = self._threshold(task)
         if threshold <= self.finished.watermark:
             self._respond(req)
@@ -200,6 +201,8 @@ class ParamServer(Node):
             # every worker gets the frozen anchor, byte-identical
             self.send(f"worker:{req.worker}", PullResponse(req.task, self._eval_anchor))
             return
+        if self._last_pull[req.worker][0] == self._order_key(req.task):  # still its last pull
+            self._last_pull[req.worker][1] = self.w
         self.send(f"worker:{req.worker}", PullResponse(req.task, self.w))
 
     def _rescan_pending(self):
@@ -221,13 +224,15 @@ class ParamServer(Node):
 
     def apply_update(self, push: UpdatePush):
         """Apply one update push atomically and release newly eligible pulls."""
-        if push.task.kind != TaskKind.UPDATE:
-            raise ProtocolError("update push must carry an update task")
-        new_w = self.update_rule(self, push)
+        last = self._last_pull.get(push.worker, (None, None))
+        if last[1] is None or last[0] != self._order_key(push.task):
+            raise ProtocolError(f"worker {push.worker} has no released pull for {push.task}")
+        new_w = self.update_rule(self, push, last[1])
         if not np.isfinite(new_w).all():
             raise FloatingPointError(f"w diverged at task {push.task.timestamp}")
-        self.w = new_w
         self.finished.mark(push.task.timestamp)
+        self.w = new_w
+        last[1] = None
         self._rescan_pending()
 
     def stage_end(self, eval_pushes: list[EvalPush]) -> Snapshot:

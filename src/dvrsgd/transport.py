@@ -30,9 +30,9 @@ that failure as a ``TransportError`` naming the endpoint.
 """
 
 import heapq
+import math
 import selectors
 import socket
-import struct
 import time
 from dataclasses import dataclass
 
@@ -59,17 +59,19 @@ _LATENCY_BLOCK = 1024
 # its own short bound rather than the run's whole timeout
 _CONNECT_TIMEOUT_S = 1.0
 _RECV_BYTES = 1 << 18
-_FRAME_HEAD = struct.Struct("<I")
 
 
 class LatencyModel:
     """Seeded per-message latency source for the simulated cluster.
 
     kinds: constant(value), uniform(lo, hi), exponential(mean),
-    adversarial (heavy-tailed seeded mixture).
+    adversarial (heavy-tailed seeded mixture).  Each parameter a kind reads
+    must be finite and >= 0, so logical time never runs backwards.
     """
 
-    KINDS = ("constant", "uniform", "exponential", "adversarial")
+    _READS = {"constant": ("value",), "uniform": ("lo", "hi"), "exponential": ("mean",),
+              "adversarial": ()}
+    KINDS = tuple(_READS)
 
     def __init__(self, kind="constant", *, value=0.0, lo=0.0, hi=1.0, mean=1.0, seed=0):
         if kind not in self.KINDS:
@@ -79,6 +81,12 @@ class LatencyModel:
         self.lo = float(lo)
         self.hi = float(hi)
         self.mean = float(mean)
+        for name in self._READS[kind]:
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{kind} latency {name} must be finite and >= 0, "
+                                 f"got {getattr(self, name)!r}")
+        if kind == "uniform" and self.lo > self.hi:
+            raise ValueError(f"uniform latency needs lo <= hi, got {self.lo!r} > {self.hi!r}")
         self._rng = np.random.default_rng(seed)
         self._pos = 0
         self._block: list[float] = []
@@ -330,8 +338,8 @@ class SocketCluster:
 
     def _read(self, conn: _Connection):
         """Take what the stream has, and hand every complete frame in the
-        buffer to the receiving node; the first frame must be the HELLO:
-        tag 0, then the sender's endpoint name in UTF-8."""
+        buffer to the receiving node; the first frame must be the HELLO that
+        names the sender (``protocol.read_hello``)."""
         try:
             chunk = conn.sock.recv(_RECV_BYTES)
             if not chunk:
@@ -346,16 +354,15 @@ class SocketCluster:
             buf = conn.inbuf
             buf += chunk
             pos, have = 0, len(buf)
-            while have - pos >= 4:
-                end = pos + 4 + _FRAME_HEAD.unpack_from(buf, pos)[0]
+            head = protocol.FRAME_HEAD
+            while have - pos >= head.size:
+                end = pos + head.size + head.unpack_from(buf, pos)[0]
                 if end > have:
                     break
                 frame = bytes(buf[pos:end])
                 pos = end
                 if conn.src is None:
-                    if frame[4:5] != b"\x00":
-                        raise protocol.DecodeError("stream does not open with a HELLO frame")
-                    conn.src = frame[5:].decode("utf-8")
+                    conn.src = protocol.read_hello(frame)
                     conn.where = f"{conn.endpoint} <- {conn.src}"
                     continue
                 msg = protocol.decode(frame)
@@ -378,8 +385,7 @@ class SocketCluster:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.setblocking(False)
         conn = self._conns[(src, dst)] = _Connection(sock, src, f"{src} -> {dst}")
-        hello = src.encode("utf-8")
-        self._write(conn, _FRAME_HEAD.pack(len(hello) + 1) + b"\x00" + hello)
+        self._write(conn, protocol.hello(src))
         return conn
 
     def _write(self, conn: _Connection, frame: bytes):

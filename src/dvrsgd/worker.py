@@ -7,8 +7,8 @@ the next task -- so a worker never has two outstanding pulls.
 
 Update tasks draw a fresh mini-batch (uniform, without replacement) from the
 local partition, compute the configured gradient (variance-reduced against the
-current snapshot, or plain for the non-VR baselines) and push both
-w_bar = pulled_w - eta * delta and delta to the server.
+current snapshot, or plain for the non-VR baselines) and push delta alone to
+the server, which forms w_bar = pulled_w - eta * delta from the w it sent.
 
 Evaluation tasks adopt the pulled stage-final w as the new local anchor,
 compute the local partition gradient and objective sum, and push them to the
@@ -23,6 +23,7 @@ batches as one draw per update.
 """
 
 import logging
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -39,7 +40,7 @@ from .vrgrad import BatchStream, Snapshot
 # check), under the name the per-update trace patches
 from .vrgrad import _vr_gradient as vr_gradient
 
-__all__ = ["WorkerNode", "sampling_stream", "intermediate_iterate", "update_stage", "eval_stage"]
+__all__ = ["WorkerNode", "sampling_stream", "update_stage", "eval_stage"]
 
 log = logging.getLogger(__name__)
 
@@ -55,11 +56,6 @@ def draw_batch(batches: BatchStream) -> np.ndarray:
     keeps this name so that it can be traced per call (``bench/layers.py``
     patches it)."""
     return batches.next()
-
-
-def intermediate_iterate(w_hat: np.ndarray, delta: np.ndarray, eta: float) -> np.ndarray:
-    """w_bar = w_hat - eta * delta, the locally updated delayed iterate."""
-    return w_hat - eta * delta
 
 
 @dataclass
@@ -90,7 +86,7 @@ class WorkerNode(Node):
                              f"{self.indices.shape[0]} of worker {worker_id}")
         self.hyper = hyper
         self.gradient = gradient
-        self.grad_tick = grad_tick
+        self.grad_tick = self.check_grad_tick(grad_tick)
         self.batches = BatchStream(sampling_stream(seed, worker_id), self.indices, hyper.B)
 
         self.queue: deque[TaskId] = deque()
@@ -103,6 +99,14 @@ class WorkerNode(Node):
         self.comp_time = 0.0
         self.comm_time = 0.0
         self.stopped = False
+
+    @staticmethod
+    def check_grad_tick(grad_tick: float) -> float:
+        """``grad_tick``, the modelled cost of one sample gradient, if it is
+        finite and >= 0, so that logical compute time never runs backwards."""
+        if not 0.0 <= grad_tick < math.inf:
+            raise ValueError(f"grad_tick must be finite and >= 0, got {grad_tick!r}")
+        return grad_tick
 
     # -- task scheduling ----------------------------------------------------
 
@@ -150,8 +154,7 @@ class WorkerNode(Node):
         else:
             delta = mean_gradient(self.problem, w_hat, batch)
             cost = self.grad_tick * self.hyper.B
-        w_bar = intermediate_iterate(w_hat, delta, self.hyper.eta)
-        push = UpdatePush(self.worker_id, task, w_bar, delta)
+        push = UpdatePush(self.worker_id, task, delta)
         self._emit_after(self._charge(started, cost), [("server", push)])
 
     def _run_evaluation(self, task: TaskId, w_hat: np.ndarray):

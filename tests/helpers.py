@@ -92,18 +92,6 @@ def check_pair_fifo(trace):
         assert delivers.get(pair, []) == seqs, f"FIFO violated on {pair}"
 
 
-def check_update_push_identity(trace, eta):
-    """Every UpdatePush satisfies w_bar = pulled_w - eta*delta bit-exactly."""
-    pulled = {}
-    for ev in trace:
-        if ev.action == "deliver" and isinstance(ev.msg, PullResponse) \
-                and ev.msg.task.kind == TaskKind.UPDATE:
-            pulled[(ev.dst, ev.msg.task.timestamp)] = ev.msg.w
-        if ev.action == "deliver" and isinstance(ev.msg, UpdatePush):
-            w_hat = pulled[(f"worker:{ev.msg.worker}", ev.msg.task.timestamp)]
-            assert np.array_equal(ev.msg.w_bar, w_hat - eta * ev.msg.delta)
-
-
 def eval_responses_by_stage(trace, m):
     """Map stage -> list of w arrays sent in evaluation pull responses."""
     out = {}

@@ -86,20 +86,21 @@ def test_downpour_adagrad_steps():
         hyper = None
 
     rule = DownpourAdagrad(eta=0.1, dim=1)
-    push = UpdatePush(0, TaskId(1, TaskKind.UPDATE), np.array([0.0]), np.array([1.0]))
-    w1 = rule(FakeServer, push)
+    # the rule never reads w_hat, the w the server answered the pull with
+    push = UpdatePush(0, TaskId(1, TaskKind.UPDATE), np.array([1.0]))
+    w1 = rule(FakeServer, push, None)
     assert w1[0] == pytest.approx(1.0 - 0.1 * 1.0 / np.sqrt(ADAGRAD_EPS0 + 1.0), rel=1e-12)
     # zero gradient: no change
-    zero = UpdatePush(0, TaskId(2, TaskKind.UPDATE), np.array([0.0]), np.array([0.0]))
+    zero = UpdatePush(0, TaskId(2, TaskKind.UPDATE), np.array([0.0]))
     FakeServer.w = w1
-    assert np.array_equal(rule(FakeServer, zero), w1)
+    assert np.array_equal(rule(FakeServer, zero, None), w1)
     # two equal steps shrink: the accumulator is monotone
     FakeServer.w = np.array([1.0])
     rule2 = DownpourAdagrad(eta=0.1, dim=1)
-    wa = rule2(FakeServer, push)
+    wa = rule2(FakeServer, push, None)
     step1 = 1.0 - wa[0]
     FakeServer.w = wa
-    wb = rule2(FakeServer, push)
+    wb = rule2(FakeServer, push, None)
     step2 = wa[0] - wb[0]
     assert 0 < step2 < step1
 
@@ -113,8 +114,8 @@ def test_decaying_sgd_rate_schedule():
         w = np.array([1.0, 0.0])
         hyper = None
 
-    push = UpdatePush(0, TaskId(31, TaskKind.UPDATE), np.zeros(2), np.array([1.0, 2.0]))
-    out = rule(FakeServer, push)  # t=31, m=10 -> stage 4 -> eta = 0.95^3
+    push = UpdatePush(0, TaskId(31, TaskKind.UPDATE), np.array([1.0, 2.0]))
+    out = rule(FakeServer, push, None)  # t=31, m=10 -> stage 4 -> eta = 0.95^3
     assert np.allclose(out, FakeServer.w - 0.857375 * np.array([1.0, 2.0]), atol=1e-12)
 
 

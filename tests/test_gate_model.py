@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dvrsgd.protocol import PullRequest, Stop, TaskId, TaskKind, UpdatePush
+from dvrsgd.protocol import PullRequest, Stop, TaskId, TaskKind
 from dvrsgd.server import HyperParams, ParamServer, ProtocolError
 
 
@@ -36,6 +36,8 @@ class SortAndScanServer(ParamServer):
             raise ProtocolError(f"duplicate pull from worker {req.worker} for {req.task}")
         if req.task.kind == TaskKind.UPDATE and req.task.timestamp in self.finished:
             raise ProtocolError(f"pull for already-finished task {req.task}")
+        # the per-worker record that ParamServer._respond reads
+        self._last_pull[req.worker] = [self._order_key(req.task), None]
         if self._eligible(req.task):
             self._respond(req)
             return True
@@ -96,9 +98,12 @@ def step(server, op):
         if op[0] == "pull":
             _, worker, t, kind = op
             return server.gate_pull(PullRequest(worker, TaskId(t, kind)))
+        # an update finishing: what apply_update does once its push checks
+        # out, with no pull or push behind it, so finishes come in any order
         t = op[1]
-        server.apply_update(UpdatePush(0, TaskId(t, TaskKind.UPDATE),
-                                       np.array([t, -t], dtype=float), np.array([1.0, t])))
+        server.w = np.array([t, -t], dtype=float)
+        server.finished.mark(t)
+        server._rescan_pending()
     except ProtocolError:
         return ProtocolError
     return None

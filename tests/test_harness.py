@@ -13,6 +13,7 @@ from dvrsgd.harness import (ExperimentConfig, main, run_cluster, run_cluster_soc
 from dvrsgd.losses import make_synthetic, objective
 from dvrsgd.server import HyperParams
 from dvrsgd.transport import LatencyModel, TransportError
+from dvrsgd.worker import WorkerNode
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -113,6 +114,11 @@ def test_readme_lists_exactly_the_latency_kinds_and_algorithms():
     assert sorted(comments["algo"]) == sorted([*BASELINES, "svrg"])
 
 
+def worker_charging(grad_tick):
+    return WorkerNode(0, make_synthetic("quadratic", 4, 2), [0], HyperParams(eta=0.1),
+                      grad_tick=grad_tick)
+
+
 @pytest.mark.parametrize("fields,owner", [
     (dict(latency="trace"), lambda: LatencyModel("trace")),
     (dict(stop="targt"), lambda: ExperimentConfig(stop="targt").stop_rule()),
@@ -121,11 +127,23 @@ def test_readme_lists_exactly_the_latency_kinds_and_algorithms():
     (dict(m=0), lambda: HyperParams(eta=0.1, m=0)),
     (dict(eta=-1.0), lambda: HyperParams(eta=-1.0)),
     (dict(theta=2.0), lambda: HyperParams(eta=0.1, theta=2.0)),
+    (dict(latency="uniform", lo=-5.0, hi=-1.0), lambda: LatencyModel("uniform", lo=-5.0, hi=-1.0)),
+    (dict(latency="constant", value=-3.0), lambda: LatencyModel("constant", value=-3.0)),
+    (dict(latency="constant", value=float("nan")),
+     lambda: LatencyModel("constant", value=float("nan"))),
+    (dict(latency="exponential", mean=-1.0), lambda: LatencyModel("exponential", mean=-1.0)),
+    (dict(latency="uniform", lo=5.0, hi=1.0), lambda: LatencyModel("uniform", lo=5.0, hi=1.0)),
+    (dict(grad_tick=-0.5), lambda: worker_charging(-0.5)),
+    (dict(grad_tick=float("inf")), lambda: worker_charging(float("inf"))),
 ], ids=["latency-trace", "stop-typo", "stop-target-no-target", "B-0-m-unset", "m-0",
-        "eta-negative", "theta-above-1"])
+        "eta-negative", "theta-above-1", "latency-uniform-negative", "latency-constant-negative",
+        "latency-nan", "latency-exponential-negative", "latency-lo-above-hi",
+        "grad-tick-negative", "grad-tick-infinite"])
 def test_validate_reports_the_owning_constructors_error(tmp_path, capsys, fields, owner):
     with pytest.raises(ValueError) as exc:
         owner()
+    # the error names a field the config sets
+    assert any(name in str(exc.value) for name in fields)
     cfg = small_config(tmp_path, **fields)
     assert cfg.validate() == [str(exc.value)]
     path = tmp_path / "exp.ini"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dvrsgd.protocol import (DecodeError, EvalPush, Message, PullRequest, PullResponse,
                              SnapshotBroadcast, Stop, TaskAssign, TaskId, TaskKind,
-                             UpdatePush, decode, encode)
+                             UpdatePush, decode, encode, hello, read_hello)
 
 
 def rand_vec(rng, n=None):
@@ -35,7 +35,7 @@ def rand_message(rng):
         return PullResponse(rand_task(rng), rand_vec(rng))
     if which == 3:
         return UpdatePush(int(rng.integers(0, 1000)), TaskId(int(rng.integers(1, 2**40)), TaskKind.UPDATE),
-                          rand_vec(rng), rand_vec(rng))
+                          rand_vec(rng))
     if which == 4:
         return EvalPush(int(rng.integers(0, 1000)), rand_vec(rng),
                         float(rng.normal()), float(abs(rng.normal())), float(abs(rng.normal())))
@@ -53,9 +53,8 @@ GOLDEN_FRAMES = [
     (PullResponse(TaskId(7, TaskKind.UPDATE), np.array([1.0, -2.0])),
      "22000000" "03" "0700000000000000" "00"
      "0200000000000000" "000000000000f03f" "00000000000000c0"),
-    (UpdatePush(2, TaskId(17, TaskKind.UPDATE), np.array([1.0, -0.5]), np.array([0.25, 0.0])),
-     "3e000000" "04" "02000000" "1100000000000000" "00"
-     "0200000000000000" "000000000000f03f" "000000000000e0bf"
+    (UpdatePush(2, TaskId(17, TaskKind.UPDATE), np.array([0.25, 0.0])),
+     "26000000" "04" "02000000" "1100000000000000" "00"
      "0200000000000000" "000000000000d03f" "0000000000000000"),
     (EvalPush(1, np.array([2.0]), 0.125, 3.5, 0.75),
      "2d000000" "05" "01000000" "0100000000000000" "0000000000000040"
@@ -74,12 +73,20 @@ def test_golden_frames(msg, frame):
     assert decode(bytes.fromhex(frame)) == msg
 
 
+def test_hello_frame_bytes():
+    # the frame that opens every TCP stream, outside the message table
+    frame = hello("worker:3")
+    assert frame.hex() == "09000000" "00" + b"worker:3".hex()
+    assert read_hello(frame) == "worker:3"
+    with pytest.raises(DecodeError, match="HELLO"):
+        read_hello(encode(Stop()))
+
+
 def test_update_push_round_trip_d3():
-    msg = UpdatePush(2, TaskId(17, TaskKind.UPDATE),
-                     np.array([1.0, -2.5, 3.25]), np.array([0.125, 0.0, -1e-300]))
+    msg = UpdatePush(2, TaskId(17, TaskKind.UPDATE), np.array([0.125, 0.0, -1e-300]))
     out = decode(encode(msg))
     assert out == msg
-    assert out.w_bar.dtype == np.float64
+    assert out.delta.dtype == np.float64
 
 
 def test_decoded_vectors_are_read_only_views_with_the_same_bits():

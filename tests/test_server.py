@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dvrsgd.baselines import algo_config, dpg_update
 from dvrsgd.data import partition
 from dvrsgd.harness import _build_nodes
 from dvrsgd.losses import full_gradient, make_synthetic, mean_gradient
@@ -42,6 +43,15 @@ def finish(server, timestamps):
         server.finished.mark(t)
 
 
+def pull(server, t, worker=0):
+    """Pull update task t as ``worker``; the gate must answer it at once."""
+    assert server.gate_pull(PullRequest(worker, TaskId(t, TaskKind.UPDATE))) is True
+
+
+def push(t, delta, worker=0):
+    return UpdatePush(worker, TaskId(t, TaskKind.UPDATE), np.asarray(delta, dtype=float))
+
+
 def test_gate_respond_when_older_tasks_finished():
     server, _ = make_server(tau=2)
     finish(server, [1, 2, 3])
@@ -74,13 +84,14 @@ def test_duplicate_pull_rejected():
 
 
 def test_duplicate_pulls_rejected_while_pending_and_once_answered():
-    server, _ = make_server(tau=2, m=10)
+    server, _ = make_server(tau=2, m=10, P=2)
     finish(server, range(1, 10))
     evaluation = PullRequest(0, TaskId(11, TaskKind.EVALUATION))
     assert server.gate_pull(evaluation) is False
     with pytest.raises(ProtocolError):
         server.gate_pull(evaluation)
-    server.apply_update(UpdatePush(0, TaskId(10, TaskKind.UPDATE), np.zeros(2), np.zeros(2)))
+    pull(server, 10, worker=1)
+    server.apply_update(push(10, np.zeros(2), worker=1))
     assert server.pending_pulls == []
     with pytest.raises(ProtocolError):
         server.gate_pull(evaluation)
@@ -103,11 +114,22 @@ def test_answered_pull_state_bounded_by_worker_count():
     sim.register("server", server)
     for q, wk in enumerate(workers):
         sim.register(f"worker:{q}", wk)
+    # the answered w_hat the server holds for pushes still to come, after
+    # every event it handles
+    held, handle = [], server.handle
+
+    def counting(src, msg):
+        handle(src, msg)
+        held.append(sum(w_hat is not None for _, w_hat in server._last_pull.values()))
+
+    server.handle = counting
     sim.run_until_quiescent()
     assert len(sched.records) == hyper.S + 1
     # S*m update pulls and (S+1)*P evaluation pulls were answered
     assert len(server._last_pull) <= hyper.P
     assert server.pending_pulls == []
+    assert 1 < max(held) <= hyper.P
+    assert held[-1] == 0
 
 
 def test_out_of_order_pull_rejected():
@@ -128,17 +150,20 @@ def test_pull_for_finished_task_rejected():
 
 
 def test_apply_hybrid_exact_arithmetic():
-    w = np.array([1.0, 1.0])
-    out = apply_hybrid(w, np.array([2.0, 0.0]), np.array([0.5, 1.0]), eta=0.1, theta=0.5)
-    assert np.array_equal(out, np.array([0.65, 1.0]))
+    # eta*delta = [1, 0], so w - eta*delta = [0, 1] and w_bar = [0.5, 1]
+    w, w_hat = np.array([1.0, 1.0]), np.array([1.5, 1.0])
+    out = apply_hybrid(w, w_hat, np.array([2.0, 0.0]), eta=0.5, theta=0.5)
+    assert np.array_equal(out, np.array([0.25, 1.0]))
 
 
 def test_apply_update_theta_endpoints():
+    # theta=1 lands on w_bar = w_hat - eta*delta, theta=0 on w - eta*delta
     for theta, expect in [(1.0, np.array([0.5, 1.0])), (0.0, np.array([0.8, 1.0]))]:
         server, _ = make_server(theta=theta, eta=0.1)
+        server.w = np.array([0.7, 1.0])
+        pull(server, 1)  # w_hat
         server.w = np.array([1.0, 1.0])
-        push = UpdatePush(0, TaskId(1, TaskKind.UPDATE), np.array([0.5, 1.0]), np.array([2.0, 0.0]))
-        server.apply_update(push)
+        server.apply_update(push(1, [2.0, 0.0]))
         assert np.allclose(server.w, expect, atol=1e-15)
         assert 1 in server.finished
 
@@ -147,29 +172,94 @@ def test_apply_update_theta_endpoints():
 def test_non_finite_update_rejected_and_state_kept(bad):
     # the server never stores a non-finite w, so the w it sends needs no check
     server, _ = make_server(theta=0.5, eta=0.1)
-    server.apply_update(UpdatePush(0, TaskId(1, TaskKind.UPDATE), np.ones(2), np.ones(2)))
+    pull(server, 1)
+    server.apply_update(push(1, np.ones(2)))
+    pull(server, 2)
     w = server.w.copy()
-    push = UpdatePush(0, TaskId(2, TaskKind.UPDATE), np.ones(2), np.array([1.0, bad]))
     with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="task 2"):
-        server.apply_update(push)
+        server.apply_update(push(2, [1.0, bad]))
     assert np.array_equal(server.w, w)
     assert server.finished.watermark == 1 and 2 not in server.finished
 
 
+@pytest.mark.parametrize("algo,theta", [("dvrsgd", 0.5), ("dvrsgd", 1.0), ("vrdpg", 0.5)])
+def test_update_rules_form_w_bar_from_the_answered_w(algo, theta):
+    # worker 0 is answered w_hat; worker 1's update then moves w, so the
+    # server applies worker 0's push to a w other than the one it answered
+    hyper = HyperParams(eta=0.1, theta=theta, tau=1, B=1, m=10, S=1, P=2)
+    rule = algo_config(algo).rule
+    server = ParamServer(3, hyper, [0.5, 0.5], update_rule=rule and rule(hyper, 3))
+    sim = SimCluster()
+    sim.register("server", server)
+    for p in range(2):
+        sim.register(f"worker:{p}", Sink())
+    rng = np.random.default_rng(4)
+    server.w = rng.normal(size=3)
+    w_hat = server.w
+    pull(server, 1, worker=0)
+    pull(server, 2, worker=1)
+    server.apply_update(push(2, rng.normal(size=3), worker=1))
+    w, delta = server.w, rng.normal(size=3)
+    server.apply_update(push(1, delta, worker=0))
+    w_bar = w_hat - 0.1 * delta
+    expect = ((1.0 - theta) * (w - 0.1 * delta) + theta * w_bar if algo == "dvrsgd"
+              else dpg_update(w, w_bar, theta))
+    assert server.w.tobytes() == expect.tobytes()
+    assert not np.array_equal(w, w_hat)
+
+
+@pytest.mark.parametrize("script", [
+    [],                                  # task 1 was never pulled
+    [(1, "pull")],                       # task 1 was answered to worker 1
+    [(0, "pull"), (0, "push")],          # task 1's push already landed
+], ids=["never-pulled", "answered-to-another-worker", "second-push"])
+def test_push_that_answers_no_released_pull_rejected_in_sim(script):
+    server, sim = make_server(tau=0, P=2)
+    delta = np.array([1.0, -1.0])
+    for worker, op in script:
+        msg = (PullRequest(worker, TaskId(1, TaskKind.UPDATE)) if op == "pull"
+               else push(1, delta, worker=worker))
+        sim.send(f"worker:{worker}", "server", msg)
+    sim.run_until_quiescent()
+    w, watermark = server.w, server.finished.watermark
+    sim.send("worker:0", "server", push(1, delta))
+    with pytest.raises(ProtocolError,
+                       match=r"worker 0 has no released pull for TaskId\(timestamp=1,"):
+        sim.run_until_quiescent()
+    assert server.w is w and server.finished.watermark == watermark
+
+
+def test_push_for_a_pull_still_buffered_rejected():
+    # worker 0 breaks the one-task-at-a-time rule: once its pull for task 2
+    # is answered, its pull for task 3 is still buffered, so the gate has
+    # released task 2 to it and not task 3
+    server, _ = make_server(tau=0, P=2)
+    for t in (2, 3):
+        assert server.gate_pull(PullRequest(0, TaskId(t, TaskKind.UPDATE))) is False
+    pull(server, 1, worker=1)
+    server.apply_update(push(1, np.zeros(2), worker=1))
+    assert [r.task.timestamp for _, r in server.pending_pulls] == [3]
+    with pytest.raises(ProtocolError,
+                       match=r"worker 0 has no released pull for TaskId\(timestamp=3,"):
+        server.apply_update(push(3, np.zeros(2)))
+    assert server.finished.watermark == 1
+
+
 def test_duplicate_update_rejected():
     server, _ = make_server()
-    push = UpdatePush(0, TaskId(1, TaskKind.UPDATE), np.zeros(2), np.zeros(2))
-    server.apply_update(push)
+    pull(server, 1)
+    server.apply_update(push(1, np.zeros(2)))
     with pytest.raises(ProtocolError):
-        server.apply_update(push)
+        server.apply_update(push(1, np.zeros(2)))
 
 
 def test_update_releases_deferred_pulls_in_timestamp_order():
-    server, sim = make_server(tau=0, P=2)
+    server, sim = make_server(tau=0, P=3)
     # tau=0: a pull for t may only be answered once all < t finished
+    pull(server, 1, worker=2)
     assert server.gate_pull(PullRequest(0, TaskId(3, TaskKind.UPDATE))) is False
     assert server.gate_pull(PullRequest(1, TaskId(2, TaskKind.UPDATE))) is False
-    server.apply_update(UpdatePush(0, TaskId(1, TaskKind.UPDATE), np.zeros(2), np.zeros(2)))
+    server.apply_update(push(1, np.zeros(2), worker=2))
     # only t=2 becomes eligible; t=3 still waits on 2
     assert [r.task.timestamp for _, r in server.pending_pulls] == [3]
 
@@ -249,8 +339,7 @@ def test_stop_discards_updates_and_deferred_pulls():
     server.handle("scheduler", Stop())
     assert server.stopped and server.pending_pulls == []
     w_before = server.w
-    server.handle("worker:0", UpdatePush(0, TaskId(1, TaskKind.UPDATE),
-                                         np.ones(2), np.ones(2)))
+    server.handle("worker:0", push(1, np.ones(2)))
     assert np.array_equal(server.w, w_before)
     assert 1 not in server.finished
 

@@ -10,8 +10,9 @@ import pytest
 from dvrsgd import protocol, transport
 from dvrsgd.harness import run_cluster_socket
 from dvrsgd.losses import make_synthetic
-from dvrsgd.protocol import PullResponse, Stop, TaskAssign, TaskId, TaskKind, UpdatePush
-from dvrsgd.server import HyperParams
+from dvrsgd.protocol import (PullRequest, PullResponse, Stop, TaskAssign, TaskId, TaskKind,
+                             UpdatePush)
+from dvrsgd.server import HyperParams, ParamServer
 from dvrsgd.transport import (LatencyModel, LivelockError, Node, SimCluster, SocketCluster,
                               TransportError)
 from dvrsgd.worker import WorkerNode
@@ -518,3 +519,29 @@ def test_socket_corrupt_frame_fails_fast_naming_the_reader(monkeypatch):
     monkeypatch.setattr(protocol, "encode", corrupting)
     err = _run_with_fault(r"^server <- worker:0: DecodeError\('unknown message tag 255'\)$")
     assert isinstance(err.__cause__, protocol.DecodeError)
+
+
+@pytest.mark.parametrize("script", [
+    [],                                  # task 1 was never pulled
+    [(1, "pull")],                       # task 1 was answered to worker 1
+    [(0, "pull"), (0, "push")],          # task 1's push already landed
+], ids=["never-pulled", "answered-to-another-worker", "second-push"])
+def test_push_that_answers_no_released_pull_fails_the_socket_run(script):
+    # a raw peer speaks for the workers; the sinks take the server's answers
+    hyper = HyperParams(eta=0.1, theta=0.5, tau=0, B=1, m=10, S=1, P=2)
+    cluster = _started(server=ParamServer(2, hyper, [0.5, 0.5]),
+                       **{f"worker:{p}": Sink(expect=10) for p in range(2)})
+    task, delta = TaskId(1, TaskKind.UPDATE), np.array([1.0, -1.0])
+    frames = [protocol.encode(PullRequest(worker, task) if op == "pull"
+                              else UpdatePush(worker, task, delta))
+              for worker, op in [*script, (0, "push")]]
+    try:
+        with _raw_client(cluster, "server", "worker:0") as client:
+            client.sendall(b"".join(frames))
+            t0 = time.monotonic()
+            with pytest.raises(TransportError, match=r"^server: ProtocolError\('worker 0 has "
+                               r"no released pull for TaskId\(timestamp=1,"):
+                cluster.wait()
+            assert time.monotonic() - t0 < 1.0
+    finally:
+        cluster.close()

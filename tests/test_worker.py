@@ -8,8 +8,7 @@ from dvrsgd.server import HyperParams
 from dvrsgd.transport import Node, SimCluster
 from dvrsgd import worker as worker_module
 from dvrsgd.vrgrad import draw_batch, make_snapshot, vr_gradient
-from dvrsgd.worker import (WorkerNode, eval_stage, intermediate_iterate,
-                           sampling_stream, update_stage)
+from dvrsgd.worker import WorkerNode, eval_stage, sampling_stream, update_stage
 
 
 class ScriptedServer(Node):
@@ -50,11 +49,6 @@ def problem():
     return make_synthetic("l2-logistic", 30, 4, lam=0.05, seed=0)
 
 
-def test_intermediate_iterate_zero_step():
-    w = np.array([1.0, -2.0])
-    assert np.array_equal(intermediate_iterate(w, np.array([5.0, 5.0]), 0.0), w)
-
-
 def test_stage_formulas():
     m = 10
     assert update_stage(TaskId(1, TaskKind.UPDATE), m) == 1
@@ -76,7 +70,6 @@ def test_update_at_anchor_pushes_anchor_gradient(problem):
     (push,) = server.pushes
     assert isinstance(push, UpdatePush)
     assert np.array_equal(push.delta, snap.anchor_grad)
-    assert np.array_equal(push.w_bar, anchor - 0.1 * snap.anchor_grad)
 
 
 def test_fixed_seed_reproduces_batches(problem):
