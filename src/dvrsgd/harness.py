@@ -203,6 +203,8 @@ class ExperimentConfig:
                     lambda: WorkerNode.check_grad_tick(self.grad_tick)]
         if self.algo != "svrg":
             builders.append(lambda: algo_config(self.algo))
+        if self.mode == "socket":
+            builders.append(lambda: SocketCluster.check_timeout(self.timeout))
         errors = []
         for build in builders:
             try:

@@ -1,13 +1,15 @@
 """Message vocabulary and wire format for scheduler, server, and workers.
 
-Every message encodes to one self-delimiting frame:
+Every message encodes to one self-delimiting frame: a fixed-width head and at
+most one trailing vector,
 
-    [u32 body length][u8 tag][payload ...]
+    [u32 body length][u8 tag][fixed-width fields][pad][u64 count][count * f64]
 
-with little-endian fixed-width integers and IEEE-754 binary64 floats
-throughout.  The message table below (``TaskAssign = _message(1, ...)`` and so
-on) is the one description of each frame: its tag and its ``name:kind``
-fields in wire order.  The four field kinds are
+little-endian throughout, with IEEE-754 binary64 floats.  The message table
+below (``TaskAssign = _message(1, ...)`` and so on) is the one description of
+each frame: its tag and its ``name:kind`` fields in constructor order.  The
+fixed-width fields go on the wire in that order and the vector, if any,
+follows them.  The four field kinds are
 
     u32   unsigned 32-bit integer
     f64   binary64 float
@@ -15,10 +17,16 @@ fields in wire order.  The four field kinds are
     vec   ``u64 count`` followed by the raw float64 values, so real payloads
           survive the wire bit-exactly
 
-``encode``, ``decode``, equality and repr all walk that table.  Messages are
-immutable values; handlers never mutate a received payload, and ``decode``
-enforces it: a decoded vector is a read-only view over the frame's bytes.
-An ``UpdatePush`` carries ``delta`` alone: the server forms w_bar itself.
+A message with a vector has zero pad bytes (0 to 7) before its count, as many
+as put the vector's first value at a multiple of 8 in the frame; ``decode``
+rejects a nonzero pad byte.  ``_message`` compiles each table entry once, at
+import, into one ``struct.Struct`` for the head and a generated encode and
+decode, so a frame costs one ``pack`` (plus the vector's bytes) or one
+``unpack_from`` (plus one ``np.frombuffer`` view); equality and repr walk the
+table.  Messages are immutable values; handlers never mutate a received
+payload, and ``decode`` enforces it: a decoded vector is a read-only, 8-byte
+aligned view over the frame's bytes.  An ``UpdatePush`` carries ``delta``
+alone: the server forms w_bar itself.
 
 Over TCP every stream opens with one HELLO frame, which is outside the message
 table and never passes through ``encode``/``decode``: tag 0, then the
@@ -39,7 +47,8 @@ __all__ = [
 
 
 class DecodeError(Exception):
-    """Raised for truncated frames, bad tags, bad task ids, or trailing bytes."""
+    """Raised for truncated frames, bad tags, bad task ids, nonzero pad bytes, or
+    trailing bytes."""
 
 
 class TaskKind(IntEnum):
@@ -67,46 +76,8 @@ def eval_stage(task: TaskId, m: int) -> int:
     return (task.timestamp - 1) // m
 
 
-_U32 = struct.Struct("<I")
-FRAME_HEAD = _U32  # every frame's header: the body length
-_U64 = struct.Struct("<Q")
-_F64 = struct.Struct("<d")
-_TASK = struct.Struct("<QB")
-
-
-def _pack_vec(out: bytearray, v: np.ndarray):
-    v = np.ascontiguousarray(v, dtype=np.float64)
-    out += _U64.pack(v.shape[0])
-    out += v.tobytes()
-
-
-def _read_task(buf: bytes, pos: int):
-    ts, kind = _TASK.unpack_from(buf, pos)
-    if kind not in (0, 1):
-        raise DecodeError(f"invalid task kind {kind}")
-    if ts < 1:
-        raise DecodeError("task timestamp must be >= 1")
-    return TaskId(ts, TaskKind(kind)), pos + _TASK.size
-
-
-def _read_vec(buf: bytes, pos: int):
-    (n,) = _U64.unpack_from(buf, pos)
-    pos += _U64.size
-    if n > (len(buf) - pos) // 8:
-        raise DecodeError("vector length exceeds frame")
-    return np.frombuffer(buf, "<f8", n, pos), pos + 8 * n
-
-
-# field kind -> (append value to a bytearray, read (value, next pos) at a pos);
-# the struct readers raise struct.error on truncation, which decode reports
-_KINDS = {
-    "u32": (lambda out, v: out.extend(_U32.pack(v)),
-            lambda buf, pos: (_U32.unpack_from(buf, pos)[0], pos + 4)),
-    "f64": (lambda out, v: out.extend(_F64.pack(v)),
-            lambda buf, pos: (_F64.unpack_from(buf, pos)[0], pos + 8)),
-    "task": (lambda out, t: out.extend(_TASK.pack(t.timestamp, t.kind)), _read_task),
-    "vec": (_pack_vec, _read_vec),
-}
+FRAME_HEAD = struct.Struct("<I")  # every frame's header: the body length
+_CODES = {"u32": "I", "f64": "d", "task": "QB"}  # struct codes of the fixed-width kinds
 
 
 class _Message:
@@ -114,18 +85,18 @@ class _Message:
 
     __slots__ = ()
     _tag = 0    # set per message by _message
-    _wire = ()  # (field name, kind, pack, read), in wire order
+    _wire = ()  # (field name, kind), in wire order
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         return all(np.array_equal(getattr(self, name), getattr(other, name)) if kind == "vec"
                    else getattr(self, name) == getattr(other, name)
-                   for name, kind, _, _ in self._wire)
+                   for name, kind in self._wire)
 
     def __repr__(self):
         shown = (f"{name}=<{len(getattr(self, name))}>" if kind == "vec"
-                 else f"{name}={getattr(self, name)!r}" for name, kind, _, _ in self._wire)
+                 else f"{name}={getattr(self, name)!r}" for name, kind in self._wire)
         return f"{type(self).__name__}({', '.join(shown)})"
 
 
@@ -134,15 +105,77 @@ _BY_TAG: dict = {}
 
 def _message(tag: int, name: str, spec: str = "", **defaults):
     """A message class for ``tag`` whose fields are the ``name:kind`` words of
-    ``spec`` in wire order; ``defaults`` gives default values by field name."""
-    wire = tuple((f, kind, *_KINDS[kind]) for f, kind in (w.split(":") for w in spec.split()))
+    ``spec`` in constructor order; ``defaults`` gives default values by field
+    name.  On the wire the fixed-width fields keep that order and the one
+    vector, if any, comes last."""
+    fields = [tuple(word.split(":")) for word in spec.split()]
+    wire = tuple(sorted(fields, key=lambda f: f[1] == "vec"))  # stable: the vector last
+    assert [kind for _, kind in wire].count("vec") <= 1, f"{name}: more than one vector"
     cls = make_dataclass(
         name, [(f, kind, field(default=defaults[f])) if f in defaults else (f, kind)
-               for f, kind, _, _ in wire],
+               for f, kind in fields],
         bases=(_Message,), namespace={"__module__": __name__, "_tag": tag, "_wire": wire},
         eq=False, repr=False, slots=True)
+    cls._encode, cls._decode = _compile(cls, [f for f, _ in fields])
     _BY_TAG[tag] = cls
     return cls
+
+
+def _compile(cls, order):
+    """The encode method and decode function of message ``cls``, whose
+    constructor takes its fields in ``order``, generated from its ``_wire``
+    table the way ``dataclasses`` generates ``__init__``.
+
+    The frame's head, ``<IB``, the fixed-width fields, and for a message with
+    a vector the zero pad bytes and the u64 count, is one ``struct.Struct``,
+    so each frame costs one ``pack`` or one ``unpack_from``.  The pad puts the
+    vector's first byte at a multiple of 8 in the frame, so a decoded vector
+    is an aligned view."""
+    fixed = [(f, kind) for f, kind in cls._wire if kind != "vec"]
+    vec = next((f for f, kind in cls._wire if kind == "vec"), None)
+    fmt = "<IB" + "".join(_CODES[kind] for _, kind in fixed)
+    pad = -(struct.calcsize(fmt) + 8) % 8 if vec else 0
+    head = struct.Struct(fmt + f"{pad}s" * bool(pad) + "Q" * bool(vec))
+    size = head.size
+
+    # what encode packs, what decode unpacks and checks, and the value that
+    # decode passes to the constructor for each field
+    packed, unpacked, checks, value = [str(size - 4), str(cls._tag)], ["_", "_"], [], {}
+    for f, kind in fixed:
+        if kind == "task":
+            packed += [f"self.{f}.timestamp", f"self.{f}.kind"]
+            unpacked += [f"{f}_ts", f"{f}_kind"]
+            checks += [f"if {f}_kind > 1: raise DecodeError(f'invalid task kind {{{f}_kind}}')",
+                       f"if {f}_ts < 1: raise DecodeError('task timestamp must be >= 1')"]
+            value[f] = f"TaskId({f}_ts, TASK_KINDS[{f}_kind])"
+        else:
+            packed.append(f"self.{f}")
+            unpacked.append(f)
+            value[f] = f
+    encode, sized, end = [], [], str(size)
+    if vec:
+        packed[0] += " + 8 * len(v)"
+        packed += ['b""'] * bool(pad) + ["len(v)"]
+        unpacked += ["pad"] * bool(pad) + ["n"]
+        sized += ["if pad != PAD: raise DecodeError('nonzero pad byte')"] * bool(pad)
+        sized += [f"if n > (len(buf) - {size}) // 8: "
+                  "raise DecodeError('vector length exceeds frame')"]
+        value[vec] = f'np.frombuffer(buf, "<f8", n, {size})'
+        end += " + 8 * n"
+        encode.append(f'v = np.ascontiguousarray(self.{vec}, "<f8")')
+    encode.append(f"return head.pack({', '.join(packed)})" + " + v.tobytes()" * bool(vec))
+    decode = [f"if len(buf) < {size}: raise DecodeError('truncated frame')",
+              f"{', '.join(unpacked)} = head.unpack_from(buf)",
+              *sized,
+              f"if len(buf) != {end}: raise DecodeError('trailing bytes after message payload')",
+              *checks,
+              f"return cls({', '.join(value[f] for f in order)})"]
+    source = "\n    ".join(["def encode(self):", *encode]) + "\n" + \
+        "\n    ".join(["def decode(buf):", *decode])
+    scope = {"head": head, "cls": cls, "np": np, "DecodeError": DecodeError, "TaskId": TaskId,
+             "TASK_KINDS": tuple(TaskKind), "PAD": bytes(pad)}
+    exec(source, scope)
+    return scope["encode"], staticmethod(scope["decode"])
 
 
 TaskAssign = _message(1, "TaskAssign", "task:task")
@@ -161,20 +194,16 @@ def encode(msg) -> bytes:
     """Serialize a message into one length-prefixed frame."""
     if type(msg) not in Message:
         raise TypeError(f"not a protocol message: {type(msg).__name__}")
-    body = bytearray(4)
-    body.append(msg._tag)
-    for name, _, pack, _ in msg._wire:
-        pack(body, getattr(msg, name))
-    FRAME_HEAD.pack_into(body, 0, len(body) - 4)
-    return bytes(body)
+    return msg._encode()
 
 
 def decode(buf: bytes):
     """Parse one complete frame back into a message.
 
     Raises DecodeError on truncation, trailing bytes, an unknown tag, a bad
-    task id, or a vector longer than the frame.  Vectors are views over
-    ``buf``, read-only when ``buf`` is ``bytes``.
+    task id, a nonzero pad byte, or a vector longer than the frame.  Vectors
+    are 8-byte aligned views over ``buf``, read-only when ``buf`` is
+    ``bytes``.
     """
     if len(buf) < 5:
         raise DecodeError("frame too short")
@@ -184,16 +213,7 @@ def decode(buf: bytes):
     cls = _BY_TAG.get(buf[4])
     if cls is None:
         raise DecodeError(f"unknown message tag {buf[4]}")
-    values, pos = [], 5
-    try:
-        for _, _, _, read in cls._wire:
-            value, pos = read(buf, pos)
-            values.append(value)
-    except struct.error:
-        raise DecodeError("truncated frame") from None
-    if pos != len(buf):
-        raise DecodeError("trailing bytes after message payload")
-    return cls(*values)
+    return cls._decode(buf)
 
 
 def hello(name: str) -> bytes:

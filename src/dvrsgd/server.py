@@ -28,6 +28,7 @@ update pull released to its worker is rejected.  That is bounded state.
 
 import heapq
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +65,8 @@ class HyperParams:
     P: int = 1
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise ValueError("eta must be > 0")
+        if not 0 < self.eta < math.inf:
+            raise ValueError("eta must be finite and > 0")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError("theta must lie in [0, 1]")
         if self.tau < 0:

@@ -245,7 +245,7 @@ class SocketCluster:
 
     def __init__(self, addresses: dict[str, tuple[str, int]], *, timeout: float = 60.0):
         self.addresses = dict(addresses)
-        self.timeout = timeout
+        self.timeout = self.check_timeout(timeout)
         self.nodes: dict[str, Node] = {}
         self._listeners: dict[str, socket.socket] = {}
         self._conns: dict[tuple[str, str], _Connection] = {}
@@ -254,6 +254,14 @@ class SocketCluster:
         self._sel: selectors.BaseSelector | None = None
         self._t0 = time.monotonic()
         self._failure: tuple[str, Exception] | None = None
+
+    @staticmethod
+    def check_timeout(timeout: float) -> float:
+        """``timeout``, the bound on a whole run, if it is finite and > 0, so
+        that every connect and every select can wait on it."""
+        if not 0.0 < timeout < math.inf:
+            raise ValueError(f"timeout must be finite and > 0, got {timeout!r}")
+        return timeout
 
     @property
     def now(self) -> float:

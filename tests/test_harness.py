@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import hashlib
+import socket
 import weakref
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from dvrsgd.harness import (ExperimentConfig, main, run_cluster, run_cluster_soc
                             run_experiment, sweep)
 from dvrsgd.losses import make_synthetic, objective
 from dvrsgd.server import HyperParams
-from dvrsgd.transport import LatencyModel, TransportError
+from dvrsgd.transport import LatencyModel, SocketCluster, TransportError
 from dvrsgd.worker import WorkerNode
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -114,6 +115,10 @@ def test_readme_lists_exactly_the_latency_kinds_and_algorithms():
     assert sorted(comments["algo"]) == sorted([*BASELINES, "svrg"])
 
 
+SOCKET = dict(mode="socket", endpoints={r: ("127.0.0.1", 0) for r in
+                                        ("scheduler", "server", "worker:0", "worker:1")})
+
+
 def worker_charging(grad_tick):
     return WorkerNode(0, make_synthetic("quadratic", 4, 2), [0], HyperParams(eta=0.1),
                       grad_tick=grad_tick)
@@ -135,10 +140,14 @@ def worker_charging(grad_tick):
     (dict(latency="uniform", lo=5.0, hi=1.0), lambda: LatencyModel("uniform", lo=5.0, hi=1.0)),
     (dict(grad_tick=-0.5), lambda: worker_charging(-0.5)),
     (dict(grad_tick=float("inf")), lambda: worker_charging(float("inf"))),
+    (dict(eta=float("inf")), lambda: HyperParams(eta=float("inf"))),
+    *[(dict(SOCKET, timeout=t), lambda t=t: SocketCluster({}, timeout=t))
+      for t in (float("nan"), -1.0, 0.0, float("inf"))],
 ], ids=["latency-trace", "stop-typo", "stop-target-no-target", "B-0-m-unset", "m-0",
         "eta-negative", "theta-above-1", "latency-uniform-negative", "latency-constant-negative",
         "latency-nan", "latency-exponential-negative", "latency-lo-above-hi",
-        "grad-tick-negative", "grad-tick-infinite"])
+        "grad-tick-negative", "grad-tick-infinite", "eta-infinite", "timeout-nan",
+        "timeout-negative", "timeout-0", "timeout-infinite"])
 def test_validate_reports_the_owning_constructors_error(tmp_path, capsys, fields, owner):
     with pytest.raises(ValueError) as exc:
         owner()
@@ -419,6 +428,17 @@ def test_diverging_run_fails_fast_on_sockets_naming_the_server():
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(TransportError, match=r"^server: FloatingPointError.*w diverged"):
         run_cluster_socket(p, h, addrs, seed=0, timeout=20.0)
+
+
+def test_socket_run_with_a_bad_timeout_fails_before_any_listener_binds(monkeypatch):
+    bound = []
+    monkeypatch.setattr(socket, "create_server", lambda *a, **kw: bound.append(a))
+    p = make_synthetic("quadratic", 20, 3)
+    h = HyperParams(eta=0.1, m=5, S=1, P=1)
+    addrs = {r: ("127.0.0.1", 0) for r in ("scheduler", "server", "worker:0")}
+    with pytest.raises(ValueError, match="timeout must be finite and > 0, got nan"):
+        run_cluster_socket(p, h, addrs, timeout=float("nan"))
+    assert bound == []
 
 
 def test_socket_cluster_timeout():

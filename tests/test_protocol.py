@@ -45,25 +45,31 @@ def rand_message(rng):
 
 
 # One frame per tag, hex split at field boundaries: the documented byte layout.
+# A vector trails its message's fixed-width fields, after zero pad bytes that
+# put its first value at a multiple of 8 in the frame.
 GOLDEN_FRAMES = [
     (TaskAssign(TaskId(5, TaskKind.UPDATE)),
      "0a000000" "01" "0500000000000000" "00"),
     (PullRequest(3, TaskId(258, TaskKind.EVALUATION)),
      "0e000000" "02" "03000000" "0201000000000000" "01"),
     (PullResponse(TaskId(7, TaskKind.UPDATE), np.array([1.0, -2.0])),
-     "22000000" "03" "0700000000000000" "00"
+     "24000000" "03" "0700000000000000" "00" "0000"
      "0200000000000000" "000000000000f03f" "00000000000000c0"),
     (UpdatePush(2, TaskId(17, TaskKind.UPDATE), np.array([0.25, 0.0])),
-     "26000000" "04" "02000000" "1100000000000000" "00"
+     "2c000000" "04" "02000000" "1100000000000000" "00" "000000000000"
      "0200000000000000" "000000000000d03f" "0000000000000000"),
     (EvalPush(1, np.array([2.0]), 0.125, 3.5, 0.75),
-     "2d000000" "05" "01000000" "0100000000000000" "0000000000000040"
-     "000000000000c03f" "0000000000000c40" "000000000000e83f"),
+     "34000000" "05" "01000000" "000000000000c03f" "0000000000000c40" "000000000000e83f"
+     "00000000000000" "0100000000000000" "0000000000000040"),
     (Stop(),
      "01000000" "06"),
     (SnapshotBroadcast(np.array([-1.0])),
-     "11000000" "07" "0100000000000000" "000000000000f0bf"),
+     "14000000" "07" "000000" "0100000000000000" "000000000000f0bf"),
 ]
+
+# the pad bytes of each vector message's frame, by offset
+PAD_BYTES = {PullResponse: range(14, 16), UpdatePush: range(18, 24), EvalPush: range(33, 40),
+             SnapshotBroadcast: range(5, 8)}
 
 
 @pytest.mark.parametrize("msg, frame", GOLDEN_FRAMES,
@@ -94,13 +100,45 @@ def test_decoded_vectors_are_read_only_views_with_the_same_bits():
     for _ in range(200):
         msg = rand_message(rng)
         out = decode(encode(msg))
-        for name, kind, _, _ in msg._wire:
+        for name, kind in msg._wire:
             if kind == "vec":
                 got = getattr(out, name)
                 assert got.flags.writeable is False
                 assert got.tobytes() == getattr(msg, name).tobytes()
                 with pytest.raises(ValueError):
                     got[:1] = 0.0
+
+
+def vector_message(cls, n):
+    """A ``cls`` whose vector holds ``n`` values."""
+    values = {"u32": 1, "f64": 0.5, "task": TaskId(1, TaskKind.UPDATE),
+              "vec": np.arange(n, dtype=np.float64)}
+    return cls(*(values[f.type] for f in dataclasses.fields(cls)))
+
+
+@pytest.mark.parametrize("cls", list(PAD_BYTES), ids=lambda cls: cls.__name__)
+def test_decoded_vectors_are_8_byte_aligned(cls):
+    assert set(PAD_BYTES) == {m for m in Message if "vec" in (k for _, k in m._wire)}
+    for n in (0, 1, 3, 50, 2000):
+        msg = vector_message(cls, n)
+        out = decode(encode(msg))
+        assert out == msg
+        for name, kind in out._wire:
+            if kind == "vec":
+                assert getattr(out, name).flags.aligned
+
+
+@pytest.mark.parametrize("cls", list(PAD_BYTES), ids=lambda cls: cls.__name__)
+def test_nonzero_pad_byte_rejected(cls):
+    frame = encode(vector_message(cls, 2))
+    assert decode(frame) == vector_message(cls, 2)
+    for pos in PAD_BYTES[cls]:
+        assert frame[pos] == 0
+        for byte in (0x01, 0x80):
+            bad = bytearray(frame)
+            bad[pos] = byte
+            with pytest.raises(DecodeError, match="nonzero pad byte"):
+                decode(bytes(bad))
 
 
 def test_empty_bytes_rejected():
