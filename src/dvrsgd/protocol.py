@@ -34,8 +34,9 @@ sender's endpoint name in UTF-8 (``hello`` and ``read_hello``).
 """
 
 import struct
-from dataclasses import dataclass, field, make_dataclass
+from dataclasses import field, make_dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,14 +57,11 @@ class TaskKind(IntEnum):
     EVALUATION = 1
 
 
-@dataclass(frozen=True)
-class TaskId:
+class TaskId(NamedTuple):
+    """A task: timestamps start at 1, which ``decode`` checks on the wire."""
+
     timestamp: int
     kind: TaskKind
-
-    def __post_init__(self):
-        if self.timestamp < 1:
-            raise ValueError("task timestamps start at 1")
 
 
 def update_stage(task: TaskId, m: int) -> int:

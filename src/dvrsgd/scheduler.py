@@ -17,21 +17,18 @@ Also home to ``compute_rate_gamma``, the linear-rate constant
 valid for eta in (0, mu*theta/(2 L^2)) and theta in (0, 1].
 """
 
-import logging
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .protocol import EvalPush, Stop, TaskAssign, TaskId, TaskKind
-from .server import HyperParams
+from .server import HyperParams, ProtocolError
 from .transport import Node
 
 __all__ = ["ProgressRecord", "StagePlan", "SchedulerNode", "plan_stage",
            "compute_rate_gamma", "RateBound", "fixed_stages", "objective_target",
            "relative_decrease", "assignment_stream"]
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -143,8 +140,10 @@ class SchedulerNode(Node):
         if self.stopped:
             return
         if not isinstance(msg, EvalPush):
-            log.info("scheduler ignoring %r from %s", msg, src)
-            return
+            raise ProtocolError(f"scheduler cannot handle {type(msg).__name__}")
+        if msg.worker in self._pending or not 0 <= msg.worker < self.hyper.P:
+            raise ProtocolError(f"scheduler expects no evaluation push from worker "
+                                f"{msg.worker} in stage {self.stage}")
         self._pending[msg.worker] = msg
         if len(self._pending) < self.hyper.P:
             return

@@ -17,13 +17,19 @@ in for a daemon thread plus a computing thread sharing a lock on w):
   replaces w via the configured update rule (default: the hybrid rule
   w = (1-theta)*(w - eta*delta) + theta*w_bar) and marks the task finished.
 
+Evaluation rounds, one per stage, are held in ``_rounds``: the stage's first
+answered evaluation pull opens its round and freezes its anchor, each worker's
+EvalPush joins it, and the P-th push closes it into the stage snapshot.
+Plain-gradient workers never wait for a snapshot, so their rounds can overlap.
+
 Finished timestamps are tracked as a watermark plus a sparse overflow set,
 since tasks complete nearly in order.  The scheduler hands each worker its
 tasks in task order and every pair of roles is FIFO, so a worker's pulls
 arrive in that order.  The server keeps one record per worker: the key of the
-last pull to arrive, rejecting any pull at or below it, and the w_hat that
-pull was answered with until its update push lands; a push that answers no
-update pull released to its worker is rejected.  That is bounded state.
+last pull to arrive, rejecting any pull at or below it, and what that pull
+was answered with until its push lands (the w_hat of an update pull, the
+round of an evaluation pull); a push that answers no pull released to its
+worker is rejected.  That is bounded state.
 """
 
 import heapq
@@ -149,13 +155,11 @@ class ParamServer(Node):
         self.finished = FinishedTasks()
         # heap of ((threshold, timestamp, arrival), request)
         self.pending_pulls: list[tuple[tuple[int, int, int], PullRequest]] = []
-        self._last_pull: dict[int, list] = {}  # worker -> [_order_key, w_hat or None]
+        self._last_pull: dict[int, list] = {}  # worker -> [_order_key, w_hat/stage or None]
         self._arrival = 0
         self.snapshot_history: list[Snapshot] = []
-        self._eval_stage = -1
-        self._eval_done_stage = -1
-        self._eval_anchor = None
-        self._eval_pushes: dict[int, EvalPush] = {}
+        # open evaluation rounds: stage -> (anchor, {worker: EvalPush})
+        self._rounds: dict[int, tuple[np.ndarray, dict[int, EvalPush]]] = {}
         self.stopped = False
 
     # -- gating -----------------------------------------------------------
@@ -192,19 +196,18 @@ class ParamServer(Node):
         return False
 
     def _respond(self, req: PullRequest):
-        if req.task.kind == TaskKind.EVALUATION:
-            stage = eval_stage(req.task, self.hyper.m)
-            if stage != self._eval_stage:
-                # stage-final w; frozen here, before any next-stage update lands
-                self._eval_stage = stage
-                self._eval_anchor = self.w
-                self._eval_pushes = {}
-            # every worker gets the frozen anchor, byte-identical
-            self.send(f"worker:{req.worker}", PullResponse(req.task, self._eval_anchor))
-            return
-        if self._last_pull[req.worker][0] == self._order_key(req.task):  # still its last pull
-            self._last_pull[req.worker][1] = self.w
-        self.send(f"worker:{req.worker}", PullResponse(req.task, self.w))
+        task = req.task
+        if task.kind == TaskKind.EVALUATION:
+            held = eval_stage(task, self.hyper.m)
+            # the stage-final w, frozen by the stage's first answered pull before
+            # any next-stage update lands; every worker gets it, byte-identical
+            w = self._rounds.setdefault(held, (self.w, {}))[0]
+        else:
+            w = held = self.w
+        last = self._last_pull[req.worker]
+        if last[0] == self._order_key(task):  # still its last pull
+            last[1] = held
+        self.send(f"worker:{req.worker}", PullResponse(task, w))
 
     def _rescan_pending(self):
         """Answer every buffered pull whose threshold the watermark has reached.
@@ -236,35 +239,28 @@ class ParamServer(Node):
         last[1] = None
         self._rescan_pending()
 
-    def stage_end(self, eval_pushes: list[EvalPush]) -> Snapshot:
-        """Aggregate local gradients into the stage snapshot and broadcast it."""
-        got = {p.worker for p in eval_pushes}
-        if got != set(range(self.hyper.P)):
-            missing = sorted(set(range(self.hyper.P)) - got)
-            raise ProtocolError(f"stage end missing eval pushes from workers {missing}")
-        ordered = sorted(eval_pushes, key=lambda p: p.worker)
-        grad = aggregate_local_gradients([p.local_grad for p in ordered], self.weights)
-        snap = Snapshot(anchor=self._eval_anchor, anchor_grad=grad, stage=self._eval_stage)
+    def stage_end(self, stage: int) -> Snapshot:
+        """Close round ``stage``: aggregate its P local gradients in worker
+        order into the stage snapshot and broadcast it."""
+        anchor, pushes = self._rounds.pop(stage)
+        grad = aggregate_local_gradients([pushes[p].local_grad for p in range(self.hyper.P)],
+                                         self.weights)
+        snap = Snapshot(anchor=anchor, anchor_grad=grad, stage=stage)
         self.snapshot_history.append(snap)
-        self._eval_done_stage = self._eval_stage
         if not self.stopped:
             for p in range(self.hyper.P):
                 self.send(f"worker:{p}", SnapshotBroadcast(grad))
         return snap
 
-    def _eval_round_open(self) -> bool:
-        """An evaluation round has answered pulls but not yet aggregated."""
-        return self._eval_stage > self._eval_done_stage
-
     def can_shutdown(self) -> bool:
-        return self.stopped and not self._eval_round_open()
+        return self.stopped and not self._rounds
 
     # -- message handling ---------------------------------------------------
 
     def handle(self, src: str, msg):
-        # a STOP ends new work, but an evaluation round whose pulls were
+        # a STOP ends new work, but each evaluation round whose pulls were
         # already answered still completes; the final snapshot must exist
-        if self.stopped and not (isinstance(msg, EvalPush) and self._eval_round_open()):
+        if self.stopped and not (isinstance(msg, EvalPush) and self._rounds):
             log.info("server stopped; discarding %r from %s", msg, src)
             return
         if isinstance(msg, PullRequest):
@@ -272,9 +268,14 @@ class ParamServer(Node):
         elif isinstance(msg, UpdatePush):
             self.apply_update(msg)
         elif isinstance(msg, EvalPush):
-            self._eval_pushes[msg.worker] = msg
-            if len(self._eval_pushes) == self.hyper.P:
-                self.stage_end(list(self._eval_pushes.values()))
+            last = self._last_pull.get(msg.worker) if 0 <= msg.worker < self.hyper.P else None
+            if last is None or last[0][1] != 0 or last[1] is None:  # rank 0: evaluation
+                raise ProtocolError(f"worker {msg.worker} has no released evaluation pull")
+            stage, last[1] = last[1], None
+            pushes = self._rounds[stage][1]
+            pushes[msg.worker] = msg
+            if len(pushes) == self.hyper.P:
+                self.stage_end(stage)
         elif isinstance(msg, TaskAssign):
             if msg.task.kind != TaskKind.EVALUATION:
                 raise ProtocolError("server only accepts evaluation task assignments")

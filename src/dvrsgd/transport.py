@@ -270,6 +270,8 @@ class SocketCluster:
     def register(self, endpoint: str, node: Node):
         if endpoint not in self.addresses:
             raise TransportError(f"no address configured for {endpoint!r}")
+        if endpoint in self.nodes:
+            raise ValueError(f"endpoint {endpoint!r} already registered")
         self.nodes[endpoint] = node
         node.bind(self, endpoint)
 

@@ -40,7 +40,7 @@ from .vrgrad import BatchStream, Snapshot
 # check), under the name the per-update trace patches
 from .vrgrad import _vr_gradient as vr_gradient
 
-__all__ = ["WorkerNode", "sampling_stream", "update_stage", "eval_stage"]
+__all__ = ["WorkerNode", "sampling_stream"]
 
 log = logging.getLogger(__name__)
 

@@ -109,10 +109,10 @@ def test_decoded_vectors_are_read_only_views_with_the_same_bits():
                     got[:1] = 0.0
 
 
-def vector_message(cls, n):
-    """A ``cls`` whose vector holds ``n`` values."""
-    values = {"u32": 1, "f64": 0.5, "task": TaskId(1, TaskKind.UPDATE),
-              "vec": np.arange(n, dtype=np.float64)}
+def sample_message(cls, n=2, task=TaskId(1, TaskKind.UPDATE)):
+    """A ``cls`` whose vector, if it has one, holds ``n`` values, and whose
+    task, if it has one, is ``task``."""
+    values = {"u32": 1, "f64": 0.5, "task": task, "vec": np.arange(n, dtype=np.float64)}
     return cls(*(values[f.type] for f in dataclasses.fields(cls)))
 
 
@@ -120,7 +120,7 @@ def vector_message(cls, n):
 def test_decoded_vectors_are_8_byte_aligned(cls):
     assert set(PAD_BYTES) == {m for m in Message if "vec" in (k for _, k in m._wire)}
     for n in (0, 1, 3, 50, 2000):
-        msg = vector_message(cls, n)
+        msg = sample_message(cls, n)
         out = decode(encode(msg))
         assert out == msg
         for name, kind in out._wire:
@@ -130,8 +130,8 @@ def test_decoded_vectors_are_8_byte_aligned(cls):
 
 @pytest.mark.parametrize("cls", list(PAD_BYTES), ids=lambda cls: cls.__name__)
 def test_nonzero_pad_byte_rejected(cls):
-    frame = encode(vector_message(cls, 2))
-    assert decode(frame) == vector_message(cls, 2)
+    frame = encode(sample_message(cls, 2))
+    assert decode(frame) == sample_message(cls, 2)
     for pos in PAD_BYTES[cls]:
         assert frame[pos] == 0
         for byte in (0x01, 0x80):
@@ -214,6 +214,15 @@ def test_vector_length_lie_rejected():
         decode(bytes(frame))
 
 
-def test_task_id_requires_positive_timestamp():
-    with pytest.raises(ValueError):
-        TaskId(0, TaskKind.UPDATE)
+TASK_MESSAGES = [TaskAssign, PullRequest, PullResponse, UpdatePush]
+
+
+@pytest.mark.parametrize("timestamp, kind", [(0, 0), (1, 2), (1, 255)],
+                         ids=["timestamp-0", "kind-2", "kind-255"])
+@pytest.mark.parametrize("cls", TASK_MESSAGES, ids=lambda cls: cls.__name__)
+def test_bad_task_id_rejected(cls, timestamp, kind):
+    # TaskId is a plain value; the wire is where a task id is checked
+    assert set(TASK_MESSAGES) == {m for m in Message if "task" in (k for _, k in m._wire)}
+    frame = encode(sample_message(cls, task=TaskId(timestamp, kind)))
+    with pytest.raises(DecodeError, match="task timestamp must be >= 1|invalid task kind"):
+        decode(frame)

@@ -4,10 +4,11 @@ from scipy import stats
 
 from dvrsgd.harness import run_cluster
 from dvrsgd.losses import make_synthetic, objective
-from dvrsgd.protocol import TaskAssign, TaskKind
-from dvrsgd.scheduler import (assignment_stream, compute_rate_gamma, fixed_stages,
+from dvrsgd.protocol import EvalPush, PullRequest, TaskAssign, TaskId, TaskKind
+from dvrsgd.scheduler import (SchedulerNode, assignment_stream, compute_rate_gamma, fixed_stages,
                               objective_target, plan_stage, relative_decrease)
-from dvrsgd.server import HyperParams
+from dvrsgd.server import HyperParams, ProtocolError
+from dvrsgd.transport import Node, SimCluster
 from helpers import quad_solution
 
 
@@ -48,6 +49,41 @@ def test_issued_timestamps_exact(tmp_path):
     assert eval_ts == [s * 6 + 1 for s in range(0, 4)]
     for t in eval_ts:
         assert sorted(d for tt, d in evals if tt == t) == ["server", "worker:0", "worker:1"]
+
+
+class Quiet(Node):
+    """Stand-in server or worker endpoint that ignores what it is sent."""
+
+    def handle(self, src, msg):
+        pass
+
+
+def started_scheduler(P=2):
+    """A scheduler at P workers whose stage-0 evaluation has been issued."""
+    sched = SchedulerNode(HyperParams(eta=0.1, m=2, S=2, P=P), np.full(P, 1.0 / P), 10)
+    sim = SimCluster()
+    sim.register("scheduler", sched)
+    for ep in ["server", *(f"worker:{p}" for p in range(P))]:
+        sim.register(ep, Quiet())
+    sim.run_until_quiescent()
+    return sched
+
+
+def test_scheduler_rejects_a_pull_request():
+    sched = started_scheduler()
+    with pytest.raises(ProtocolError, match="scheduler cannot handle PullRequest"):
+        sched.handle("worker:0", PullRequest(0, TaskId(1, TaskKind.EVALUATION)))
+
+
+@pytest.mark.parametrize("workers", [[0, 0], [0, 9]], ids=["second-push", "unknown-worker"])
+def test_scheduler_rejects_an_unexpected_evaluation_push(workers):
+    sched = started_scheduler(P=2)
+    first, second = workers
+    sched.handle(f"worker:{first}", EvalPush(first, np.zeros(2), 1.0))
+    with pytest.raises(ProtocolError, match=f"no evaluation push from worker {second} "
+                                            "in stage 0"):
+        sched.handle(f"worker:{second}", EvalPush(second, np.zeros(2), 2.0))
+    assert sched.records == [] and sched._pending[first].local_obj_sum == 1.0
 
 
 def test_fixed_stages_runs_exactly_s_stages():

@@ -292,30 +292,94 @@ def test_watermark_never_decreases():
     assert f.watermark == 199
 
 
+def evaluate(server, grads):
+    """Pull stage 0's evaluation task as workers 0..len(grads)-1, then push
+    ``grads[p]`` as worker p, through the server's own entry points."""
+    task = TaskId(1, TaskKind.EVALUATION)
+    for p in range(len(grads)):
+        assert server.gate_pull(PullRequest(p, task)) is True
+    for p, g in enumerate(grads):
+        server.handle(f"worker:{p}", EvalPush(p, np.asarray(g, dtype=float), 0.0))
+
+
 def test_stage_end_single_worker_identity():
     server, _ = make_server(P=1)
-    server._eval_stage = 0
-    server._eval_anchor = server.w
     g = np.array([0.25, -0.5])
-    snap = server.stage_end([EvalPush(0, g, 0.0)])
-    assert np.array_equal(snap.anchor_grad, g)
+    evaluate(server, [g])
+    (snap,) = server.snapshot_history
+    assert np.array_equal(snap.anchor_grad, g) and snap.stage == 0
 
 
 def test_stage_end_equal_gradients():
     server, _ = make_server(P=4)
-    server._eval_stage = 0
-    server._eval_anchor = server.w
     g = np.array([1.0, 2.0])
-    snap = server.stage_end([EvalPush(p, g, 0.0) for p in range(4)])
+    evaluate(server, [g] * 4)
+    (snap,) = server.snapshot_history
     assert np.allclose(snap.anchor_grad, g, atol=1e-15)
 
 
 def test_stage_end_missing_worker():
+    # a round closes when all P workers have pushed, and at no other time
     server, _ = make_server(P=3)
-    server._eval_stage = 0
-    server._eval_anchor = server.w
-    with pytest.raises(ProtocolError):
-        server.stage_end([EvalPush(0, np.zeros(2), 0.0), EvalPush(2, np.zeros(2), 0.0)])
+    task = TaskId(1, TaskKind.EVALUATION)
+    for p in range(3):
+        server.gate_pull(PullRequest(p, task))
+    for p in (0, 2):
+        server.handle(f"worker:{p}", EvalPush(p, np.zeros(2), 0.0))
+    assert server.snapshot_history == [] and sorted(server._rounds[0][1]) == [0, 2]
+    server.handle("scheduler", Stop())
+    assert not server.can_shutdown()
+    server.handle("worker:1", EvalPush(1, np.zeros(2), 0.0))
+    assert [s.stage for s in server.snapshot_history] == [0] and server.can_shutdown()
+
+
+def test_overlapping_rounds_keep_their_own_pushes():
+    # plain-gradient workers never wait for a snapshot, so worker 0 can open
+    # stage 1's round before worker 1 has pushed for stage 0
+    server, _ = make_server(tau=0, m=1, P=2)
+    for p in range(2):
+        assert server.gate_pull(PullRequest(p, TaskId(1, TaskKind.EVALUATION))) is True
+    server.handle("worker:0", EvalPush(0, np.array([1.0, 0.0]), 0.0))
+    pull(server, 1)
+    server.apply_update(push(1, np.array([1.0, 1.0])))
+    anchor1 = server.w
+    assert server.gate_pull(PullRequest(0, TaskId(2, TaskKind.EVALUATION))) is True
+    server.handle("worker:0", EvalPush(0, np.array([3.0, 0.0]), 0.0))
+    server.handle("worker:1", EvalPush(1, np.array([0.0, 1.0]), 0.0))
+    assert server.gate_pull(PullRequest(1, TaskId(2, TaskKind.EVALUATION))) is True
+    server.handle("worker:1", EvalPush(1, np.array([0.0, 3.0]), 0.0))
+    zero, one = server.snapshot_history
+    assert (zero.stage, one.stage) == (0, 1)
+    assert np.array_equal(zero.anchor, np.zeros(2)) and one.anchor is anchor1
+    assert np.array_equal(zero.anchor_grad, [0.5, 0.5])
+    assert np.array_equal(one.anchor_grad, [1.5, 1.5])
+    assert server._rounds == {}
+
+
+def round_state(server):
+    return (server.w.tobytes(), server.finished.watermark,
+            {s: (a.tobytes(), dict(pushes)) for s, (a, pushes) in server._rounds.items()})
+
+
+@pytest.mark.parametrize("worker, pulled", [
+    (1, None),                            # never pulled
+    (1, TaskId(1, TaskKind.UPDATE)),      # its last pull is an update pull
+    (1, TaskId(4, TaskKind.EVALUATION)),  # its evaluation pull is still buffered
+    (9, TaskId(1, TaskKind.EVALUATION)),  # outside 0..P-1, its pull answered
+    (0, None),                            # a second push in the same round
+], ids=["never-pulled", "update-pull", "buffered", "unknown-worker", "second-push"])
+def test_eval_push_that_answers_no_released_eval_pull_rejected(worker, pulled):
+    server, sim = make_server(tau=0, m=3, P=2)
+    sim.register("worker:9", Sink())
+    assert server.gate_pull(PullRequest(0, TaskId(1, TaskKind.EVALUATION))) is True
+    server.handle("worker:0", EvalPush(0, np.ones(2), 0.0))
+    if pulled is not None:
+        server.gate_pull(PullRequest(worker, pulled))
+    before = round_state(server)
+    with pytest.raises(ProtocolError, match=f"worker {worker} has no released evaluation pull"):
+        server.handle(f"worker:{worker}", EvalPush(worker, np.zeros(2), 0.0))
+    assert round_state(server) == before and server.snapshot_history == []
+    assert server._rounds[0][1][0] == EvalPush(0, np.ones(2), 0.0)
 
 
 def test_aggregate_weights_must_sum_to_one():

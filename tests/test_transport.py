@@ -108,6 +108,17 @@ def test_unknown_endpoint_rejected():
         sim.send("a", "ghost", "boo")
 
 
+@pytest.mark.parametrize("make", [
+    SimCluster, lambda: SocketCluster({"a": ("127.0.0.1", 0)}, timeout=5.0),
+], ids=["sim", "socket"])
+def test_duplicate_endpoint_rejected(make):
+    cluster, first = make(), Node()
+    cluster.register("a", first)
+    with pytest.raises(ValueError, match="endpoint 'a' already registered"):
+        cluster.register("a", Node())
+    assert cluster.nodes == {"a": first} and first.transport is cluster
+
+
 def test_livelock_detection():
     class PingPong(Node):
         def handle(self, src, msg):

@@ -3,12 +3,13 @@ import pytest
 
 from dvrsgd.losses import loss_sum, make_synthetic, objective, sample_gradient
 from dvrsgd.protocol import (EvalPush, PullRequest, PullResponse, SnapshotBroadcast,
-                             Stop, TaskAssign, TaskId, TaskKind, UpdatePush)
+                             Stop, TaskAssign, TaskId, TaskKind, UpdatePush, eval_stage,
+                             update_stage)
 from dvrsgd.server import HyperParams
 from dvrsgd.transport import Node, SimCluster
 from dvrsgd import worker as worker_module
 from dvrsgd.vrgrad import draw_batch, make_snapshot, vr_gradient
-from dvrsgd.worker import WorkerNode, eval_stage, sampling_stream, update_stage
+from dvrsgd.worker import WorkerNode, sampling_stream
 
 
 class ScriptedServer(Node):
