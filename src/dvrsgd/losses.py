@@ -17,20 +17,24 @@ evaluated with non-optimized ``np.einsum``.  This makes single-sample and
 batched evaluations bitwise identical, which the rest of the package (and its
 tests) rely on.
 
-The kernel (``_gradient_rows``) takes a stack of parameter points, (s, dim),
-and gathers the rows of X once per call for all of them: ``vr_gradient``
-passes [w; anchor], ``mean_gradient`` a stack of one.  Each point's rows still
-have the bits of a one-point call.  Its inner products come from the same
+The kernel (``_per_sample``) takes a stack of parameter points, (s, dim), and
+gathers the rows of X and forms their inner products (the logits) once per
+call for all of them: ``vr_gradient`` passes [w; anchor], the block walker a
+stack of one.  From the logits come each point's gradient rows and, if asked,
+the first point's loss rows: one formula for each, per kind.  Each point's
+rows have the bits of a one-point call: its inner products come from the same
 non-optimized einsum loop over the feature axis, the softmax max and sum
 reduce each length-K row alone, and every other step is elementwise.
 
-``mean_gradient`` never holds all its per-sample rows at once.  It walks the
+``_evaluate`` is the one block walker, behind ``mean_gradient``, ``loss_sum``
+and a worker's evaluation task, which takes both from one pass.  It walks the
 index set in blocks of about ``_BLOCK_ELEMS`` doubles, writing each block's
-rows into one buffer it reuses for the whole call, behind the running sum in
-the buffer's first row.  Each row is still made by the same operations in the
-same order, and summing [running sum, next rows] adds the rows one at a time
-in index order, so the result has the bits of summing every row at once.
-Memory stays at one block however many samples there are.
+rows into buffers reused for the whole call, behind the running sums in their
+first row.  Summing [running sum, next gradient rows] adds the rows one at a
+time in index order, and ``np.add.accumulate`` over [running sum, next
+losses] adds strictly left to right, so both results have the bits of summing
+every row at once, and memory stays at one block however many samples there
+are.
 """
 
 import numpy as np
@@ -163,53 +167,57 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _loss_rows(problem: Problem, w: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Per-sample loss values f_i(w) for i in idx (ridge included)."""
-    X = problem.features[idx]
-    reg = 0.5 * problem.lam * float(np.einsum("d,d->", w, w))
-    if problem.kind == "quadratic":
-        r = np.einsum("nd,d->n", X, w) - problem.targets[idx]
-        return 0.5 * r * r + reg
-    if problem.kind == "l2-logistic":
-        s = 2.0 * problem.targets[idx] - 1.0
-        margin = s * np.einsum("nd,d->n", X, w)
-        # log(1 + exp(-margin)) without overflow
-        return np.log1p(np.exp(-np.abs(margin))) + np.maximum(-margin, 0.0) + reg
-    k = problem.num_classes
-    W = w.reshape(k, problem.num_features)
-    Z = np.einsum("nd,kd->nk", X, W)
-    zmax = Z.max(axis=1)
-    lse = zmax + np.log(np.exp(Z - zmax[:, None]).sum(axis=1))
-    picked = Z[np.arange(idx.size), problem.targets[idx]]
-    return lse - picked + reg
-
-
-def _gradient_rows(problem: Problem, points: np.ndarray, idx: np.ndarray,
-                   out: np.ndarray) -> np.ndarray:
-    """Per-sample gradients grad f_i(w) written into ``out``, for every point w
-    in the (s, dim) stack ``points`` and every index (ridge included); ``out``
-    is a C-contiguous (s, idx.size, dim) array."""
-    X = problem.features[idx]
+def _per_sample(problem: Problem, points: np.ndarray, idx: np.ndarray,
+                grads: np.ndarray | None = None,
+                losses: np.ndarray | None = None) -> np.ndarray | None:
+    """Per-sample terms for every index, ridge included, from one gather of
+    the rows and one inner product per point: the gradients grad f_i(w) for
+    every point w in the (s, dim) stack ``points`` into ``grads``, a
+    C-contiguous (s, idx.size, dim) array, and the losses f_i(points[0]) into
+    ``losses``, an (idx.size,) array.  Either may be None; returns ``grads``."""
+    X = problem.features.take(idx, axis=0)  # features[idx], with less call overhead
     if problem.kind == "multiclass-logistic":
         k, d = problem.num_classes, problem.num_features
         Z = np.einsum("nd,kd->nk", X, points.reshape(-1, d)).reshape(idx.size, -1, k)
-        Z -= Z.max(axis=2)[..., None]
+        zmax = Z.max(axis=2)
+        if losses is not None:
+            picked = Z[np.arange(idx.size), 0, problem.targets[idx]]  # before the shift
+        Z -= zmax[..., None]
         P = np.exp(Z)
-        P /= P.sum(axis=2)[..., None]
-        P[np.arange(idx.size), :, problem.targets[idx]] -= 1.0
-        rows = out.reshape(points.shape[0], idx.size, k, d)
-        for j in range(points.shape[0]):
-            np.einsum("nk,nd->nkd", P[:, j], X, out=rows[j])
+        total = P.sum(axis=2)
+        if losses is not None:
+            # log-sum-exp minus the label's logit
+            np.log(total[:, 0], out=losses)
+            losses += zmax[:, 0]
+            losses -= picked
+        if grads is not None:
+            P /= total[..., None]
+            P[np.arange(idx.size), :, problem.targets[idx]] -= 1.0
+            rows = grads.reshape(points.shape[0], idx.size, k, d)
+            for j in range(points.shape[0]):
+                np.einsum("nk,nd->nkd", P[:, j], X, out=rows[j])
     else:
         z = np.einsum("nd,sd->sn", X, points)
         if problem.kind == "quadratic":
             coef = z - problem.targets[idx]
+            if losses is not None:
+                np.multiply(0.5 * coef[0], coef[0], out=losses)
         else:
             s = 2.0 * problem.targets[idx] - 1.0
-            coef = -s * _sigmoid(-(s * z))
-        np.multiply(coef[..., None], X, out=out)
-    out += (problem.lam * points)[:, None, :]
-    return out
+            margin = s * z
+            if losses is not None:
+                # log(1 + exp(-margin)) without overflow
+                np.log1p(np.exp(-np.abs(margin[0])), out=losses)
+                losses += np.maximum(-margin[0], 0.0)
+            if grads is not None:
+                coef = -s * _sigmoid(-margin)
+        if grads is not None:
+            np.multiply(coef[..., None], X, out=grads)
+    if losses is not None:
+        losses += 0.5 * problem.lam * float(np.einsum("d,d->", points[0], points[0]))
+    if grads is not None:
+        grads += (problem.lam * points)[:, None, :]
+    return grads
 
 
 def _ordered_sum(rows: np.ndarray) -> np.ndarray:
@@ -227,19 +235,47 @@ def _ordered_sum(rows: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _evaluate(problem: Problem, w: np.ndarray, idx: np.ndarray, *, grad: bool = True,
+              loss: bool = True) -> tuple[np.ndarray | None, float | None]:
+    """(mean of grad f_i(w), sum of f_i(w)) over ``idx``, each None unless
+    asked for, from one walk over idx in blocks, both accumulated in index
+    order.  It checks nothing: w is a float64 vector and idx a nonempty int64
+    array of in-range sample indices (the ``vrgrad`` docstring says why a
+    worker's inputs need no check).  A w of the wrong length still raises."""
+    # a block's gathered features, and its gradient rows if asked for, fill
+    # about _BLOCK_ELEMS doubles
+    block = max(1, _BLOCK_ELEMS // (problem.dim if grad else problem.num_features))
+    rows = min(block, idx.size) + 1
+    grads = np.empty((rows, problem.dim)) if grad else None
+    losses = np.empty(rows) if loss else None
+    # the first block fills rows 0..; every later one fills rows 1.. behind
+    # the running sums in row 0, so both sums continue in index order
+    start = 0
+    for lo in range(0, idx.size, block):
+        part = idx[lo:lo + block]
+        stop = start + part.size
+        _per_sample(problem, w[None], part,
+                    None if grads is None else grads[None, start:stop],
+                    None if losses is None else losses[start:stop])
+        if grads is not None:
+            grads[0] = _ordered_sum(grads[:stop])
+        if losses is not None:
+            # accumulate adds strictly left to right (np.sum would add pairwise)
+            losses[0] = np.add.accumulate(losses[:stop])[-1]
+        start = 1
+    return (None if grads is None else grads[0] / idx.size,
+            None if losses is None else float(losses[0]))
+
+
 def sample_loss(problem: Problem, w, i: int) -> float:
     """f_i(w), the loss of sample i including the ridge term."""
-    w = _check_param(problem, w)
-    idx = _check_indices(problem, [i])
-    return float(_loss_rows(problem, w, idx)[0])
+    return loss_sum(problem, w, [i])
 
 
 def loss_sum(problem: Problem, w, indices) -> float:
     """Sum of f_i(w) over the given indices, accumulated in index order."""
-    w = _check_param(problem, w)
-    idx = _check_indices(problem, indices)
-    # accumulate adds strictly left to right (np.sum would add pairwise)
-    return float(np.add.accumulate(_loss_rows(problem, w, idx))[-1])
+    return _evaluate(problem, _check_param(problem, w), _check_indices(problem, indices),
+                     grad=False)[1]
 
 
 def objective(problem: Problem, w) -> float:
@@ -257,19 +293,8 @@ def sample_gradient(problem: Problem, w, i: int) -> np.ndarray:
 
 def mean_gradient(problem: Problem, w, indices) -> np.ndarray:
     """Mean of grad f_i(w) over ``indices``, accumulated in index order."""
-    w = _check_param(problem, w)
-    idx = _check_indices(problem, indices)
-    block = max(1, _BLOCK_ELEMS // problem.dim)
-    buf = np.empty((min(block, idx.size) + 1, problem.dim))
-    # the first block fills rows 0..; every later one fills rows 1.. behind
-    # the running sum in row 0, so the sum continues in index order
-    start = 0
-    for lo in range(0, idx.size, block):
-        part = idx[lo:lo + block]
-        _gradient_rows(problem, w[None], part, buf[None, start:start + part.size])
-        buf[0] = _ordered_sum(buf[:start + part.size])
-        start = 1
-    return buf[0] / idx.size
+    return _evaluate(problem, _check_param(problem, w), _check_indices(problem, indices),
+                     loss=False)[0]
 
 
 def full_gradient(problem: Problem, w) -> np.ndarray:

@@ -19,7 +19,8 @@ in for a daemon thread plus a computing thread sharing a lock on w):
 
 Evaluation rounds, one per stage, are held in ``_rounds``: the stage's first
 answered evaluation pull opens its round and freezes its anchor, each worker's
-EvalPush joins it, and the P-th push closes it into the stage snapshot.
+EvalPush joins it, and the P-th push closes it into the stage snapshot, whose
+gradient is one ordered reduction over the P scaled local gradients.
 Plain-gradient workers never wait for a snapshot, so their rounds can overlap.
 
 Finished timestamps are tracked as a watermark plus a sparse overflow set,
@@ -29,7 +30,8 @@ arrive in that order.  The server keeps one record per worker: the key of the
 last pull to arrive, rejecting any pull at or below it, and what that pull
 was answered with until its push lands (the w_hat of an update pull, the
 round of an evaluation pull); a push that answers no pull released to its
-worker is rejected.  That is bounded state.
+worker is rejected.  A pull from a worker outside 0..P-1 is rejected too, so
+there are at most P records.
 """
 
 import heapq
@@ -39,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .losses import _ordered_sum
 from .protocol import (EvalPush, PullRequest, PullResponse, SnapshotBroadcast,
                        Stop, TaskAssign, TaskKind, UpdatePush, eval_stage)
 from .transport import Node
@@ -129,10 +132,10 @@ def aggregate_local_gradients(grads: list[np.ndarray], weights) -> np.ndarray:
         raise ProtocolError(f"expected {weights.shape[0]} local gradients, got {len(grads)}")
     if abs(float(weights.sum()) - 1.0) > 1e-12:
         raise ValueError("partition weights must sum to 1")
-    acc = weights[0] * grads[0]
-    for p in range(1, len(grads)):
-        acc += weights[p] * grads[p]
-    return acc
+    # one scaled (P, d) stack; _ordered_sum adds its rows in worker order
+    rows = np.array(grads, dtype=np.float64)
+    rows *= weights[:, None]
+    return _ordered_sum(rows)
 
 
 class ParamServer(Node):
@@ -181,6 +184,8 @@ class ParamServer(Node):
     def gate_pull(self, req: PullRequest) -> bool:
         """Answer ``req`` now if eligible, else buffer it.  Returns True if answered."""
         task = req.task
+        if not 0 <= req.worker < self.hyper.P:
+            raise ProtocolError(f"pull from worker {req.worker} outside 0..{self.hyper.P - 1}")
         key = self._order_key(task)
         if key <= self._last_pull.get(req.worker, ((-1, 0), None))[0]:
             raise ProtocolError(f"duplicate pull from worker {req.worker} for {task}")

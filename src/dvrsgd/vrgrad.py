@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import (Problem, _check_indices, _check_param, _gradient_rows, _ordered_sum,
+from .losses import (Problem, _check_indices, _check_param, _ordered_sum, _per_sample,
                      full_gradient)
 
 __all__ = ["Snapshot", "make_snapshot", "vr_gradient", "draw_batch", "draw_batches",
@@ -73,8 +73,8 @@ def _vr_gradient(problem: Problem, w: np.ndarray, snapshot: Snapshot,
     """``vr_gradient`` without its input checks: w is a float64 vector and
     idx a nonempty int64 array of in-range sample indices.  A w whose length
     differs from the anchor's still raises, in ``np.array``."""
-    buf = _gradient_rows(problem, np.array((w, snapshot.anchor)), idx,
-                         np.empty((2, idx.size, problem.dim)))
+    buf = _per_sample(problem, np.array((w, snapshot.anchor)), idx,
+                      np.empty((2, idx.size, problem.dim)))
     diff = buf[0]
     diff -= buf[1]
     return _ordered_sum(diff) / idx.size + snapshot.anchor_grad

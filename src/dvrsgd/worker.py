@@ -11,10 +11,13 @@ current snapshot, or plain for the non-VR baselines) and push delta alone to
 the server, which forms w_bar = pulled_w - eta * delta from the w it sent.
 
 Evaluation tasks adopt the pulled stage-final w as the new local anchor,
-compute the local partition gradient and objective sum, and push them to the
-server and scheduler.  Variance-reduced workers will not start an update task
-of stage s until the snapshot of stage s-1 (anchor set at the evaluation,
-anchor gradient received by broadcast) is complete.
+take the local partition gradient and objective sum from one unchecked walk
+over the partition (``losses._evaluate``; unchecked for the reasons the
+update kernel is), and push them to the server and scheduler.
+Variance-reduced workers will not start an update task of stage s until the
+snapshot of stage s-1 (anchor set at the evaluation, anchor gradient received
+by broadcast) is complete; plain-gradient workers never read a snapshot, so
+they keep none.
 
 Mini-batch randomness comes from a per-worker stream derived from
 (seed, worker id), so runs are reproducible regardless of message timing.  The
@@ -29,7 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import Problem, loss_sum, mean_gradient
+from .losses import Problem, _evaluate, mean_gradient
+# not called here: the per-layer trace (bench/layers.py) looks it up by name
+from .losses import loss_sum  # noqa: F401
 from .protocol import (EvalPush, PullRequest, PullResponse, SnapshotBroadcast,
                        Stop, TaskAssign, TaskId, TaskKind, UpdatePush, eval_stage,
                        update_stage)
@@ -159,10 +164,9 @@ class WorkerNode(Node):
 
     def _run_evaluation(self, task: TaskId, w_hat: np.ndarray):
         started = self.now
+        local_grad, obj_sum = _evaluate(self.problem, w_hat, self.indices)
         self.anchor = w_hat
         self._last_eval_stage = eval_stage(task, self.hyper.m)
-        local_grad = mean_gradient(self.problem, w_hat, self.indices)
-        obj_sum = loss_sum(self.problem, w_hat, self.indices)
         cost = self._charge(started, self.grad_tick * self.indices.shape[0])
         push = EvalPush(self.worker_id, local_grad, obj_sum, self.comp_time, self.comm_time)
         self._emit_after(cost, [("server", push), ("scheduler", push)])
@@ -195,9 +199,10 @@ class WorkerNode(Node):
             if self.anchor is None:
                 raise ProtocolError(f"worker {self.worker_id} got a snapshot broadcast "
                                     "before any evaluation task")
-            self.snapshot = Snapshot(anchor=self.anchor, anchor_grad=msg.grad,
-                                     stage=self._last_eval_stage)
-            self._pump()
+            if self.gradient == "vr":
+                self.snapshot = Snapshot(anchor=self.anchor, anchor_grad=msg.grad,
+                                         stage=self._last_eval_stage)
+                self._pump()
         elif isinstance(msg, Stop):
             self.stopped = True
             self.queue.clear()

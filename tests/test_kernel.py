@@ -1,10 +1,10 @@
-"""The gradient kernel against a one-shot reference, bit for bit.
+"""The gradient and loss kernel against one-shot references, bit for bit.
 
-``mean_gradient`` walks its index set in blocks of rows through one reused
-buffer, and every call evaluates a stack of parameter points at once.  The
-reference below builds every per-sample row at once, for one point at a time,
-and sums them in index order, so any change of operation or summation order
-shows.
+``mean_gradient``, ``loss_sum`` and a worker's evaluation pass walk their
+index set in blocks of rows through reused buffers, and every call evaluates a
+stack of parameter points at once.  The references below build every
+per-sample row at once, for one point at a time, and sum them in index order,
+so any change of operation or summation order shows.
 """
 
 import tracemalloc
@@ -15,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dvrsgd import losses
-from dvrsgd.losses import KINDS, full_gradient, loss_sum, make_synthetic, mean_gradient
+from dvrsgd.losses import (KINDS, full_gradient, loss_sum, make_synthetic, mean_gradient,
+                           objective)
+from dvrsgd.server import aggregate_local_gradients
 from dvrsgd.vrgrad import make_snapshot, vr_gradient
 
 
@@ -38,6 +40,31 @@ def reference_rows(problem, w, idx):
     P[np.arange(idx.size), problem.targets[idx]] -= 1.0
     rows = np.einsum("nk,nd->nkd", P, X) + problem.lam * W[None, :, :]
     return rows.reshape(idx.size, problem.dim)
+
+
+def reference_loss_rows(problem, w, idx):
+    X = problem.features[idx]
+    reg = 0.5 * problem.lam * float(np.einsum("d,d->", w, w))
+    if problem.kind == "quadratic":
+        r = np.einsum("nd,d->n", X, w) - problem.targets[idx]
+        return 0.5 * r * r + reg
+    if problem.kind == "l2-logistic":
+        s = 2.0 * problem.targets[idx] - 1.0
+        margin = s * np.einsum("nd,d->n", X, w)
+        return np.log1p(np.exp(-np.abs(margin))) + np.maximum(-margin, 0.0) + reg
+    W = w.reshape(problem.num_classes, problem.num_features)
+    Z = np.einsum("nd,kd->nk", X, W)
+    zmax = Z.max(axis=1)
+    lse = zmax + np.log(np.exp(Z - zmax[:, None]).sum(axis=1))
+    return lse - Z[np.arange(idx.size), problem.targets[idx]] + reg
+
+
+def reference_loss_sum(problem, w, idx):
+    rows = reference_loss_rows(problem, w, np.asarray(idx, dtype=np.int64))
+    acc = float(rows[0])
+    for r in rows[1:]:
+        acc += float(r)
+    return acc
 
 
 def reference_sum(rows):
@@ -86,6 +113,9 @@ def test_kernel_matches_one_shot_reference_bitwise(monkeypatch, block_elems, kin
         for idx in (rng.permutation(p.n)[:size], rng.integers(0, p.n, size=size)):
             want = reference_mean(p, w, idx)
             assert np.array_equal(mean_gradient(p, w, idx), want)
+            grad, total = losses._evaluate(p, w, idx)  # a worker's evaluation pass
+            assert np.array_equal(grad, want)
+            assert total == loss_sum(p, w, idx) == reference_loss_sum(p, w, idx)
             diff = reference_rows(p, w, idx) - reference_rows(p, anchor, idx)
             want_vr = reference_sum(diff) / idx.size + snap.anchor_grad
             assert np.array_equal(vr_gradient(p, w, snap, idx), want_vr)
@@ -129,11 +159,30 @@ def test_loss_sum_matches_float_loop_bitwise(kind, d, k):
         idx = rng.integers(0, n, size=n)
         for scale in (1e-12, 1.0, 1e6):
             w = rng.normal(size=p.dim) * scale
-            rows = losses._loss_rows(p, w, idx)
-            want = float(rows[0])
-            for r in rows[1:]:
-                want += float(r)
-            assert loss_sum(p, w, idx) == want
+            assert loss_sum(p, w, idx) == reference_loss_sum(p, w, idx)
+
+
+@settings(deadline=None)
+@given(kernel_cases())
+def test_evaluation_pass_matches_references_bitwise_property(case):
+    p, w, _, idx = case
+    grad, total = losses._evaluate(p, w, idx)
+    assert np.array_equal(grad, reference_mean(p, w, idx))
+    assert total == reference_loss_sum(p, w, idx)
+
+
+@pytest.mark.parametrize("P", [1, 2, 256])
+@pytest.mark.parametrize("d", [1, 32, 2000])
+def test_aggregate_matches_worker_order_loop_bitwise(P, d):
+    rng = np.random.default_rng(P * d)
+    grads = [rng.normal(size=d) * 10.0 ** rng.integers(-8, 8) for _ in range(P)]
+    weights = rng.random(P) + 0.5
+    weights /= weights.sum()
+    weights[-1] = 1.0 - weights[:-1].sum()
+    want = weights[0] * grads[0]
+    for q in range(1, P):
+        want += weights[q] * grads[q]
+    assert np.array_equal(aggregate_local_gradients(grads, weights), want)
 
 
 def test_full_gradient_memory_is_bounded():
@@ -148,3 +197,17 @@ def test_full_gradient_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20, f"full_gradient peaked at {peak / 2**20:.1f} MB"
+
+
+def test_objective_memory_is_bounded():
+    # a copy of every row summed would be n * d * 8 B = 8 MB, and more besides
+    p = make_synthetic("multiclass-logistic", 5000, 200, num_classes=10, lam=0.01, seed=5)
+    w = np.random.default_rng(6).normal(size=p.dim) * 0.1
+    objective(p, w)  # first call outside the trace: lazy NumPy set-up
+    tracemalloc.start()
+    try:
+        objective(p, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"objective peaked at {peak / 2**20:.1f} MB"

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dvrsgd import harness
 from dvrsgd.baselines import BASELINES
 from dvrsgd.harness import run_cluster, run_cluster_socket
 from dvrsgd.losses import make_synthetic, mean_gradient
@@ -89,6 +90,25 @@ def test_overlapping_evaluation_rounds_keep_every_push(algo):
     result = run_cluster(problem, h, algo=algo, seed=0, collect_trace=False,
                          latency=LatencyModel("adversarial", seed=0))
     check_snapshots(problem, h, result)
+
+
+@pytest.mark.parametrize("algo", ["dpg", "downpour", "ssp", "dvrsgd"])
+def test_only_vr_workers_keep_a_snapshot(monkeypatch, algo):
+    # plain-gradient workers never read one, and under this schedule they
+    # would pair a stage's gradient with the next stage's anchor and label
+    build, built = harness._build_nodes, []
+    monkeypatch.setattr(harness, "_build_nodes",
+                        lambda *args, **kw: built.append(build(*args, **kw)) or built[-1])
+    problem = make_synthetic("quadratic", 64, 4, seed=0, mu=1.0, smoothness=10.0)
+    h = HyperParams(eta=0.02, theta=0.5, tau=2, B=1, m=2, S=6, P=8)
+    result = run_cluster(problem, h, algo=algo, seed=0, collect_trace=False,
+                         latency=LatencyModel("adversarial", seed=0))
+    check_snapshots(problem, h, result)
+    (_, _, workers, _), = built
+    if algo == "dvrsgd":
+        assert all(wk.snapshot.stage == h.S for wk in workers)
+    else:
+        assert all(wk.snapshot is None for wk in workers)
 
 
 class Replay:

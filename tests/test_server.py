@@ -142,6 +142,17 @@ def test_out_of_order_pull_rejected():
     assert len(server.pending_pulls) == 1
 
 
+@pytest.mark.parametrize("kind", [TaskKind.UPDATE, TaskKind.EVALUATION])
+def test_pull_from_a_worker_outside_the_cluster_rejected(kind):
+    server, sim = make_server(tau=0, m=3, P=2)
+    sim.register("worker:9", Sink())
+    with pytest.raises(ProtocolError, match=r"pull from worker 9 outside 0\.\.1"):
+        server.gate_pull(PullRequest(9, TaskId(1, kind)))
+    assert server._last_pull == {} and server.pending_pulls == [] and server._rounds == {}
+    sim.run_until_quiescent()
+    assert sim.nodes["worker:9"].seen == []
+
+
 def test_pull_for_finished_task_rejected():
     server, _ = make_server(tau=2)
     finish(server, [1])
@@ -365,12 +376,11 @@ def round_state(server):
     (1, None),                            # never pulled
     (1, TaskId(1, TaskKind.UPDATE)),      # its last pull is an update pull
     (1, TaskId(4, TaskKind.EVALUATION)),  # its evaluation pull is still buffered
-    (9, TaskId(1, TaskKind.EVALUATION)),  # outside 0..P-1, its pull answered
+    (9, None),                            # outside 0..P-1 (the server rejects its pulls)
     (0, None),                            # a second push in the same round
 ], ids=["never-pulled", "update-pull", "buffered", "unknown-worker", "second-push"])
 def test_eval_push_that_answers_no_released_eval_pull_rejected(worker, pulled):
-    server, sim = make_server(tau=0, m=3, P=2)
-    sim.register("worker:9", Sink())
+    server, _ = make_server(tau=0, m=3, P=2)
     assert server.gate_pull(PullRequest(0, TaskId(1, TaskKind.EVALUATION))) is True
     server.handle("worker:0", EvalPush(0, np.ones(2), 0.0))
     if pulled is not None:

@@ -556,3 +556,19 @@ def test_push_that_answers_no_released_pull_fails_the_socket_run(script):
             assert time.monotonic() - t0 < 1.0
     finally:
         cluster.close()
+
+
+def test_pull_from_a_worker_outside_the_cluster_fails_the_socket_run():
+    hyper = HyperParams(eta=0.1, theta=0.5, tau=0, B=1, m=10, S=1, P=2)
+    cluster = _started(server=ParamServer(2, hyper, [0.5, 0.5]),
+                       **{f"worker:{p}": Sink(expect=10) for p in range(2)})
+    try:
+        with _raw_client(cluster, "server", "worker:0") as client:
+            client.sendall(protocol.encode(PullRequest(9, TaskId(1, TaskKind.UPDATE))))
+            t0 = time.monotonic()
+            with pytest.raises(TransportError, match=r"^server: ProtocolError\('pull from "
+                               r"worker 9 outside 0\.\.1'\)$"):
+                cluster.wait()
+            assert time.monotonic() - t0 < 1.0
+    finally:
+        cluster.close()

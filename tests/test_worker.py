@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dvrsgd.losses import loss_sum, make_synthetic, objective, sample_gradient
+from dvrsgd.losses import KINDS, loss_sum, make_synthetic, objective, sample_gradient
 from dvrsgd.protocol import (EvalPush, PullRequest, PullResponse, SnapshotBroadcast,
                              Stop, TaskAssign, TaskId, TaskKind, UpdatePush, eval_stage,
                              update_stage)
@@ -137,6 +137,19 @@ def test_update_pull_with_wrong_length_w_raises_without_pushing(problem):
     with pytest.raises(ValueError):
         sim.run_until_quiescent()
     assert server.pushes == []
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_evaluation_pull_with_wrong_length_w_raises_without_pushing(kind):
+    p = make_synthetic(kind, 20, 5, num_classes=3, lam=0.01, seed=4)
+    hyper = HyperParams(eta=0.1, theta=0.5, tau=0, B=2, m=5, S=1, P=1)
+    # 2 * dim would read as two multiclass points if nothing raised
+    for length in (0, p.dim - 1, p.dim + 1, 2 * p.dim):
+        sim, server, sched, worker = build(p, hyper, np.ones(length), seed=3)
+        sim.send("scheduler", "worker:0", TaskAssign(TaskId(1, TaskKind.EVALUATION)))
+        with pytest.raises((ValueError, IndexError)):
+            sim.run_until_quiescent()
+        assert server.pushes == [] and sched.pushes == [] and worker.anchor is None
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "l2-logistic", "multiclass-logistic"])
