@@ -1,10 +1,8 @@
-"""Reference optimizers sharing the scheduler/server/worker skeleton.
-
-Cluster algorithms are configured as (worker gradient rule, server update
-rule, pull-gate bound):
+"""Every cluster algorithm as one row of (worker gradient rule, server update
+rule, pull-gate bound) on the shared scheduler/server/worker skeleton:
 
     dvrsgd    vr gradient, hybrid update, gate tau        (the main algorithm)
-    dsvrg     dvrsgd with theta forced to 0               (asynchronous SVRG)
+    dsvrg     vr gradient, hybrid update at theta = 0, gate tau  (asynchronous SVRG)
     dpg       plain gradient, convex combination, gate tau
     vrdpg     vr gradient, convex combination, gate tau
     downpour  plain gradient, Adagrad step, unbounded gate
@@ -15,8 +13,8 @@ and the batch sampler with the workers, so that a one-worker zero-delay
 cluster run can be compared against it trajectory-for-trajectory.
 """
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -26,17 +24,17 @@ from .vrgrad import Snapshot, draw_batches, vr_gradient
 from .protocol import update_stage
 from .worker import sampling_stream
 
-__all__ = ["BASELINES", "AlgoConfig", "serial_svrg", "dpg_update", "DownpourAdagrad",
-           "DecayingSgd", "algo_config"]
+__all__ = ["BASELINES", "AlgoConfig", "serial_svrg", "svrg_stages", "apply_hybrid",
+           "dpg_update", "DownpourAdagrad", "DecayingSgd", "algo_config"]
 
 ADAGRAD_EPS0 = 1e-8
 SSP_DECAY = 0.95
 SSP_STALENESS = 2
 
 
-def serial_svrg(problem: Problem, eta: float, m: int, S: int, seed: int = 0, *,
-                anchor: str = "random", B: int = 1) -> list[np.ndarray]:
-    """Single-machine SVRG; returns the anchor trajectory [w~0, ..., w~S].
+def svrg_stages(problem: Problem, eta: float, m: int, S: int, seed: int = 0, *,
+                anchor: str = "random", B: int = 1) -> Iterator[np.ndarray]:
+    """Single-machine SVRG; yields each anchor w~0, ..., w~S as it is formed.
 
     ``anchor`` selects the next stage anchor: "random" picks w^t for a uniform
     t in {0,..,m-1} (the classic variant), "last" uses the final inner iterate
@@ -48,12 +46,10 @@ def serial_svrg(problem: Problem, eta: float, m: int, S: int, seed: int = 0, *,
         raise ValueError("anchor must be 'random' or 'last'")
     rng = sampling_stream(seed, 0)
     pool = np.arange(problem.n)
-    trajectory = [np.zeros(problem.dim)]
-    for stage in range(1, S + 1):
-        snap = Snapshot(anchor=trajectory[-1],
-                        anchor_grad=full_gradient(problem, trajectory[-1]),
-                        stage=stage - 1)
-        w = snap.anchor
+    w = np.zeros(problem.dim)
+    yield w
+    for stage in range(S):
+        snap = Snapshot(anchor=w, anchor_grad=full_gradient(problem, w), stage=stage)
         candidates = [w]  # w^0 .. w^{m-1}
         # the stage's m batches as one block, so rng.integers(m) below
         # still follows exactly m draw_batch draws
@@ -63,14 +59,23 @@ def serial_svrg(problem: Problem, eta: float, m: int, S: int, seed: int = 0, *,
                 candidates.append(w)
         if anchor == "random" and m > 0:
             w = candidates[int(rng.integers(m))]
-        trajectory.append(w)
-    return trajectory
+        yield w
+
+
+def serial_svrg(problem: Problem, eta: float, m: int, S: int, seed: int = 0, *,
+                anchor: str = "random", B: int = 1) -> list[np.ndarray]:
+    """The anchor trajectory [w~0, ..., w~S] of ``svrg_stages``."""
+    return list(svrg_stages(problem, eta, m, S, seed, anchor=anchor, B=B))
+
+
+def apply_hybrid(w, w_hat, delta, eta: float, theta: float) -> np.ndarray:
+    """Hybrid update w <- (1-theta)*(w - eta*delta) + theta*w_bar, w_bar = w_hat - eta*delta."""
+    step = eta * delta
+    return (1.0 - theta) * (w - step) + theta * (w_hat - step)
 
 
 def dpg_update(w: np.ndarray, w_hat: np.ndarray, theta: float) -> np.ndarray:
     """Delayed proximal gradient step: convex combination of w and w_hat."""
-    if not 0.0 < theta <= 1.0:
-        raise ValueError("theta must lie in (0, 1]")
     return (1.0 - theta) * w + theta * w_hat
 
 
@@ -110,11 +115,9 @@ class DecayingSgd:
 class AlgoConfig:
     """Wiring for one cluster algorithm."""
 
-    name: str
     gradient: str                      # worker rule: "vr" | "plain"
-    rule: Callable | None              # (hyper, dim) -> server update rule, None = hybrid
+    rule: Callable                     # (hyper, dim) -> server update rule
     gate: Callable                     # hyper -> delay bound (None = unbounded)
-    theta_override: float | None = None
 
 
 def _gate_tau(hyper: HyperParams):
@@ -129,9 +132,25 @@ def _gate_ssp(hyper: HyperParams):
     return SSP_STALENESS * hyper.P
 
 
-def _rule_convex(hyper: HyperParams, dim: int):
+def _rule_hybrid(hyper: HyperParams, dim: int):
+    eta, theta = hyper.eta, hyper.theta
+
     def rule(server, push, w_hat):
-        return dpg_update(server.w, w_hat - hyper.eta * push.delta, hyper.theta)
+        return apply_hybrid(server.w, w_hat, push.delta, eta, theta)
+    return rule
+
+
+def _rule_hybrid_theta_zero(hyper: HyperParams, dim: int):
+    return _rule_hybrid(replace(hyper, theta=0.0), dim)
+
+
+def _rule_convex(hyper: HyperParams, dim: int):
+    if not 0.0 < hyper.theta <= 1.0:
+        raise ValueError("the convex update needs theta in (0, 1]")
+    eta, theta = hyper.eta, hyper.theta
+
+    def rule(server, push, w_hat):
+        return dpg_update(server.w, w_hat - eta * push.delta, theta)
     return rule
 
 
@@ -144,12 +163,12 @@ def _rule_ssp(hyper: HyperParams, dim: int):
 
 
 BASELINES: dict[str, AlgoConfig] = {
-    "dvrsgd": AlgoConfig("dvrsgd", "vr", None, _gate_tau),
-    "dsvrg": AlgoConfig("dsvrg", "vr", None, _gate_tau, theta_override=0.0),
-    "dpg": AlgoConfig("dpg", "plain", _rule_convex, _gate_tau),
-    "vrdpg": AlgoConfig("vrdpg", "vr", _rule_convex, _gate_tau),
-    "downpour": AlgoConfig("downpour", "plain", _rule_adagrad, _gate_none),
-    "ssp": AlgoConfig("ssp", "plain", _rule_ssp, _gate_ssp),
+    "dvrsgd": AlgoConfig("vr", _rule_hybrid, _gate_tau),
+    "dsvrg": AlgoConfig("vr", _rule_hybrid_theta_zero, _gate_tau),
+    "dpg": AlgoConfig("plain", _rule_convex, _gate_tau),
+    "vrdpg": AlgoConfig("vr", _rule_convex, _gate_tau),
+    "downpour": AlgoConfig("plain", _rule_adagrad, _gate_none),
+    "ssp": AlgoConfig("plain", _rule_ssp, _gate_ssp),
 }
 
 

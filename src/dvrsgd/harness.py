@@ -10,7 +10,7 @@ says, and writes one CSV row per stage:
 
 where comp_time/comm_time are cumulative totals summed over workers (logical
 ticks in sim mode, seconds in socket mode).  ``sweep`` repeats an experiment
-along one axis (workers, tau, theta, eta) and writes a summary CSV.
+along one axis, any field of the config file's form, and writes a summary CSV.
 """
 
 import argparse
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import algo_config, serial_svrg
+from .baselines import algo_config, svrg_stages
 from .data import Partitioning, partition
 from .losses import Problem, make_synthetic, objective
 from .scheduler import (ProgressRecord, SchedulerNode, fixed_stages,
@@ -56,12 +56,9 @@ def _build_nodes(problem: Problem, hyper: HyperParams, algo: str, *, seed: int,
                  grad_tick: float, partition_strategy: str, partition_seed: int,
                  stop_rule):
     cfg = algo_config(algo)
-    if cfg.theta_override is not None:
-        hyper = dataclasses.replace(hyper, theta=cfg.theta_override)
     parts = partition(problem, hyper.P, partition_strategy, seed=partition_seed)
-    rule = cfg.rule(hyper, problem.dim) if cfg.rule is not None else None
     server = ParamServer(problem.dim, hyper, parts.weights,
-                         update_rule=rule, gate_bound=cfg.gate(hyper))
+                         update_rule=cfg.rule(hyper, problem.dim), gate_bound=cfg.gate(hyper))
     workers = [WorkerNode(p, problem, parts.indices_for(p), hyper,
                           gradient=cfg.gradient, seed=seed, grad_tick=grad_tick)
                for p in range(hyper.P)]
@@ -94,7 +91,7 @@ def run_cluster(problem: Problem, hyper: HyperParams, *, algo: str = "dvrsgd",
                 seed: int = 0, latency: LatencyModel | None = None,
                 grad_tick: float = 0.0, partition_strategy: str = "contiguous",
                 partition_seed: int = 0, stop_rule=None,
-                collect_trace: bool = True) -> RunResult:
+                collect_trace: bool = False) -> RunResult:
     """Run one algorithm end-to-end on the deterministic simulated cluster."""
     return _run_nodes(SimCluster(latency, collect_trace=collect_trace),
                       problem, hyper, algo, seed=seed, grad_tick=grad_tick,
@@ -116,14 +113,15 @@ def run_cluster_socket(problem: Problem, hyper: HyperParams,
 
 
 def _run_serial_svrg(problem: Problem, hyper: HyperParams, seed: int) -> RunResult:
+    """Each stage's record is stamped as soon as its anchor exists."""
     t0 = time.perf_counter()
-    trajectory = serial_svrg(problem, hyper.eta, hyper.m, hyper.S, seed=seed, B=hyper.B)
     records = []
-    for s, w in enumerate(trajectory):
+    for s, w in enumerate(svrg_stages(problem, hyper.eta, hyper.m, hyper.S, seed=seed,
+                                      B=hyper.B)):
         records.append(ProgressRecord(stage=s, objective=objective(problem, w),
                                       wall_time=time.perf_counter() - t0,
                                       comp_times=[0.0], comm_times=[0.0]))
-    return RunResult(records=records, snapshots=[], final_w=trajectory[-1],
+    return RunResult(records=records, snapshots=[], final_w=w,
                      trace=None, partitioning=None)
 
 
@@ -202,7 +200,8 @@ class ExperimentConfig:
         builders = [self.stop_rule, self.latency_model, lambda: self.build_hyper(self.n),
                     lambda: WorkerNode.check_grad_tick(self.grad_tick)]
         if self.algo != "svrg":
-            builders.append(lambda: algo_config(self.algo))
+            # the row's rule checks what it needs of hyper; w's length is moot
+            builders.append(lambda: algo_config(self.algo).rule(self.build_hyper(self.n), 0))
         if self.mode == "socket":
             builders.append(lambda: SocketCluster.check_timeout(self.timeout))
         errors = []
@@ -210,7 +209,8 @@ class ExperimentConfig:
             try:
                 build()
             except ValueError as exc:
-                errors.append(str(exc))
+                if str(exc) not in errors:  # a bad hyperparameter fails the rule too
+                    errors.append(str(exc))
         if self.source not in ("synthetic", "libsvm"):
             errors.append(f"unknown problem source {self.source!r}")
         if self.source == "libsvm" and not self.path:
@@ -292,13 +292,8 @@ class ExperimentConfig:
                                 if (section, key) not in known]
             if unknown:
                 raise ValueError(f"{path}: unknown config entries: {', '.join(unknown)}")
-            values = {}
-            for f in dataclasses.fields(cls):
-                text = cp.get(*_INI_KEY[f.name], fallback="") if f.name in _INI_KEY else ""
-                if text:
-                    conv = next(t for t in typing.get_args(f.type) or (f.type,)
-                                if t is not type(None))
-                    values[f.name] = conv(text)
+            values = {name: _parse_field(name, text) for name, key in _INI_KEY.items()
+                      if (text := cp.get(*key, fallback=""))}
             cfg = cls(**values)
             if "endpoints" in cp:
                 for name, addr in cp["endpoints"].items():
@@ -317,6 +312,14 @@ class ExperimentConfig:
             if env in os.environ:
                 eps[name] = _address(os.environ[env], env)
         return eps
+
+
+def _parse_field(name: str, text: str):
+    """The value of file-form field ``name`` written as ``text``."""
+    if name not in _INI_KEY:
+        raise ValueError(f"unknown config field {name!r}; choose from {sorted(_INI_KEY)}")
+    kind = ExperimentConfig.__dataclass_fields__[name].type
+    return next(t for t in typing.get_args(kind) or (kind,) if t is not type(None))(text)
 
 
 def write_csv(records: list[ProgressRecord], path):
@@ -344,44 +347,30 @@ def run_experiment(config: ExperimentConfig, *, out=None) -> list[ProgressRecord
                                         timeout=config.timeout, **common)
         else:
             result = run_cluster(problem, hyper, latency=config.latency_model(),
-                                 grad_tick=config.grad_tick, collect_trace=False, **common)
+                                 grad_tick=config.grad_tick, **common)
     write_csv(result.records, out or config.out)
     return result.records
 
 
-_SWEEP_FIELD = {"workers": ("P", int), "tau": ("tau", int),
-                "theta": ("theta", float), "eta": ("eta", float)}
-
-
 def sweep(config: ExperimentConfig, axis: str, values, out_dir=".", *,
           gnuplot: bool = False) -> str:
-    """Run the experiment once per axis value; write per-value and summary CSVs."""
-    if axis not in _SWEEP_FIELD:
-        raise ValueError(f"unknown sweep axis {axis!r}; choose from {sorted(_SWEEP_FIELD)}")
-    field_name, conv = _SWEEP_FIELD[axis]
+    """Run the experiment once per value of ``axis``, a file-form field of
+    ``config``; write per-value and summary CSVs."""
+    cases = [(v, _parse_field(axis, str(v))) for v in values]  # all parsed before any run
     os.makedirs(out_dir, exist_ok=True)
     summary_path = os.path.join(out_dir, f"sweep_{axis}_summary.csv")
-    rows = []
-    for v in values:
-        cfg = dataclasses.replace(config, **{field_name: conv(v)})
-        out = os.path.join(out_dir, f"{axis}_{v}.csv")
-        records = run_experiment(cfg, out=out)
-        target = config.target_objective
-        stages_to_target = -1
-        if target is not None:
-            for r in records:
-                if r.objective <= target:
-                    stages_to_target = r.stage
-                    break
-        last = records[-1] if records else None
-        rows.append((v, stages_to_target,
-                     last.wall_time if last else 0.0,
-                     last.comp_total if last else 0.0,
-                     last.comm_total if last else 0.0))
+    target = config.target_objective
+    rows = [SWEEP_HEADER]
+    for v, value in cases:
+        records = run_experiment(dataclasses.replace(config, **{axis: value}),
+                                 out=os.path.join(out_dir, f"{axis}_{v}.csv"))
+        stages = next((r.stage for r in records
+                       if target is not None and r.objective <= target), -1)
+        last = records[-1] if records else None  # S = 0 writes no record
+        times = (last.wall_time, last.comp_total, last.comm_total) if last else (0.0, 0.0, 0.0)
+        rows.append(f"{v},{stages}," + ",".join(map(repr, times)))
     with open(summary_path, "w") as fh:
-        fh.write(SWEEP_HEADER + "\n")
-        for v, st, wt, cp, cm in rows:
-            fh.write(f"{v},{st},{wt!r},{cp!r},{cm!r}\n")
+        fh.write("".join(row + "\n" for row in rows))
     if gnuplot:
         script = os.path.join(out_dir, f"sweep_{axis}.gp")
         with open(script, "w") as fh:
@@ -405,7 +394,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--out", help="progress CSV path")
     p_sweep = sub.add_parser("sweep", help="repeat an experiment along one axis")
     p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--axis", required=True, choices=sorted(_SWEEP_FIELD))
+    p_sweep.add_argument("--axis", required=True, help="a config field, e.g. P, tau, algo")
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated axis values, e.g. 1,4,16,64")
     p_sweep.add_argument("--out-dir", default=".")

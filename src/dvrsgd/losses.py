@@ -178,10 +178,11 @@ def _per_sample(problem: Problem, points: np.ndarray, idx: np.ndarray,
     X = problem.features.take(idx, axis=0)  # features[idx], with less call overhead
     if problem.kind == "multiclass-logistic":
         k, d = problem.num_classes, problem.num_features
+        at, labels = np.arange(idx.size), problem.targets[idx]
         Z = np.einsum("nd,kd->nk", X, points.reshape(-1, d)).reshape(idx.size, -1, k)
         zmax = Z.max(axis=2)
         if losses is not None:
-            picked = Z[np.arange(idx.size), 0, problem.targets[idx]]  # before the shift
+            picked = Z[at, 0, labels]  # before the shift
         Z -= zmax[..., None]
         P = np.exp(Z)
         total = P.sum(axis=2)
@@ -192,7 +193,7 @@ def _per_sample(problem: Problem, points: np.ndarray, idx: np.ndarray,
             losses -= picked
         if grads is not None:
             P /= total[..., None]
-            P[np.arange(idx.size), :, problem.targets[idx]] -= 1.0
+            P[at, :, labels] -= 1.0
             rows = grads.reshape(points.shape[0], idx.size, k, d)
             for j in range(points.shape[0]):
                 np.einsum("nk,nd->nkd", P[:, j], X, out=rows[j])

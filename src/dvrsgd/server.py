@@ -13,9 +13,9 @@ in for a daemon thread plus a computing thread sharing a lock on w):
   has reached are popped and answered in ascending (timestamp, arrival)
   order; the rest of the heap is not touched.
 * update application -- each UpdatePush carries delta alone; the server
-  forms w_bar = w_hat - eta*delta from the w_hat it answered the pull with,
-  replaces w via the configured update rule (default: the hybrid rule
-  w = (1-theta)*(w - eta*delta) + theta*w_bar) and marks the task finished.
+  hands the w_hat it answered the pull with to its update rule, replaces w
+  with the rule's result and marks the task finished.  The rule and the
+  delay bound come from the algorithm's row in ``baselines.BASELINES``.
 
 Evaluation rounds, one per stage, are held in ``_rounds``: the stage's first
 answered evaluation pull opens its round and freezes its anchor, each worker's
@@ -48,7 +48,7 @@ from .transport import Node
 from .vrgrad import Snapshot
 
 __all__ = ["HyperParams", "FinishedTasks", "ParamServer", "ProtocolError",
-           "apply_hybrid", "aggregate_local_gradients"]
+           "aggregate_local_gradients"]
 
 log = logging.getLogger(__name__)
 
@@ -115,16 +115,6 @@ class FinishedTasks:
         return self.watermark >= t - 1
 
 
-def apply_hybrid(w, w_hat, delta, eta: float, theta: float) -> np.ndarray:
-    """Hybrid update w <- (1-theta)*(w - eta*delta) + theta*w_bar, w_bar = w_hat - eta*delta."""
-    step = eta * delta
-    return (1.0 - theta) * (w - step) + theta * (w_hat - step)
-
-
-def _hybrid_rule(server: "ParamServer", push: UpdatePush, w_hat: np.ndarray) -> np.ndarray:
-    return apply_hybrid(server.w, w_hat, push.delta, server.hyper.eta, server.hyper.theta)
-
-
 def aggregate_local_gradients(grads: list[np.ndarray], weights) -> np.ndarray:
     """Weighted aggregate sum_p q_p * grad_p, accumulated in worker order."""
     weights = np.asarray(weights, dtype=np.float64)
@@ -141,20 +131,19 @@ def aggregate_local_gradients(grads: list[np.ndarray], weights) -> np.ndarray:
 class ParamServer(Node):
     """Server role (Node).  See module docstring for the gating contract.
 
-    ``gate_bound`` overrides the delay bound used for update-task pulls:
-    ``None`` means unbounded (downpour-style).  ``update_rule`` maps (server,
-    push, w_hat answered to its pull) -> new w; the default is the hybrid rule.
+    ``gate_bound`` is the delay bound used for update-task pulls, ``None``
+    meaning unbounded (downpour-style).  ``update_rule`` maps (server, push,
+    w_hat answered to its pull) -> new w.
     """
 
-    def __init__(self, dim: int, hyper: HyperParams, weights, *,
-                 update_rule=None, gate_bound="tau"):
+    def __init__(self, dim: int, hyper: HyperParams, weights, *, update_rule, gate_bound):
         self.hyper = hyper
         self.weights = np.asarray(weights, dtype=np.float64)
         if self.weights.shape != (hyper.P,):
             raise ValueError("need one partition weight per worker")
         self.w = np.zeros(dim)
-        self.update_rule = update_rule or _hybrid_rule
-        self.gate_bound = hyper.tau if gate_bound == "tau" else gate_bound
+        self.update_rule = update_rule
+        self.gate_bound = gate_bound
         self.finished = FinishedTasks()
         # heap of ((threshold, timestamp, arrival), request)
         self.pending_pulls: list[tuple[tuple[int, int, int], PullRequest]] = []

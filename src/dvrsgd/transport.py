@@ -160,7 +160,7 @@ class SimCluster:
     """Deterministic single-threaded event loop over logical time."""
 
     def __init__(self, latency: LatencyModel | None = None, *, max_events: int = 10_000_000,
-                 collect_trace: bool = True):
+                 collect_trace: bool = False):
         self.latency = latency or LatencyModel("constant", value=0.0)
         self.max_events = max_events
         self.collect_trace = collect_trace

@@ -38,7 +38,7 @@ def criterion3_run(quad_problem):
     p, _, _ = quad_problem
     h = HyperParams(eta=ETA_VALIDATED, theta=0.5, tau=8, B=20, m=QUAD_N // 20, S=50, P=8)
     t0 = time.perf_counter()
-    r = run_cluster(p, h, seed=3, collect_trace=False)
+    r = run_cluster(p, h, seed=3)
     return r, time.perf_counter() - t0
 
 
@@ -47,7 +47,7 @@ def test_criterion_01_serial_equivalence():
     p = make_synthetic("l2-logistic", 500, 20, lam=0.01, seed=11)
     m = 500  # the default stage length, ceil(N/B) with B=1
     h = HyperParams(eta=0.1, theta=0.0, tau=0, B=1, m=m, S=5, P=1)
-    r = run_cluster(p, h, seed=42, collect_trace=False)
+    r = run_cluster(p, h, seed=42)
     traj = serial_svrg(p, eta=0.1, m=m, S=5, seed=42, anchor="last")
     assert len(r.snapshots) == len(traj) == 6
     for snap, w in zip(r.snapshots, traj):
@@ -97,7 +97,7 @@ def test_criterion_04_rate_bound_holds(quad_problem):
     bound = compute_rate_gamma(mu, L, eta, theta, m, tau)
     assert bound.is_contraction, "m was chosen large enough for gamma < 1"
     h = HyperParams(eta=eta, theta=theta, tau=tau, B=1, m=m, S=50, P=8)
-    r = run_cluster(p, h, seed=5, collect_trace=False)
+    r = run_cluster(p, h, seed=5)
     sub = np.maximum([rec.objective - f_star for rec in r.records], 1e-18)
     ratios = sub[5:51] / sub[4:50]
     measured = float(np.exp(np.mean(np.log(ratios))))
@@ -109,7 +109,7 @@ def test_criterion_05_dpg_plateau_gap(quad_problem, criterion3_run):
     p, _, f_star = quad_problem
     dvr, _ = criterion3_run
     h = HyperParams(eta=ETA_VALIDATED, theta=0.5, tau=8, B=20, m=QUAD_N // 20, S=50, P=8)
-    dpg = run_cluster(p, h, algo="dpg", seed=3, collect_trace=False)
+    dpg = run_cluster(p, h, algo="dpg", seed=3)
     dvr_final = max(dvr.records[-1].objective - f_star, 1e-18)
     dpg_final = dpg.records[-1].objective - f_star
     assert dpg_final >= 100.0 * dvr_final
@@ -123,7 +123,7 @@ def test_criterion_06_bounded_delay_invariant():
     for run_idx in range(20):
         tau = taus[run_idx % 3]
         h = HyperParams(eta=0.02, theta=0.5, tau=tau, B=5, m=32, S=2, P=16)
-        r = run_cluster(p, h, seed=100 + run_idx,
+        r = run_cluster(p, h, seed=100 + run_idx, collect_trace=True,
                         latency=LatencyModel("adversarial", seed=run_idx))
         violations += check_gate_invariant(r.trace, tau)
         check_one_task_at_a_time(r.trace)
@@ -153,7 +153,7 @@ def test_criterion_08_tau_sweep_pull_wait(quad_problem):
     for tau in (1, 4, 16, 64):
         h = HyperParams(eta=ETA_VALIDATED, theta=0.5, tau=tau, B=20, m=QUAD_N // 20,
                         S=50, P=8)
-        r = run_cluster(p, h, seed=3, grad_tick=0.01, collect_trace=False,
+        r = run_cluster(p, h, seed=3, grad_tick=0.01,
                         latency=LatencyModel("uniform", lo=1.0, hi=5.0, seed=9))
         waits.append(r.records[-1].comm_total)
     assert all(a >= b for a, b in zip(waits, waits[1:])), waits

@@ -76,8 +76,10 @@ def test_dpg_update_endpoints():
     w, w_hat = np.array([2.0]), np.array([0.0])
     assert np.array_equal(dpg_update(w, w_hat, theta=1.0), w_hat)
     assert np.array_equal(dpg_update(w, w_hat, theta=0.5), np.array([1.0]))
-    with pytest.raises(ValueError):
-        dpg_update(w, w_hat, theta=0.0)
+    # theta = 0 is rejected once, where the convex rule is built from its row
+    for algo in ("dpg", "vrdpg"):
+        with pytest.raises(ValueError, match=r"theta in \(0, 1\]"):
+            algo_config(algo).rule(HyperParams(eta=0.1, theta=0.0), 1)
 
 
 def test_downpour_adagrad_steps():
@@ -134,9 +136,9 @@ def test_unknown_algorithm_rejected():
 def test_dsvrg_is_dvrsgd_with_theta_zero(quad):
     p, _ = quad
     h = HyperParams(eta=0.02, theta=0.7, tau=3, B=8, m=25, S=4, P=3)
-    a = run_cluster(p, h, algo="dsvrg", seed=9, collect_trace=False)
+    a = run_cluster(p, h, algo="dsvrg", seed=9)
     h0 = HyperParams(eta=0.02, theta=0.0, tau=3, B=8, m=25, S=4, P=3)
-    b = run_cluster(p, h0, algo="dvrsgd", seed=9, collect_trace=False)
+    b = run_cluster(p, h0, algo="dvrsgd", seed=9)
     assert np.array_equal(a.final_w, b.final_w)
     assert [r.objective for r in a.records] == [r.objective for r in b.records]
 
@@ -144,7 +146,7 @@ def test_dsvrg_is_dvrsgd_with_theta_zero(quad):
 def test_serial_equivalence_theta_zero(quad):
     p, _ = quad
     h = HyperParams(eta=0.02, theta=0.0, tau=0, B=1, m=30, S=3, P=1)
-    r = run_cluster(p, h, seed=10, collect_trace=False)
+    r = run_cluster(p, h, seed=10)
     traj = serial_svrg(p, eta=0.02, m=30, S=3, seed=10, anchor="last")
     assert all(np.array_equal(s.anchor, w) for s, w in zip(r.snapshots, traj))
 
@@ -154,7 +156,7 @@ def test_serial_equivalence_theta_half_fresh_pulls(quad):
     # hybrid update collapses to the serial SVRG step even at theta=0.5
     p, _ = quad
     h = HyperParams(eta=0.02, theta=0.5, tau=0, B=1, m=30, S=3, P=1)
-    r = run_cluster(p, h, seed=11, collect_trace=False)
+    r = run_cluster(p, h, seed=11)
     traj = serial_svrg(p, eta=0.02, m=30, S=3, seed=11, anchor="last")
     assert all(np.array_equal(s.anchor, w) for s, w in zip(r.snapshots, traj))
 
@@ -162,8 +164,8 @@ def test_serial_equivalence_theta_half_fresh_pulls(quad):
 def test_dpg_plateaus_while_vrdpg_converges(quad):
     p, (_, f_star) = quad
     h = HyperParams(eta=0.02, theta=0.5, tau=4, B=10, m=40, S=25, P=4)
-    dpg = run_cluster(p, h, algo="dpg", seed=12, collect_trace=False)
-    vrdpg = run_cluster(p, h, algo="vrdpg", seed=12, collect_trace=False)
+    dpg = run_cluster(p, h, algo="dpg", seed=12)
+    vrdpg = run_cluster(p, h, algo="vrdpg", seed=12)
     dpg_final = dpg.records[-1].objective - f_star
     vrdpg_final = vrdpg.records[-1].objective - f_star
     assert dpg_final > 1e-6          # stuck at a noise plateau
@@ -176,7 +178,7 @@ def test_ssp_reaches_target_slower_than_dvrsgd(quad):
     h = HyperParams(eta=0.02, theta=0.5, tau=4, B=10, m=40, S=30, P=4)
 
     def stages_to_target(algo):
-        r = run_cluster(p, h, algo=algo, seed=13, collect_trace=False)
+        r = run_cluster(p, h, algo=algo, seed=13)
         for rec in r.records:
             if rec.objective <= target:
                 return rec.stage
@@ -189,6 +191,6 @@ def test_all_cluster_algorithms_run(quad):
     p, _ = quad
     h = HyperParams(eta=0.01, theta=0.5, tau=2, B=10, m=10, S=2, P=2)
     for name in BASELINES:
-        r = run_cluster(p, h, algo=name, seed=14, collect_trace=False)
+        r = run_cluster(p, h, algo=name, seed=14)
         assert len(r.records) == 3
         assert np.isfinite(r.final_w).all()

@@ -11,6 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dvrsgd.baselines import algo_config
 from dvrsgd.protocol import PullRequest, Stop, TaskId, TaskKind
 from dvrsgd.server import HyperParams, ParamServer, ProtocolError
 
@@ -86,7 +87,8 @@ def gate_scripts(draw):
 
 def recording_server(cls, P, bound, m):
     hyper = HyperParams(eta=0.1, theta=0.5, tau=bound or 0, B=1, m=m, S=1, P=P)
-    server = cls(2, hyper, np.full(P, 1.0 / P), gate_bound=bound)
+    server = cls(2, hyper, np.full(P, 1.0 / P), gate_bound=bound,
+                 update_rule=algo_config("dvrsgd").rule(hyper, 2))
     sent = []
     server.send = lambda dst, msg: sent.append((dst, msg))
     return server, sent

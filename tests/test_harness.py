@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dvrsgd.baselines import BASELINES, serial_svrg
+from dvrsgd import baselines, harness
+from dvrsgd.baselines import BASELINES, algo_config, serial_svrg
 from dvrsgd.harness import (ExperimentConfig, main, run_cluster, run_cluster_socket,
                             run_experiment, sweep)
 from dvrsgd.losses import make_synthetic, objective
@@ -143,11 +144,14 @@ def worker_charging(grad_tick):
     (dict(eta=float("inf")), lambda: HyperParams(eta=float("inf"))),
     *[(dict(SOCKET, timeout=t), lambda t=t: SocketCluster({}, timeout=t))
       for t in (float("nan"), -1.0, 0.0, float("inf"))],
+    *[(dict(algo=algo, theta=0.0),
+       lambda algo=algo: algo_config(algo).rule(HyperParams(eta=0.1, theta=0.0), 1))
+      for algo in ("dpg", "vrdpg")],
 ], ids=["latency-trace", "stop-typo", "stop-target-no-target", "B-0-m-unset", "m-0",
         "eta-negative", "theta-above-1", "latency-uniform-negative", "latency-constant-negative",
         "latency-nan", "latency-exponential-negative", "latency-lo-above-hi",
         "grad-tick-negative", "grad-tick-infinite", "eta-infinite", "timeout-nan",
-        "timeout-negative", "timeout-0", "timeout-infinite"])
+        "timeout-negative", "timeout-0", "timeout-infinite", "dpg-theta-0", "vrdpg-theta-0"])
 def test_validate_reports_the_owning_constructors_error(tmp_path, capsys, fields, owner):
     with pytest.raises(ValueError) as exc:
         owner()
@@ -160,6 +164,22 @@ def test_validate_reports_the_owning_constructors_error(tmp_path, capsys, fields
     assert main(["run", "--config", str(path)]) == 1
     assert capsys.readouterr().err == f"error: invalid config:\n  {exc.value}\n"
     assert not Path(cfg.out).exists()
+
+
+@pytest.mark.parametrize("algo", ["dpg", "vrdpg"])
+def test_convex_rule_at_theta_zero_exits_before_any_listener_binds(tmp_path, capsys,
+                                                                   monkeypatch, algo):
+    # a config error, reported as one, not as the server role's failure mid-run
+    def start(self):
+        raise AssertionError("a listener was bound")
+
+    monkeypatch.setattr(SocketCluster, "start", start)
+    path = tmp_path / "exp.ini"
+    small_config(tmp_path, algo=algo, theta=0.0, **SOCKET).to_file(path)
+    assert main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == \
+        "error: invalid config:\n  the convex update needs theta in (0, 1]\n"
+    assert not (tmp_path / "run.csv").exists()
 
 
 @pytest.mark.parametrize("stop,message", [
@@ -219,6 +239,20 @@ def test_serial_svrg_algo_path_draws_batches_of_B(tmp_path):
     assert [r.objective for r in records] == [objective(problem, w) for w in want]
 
 
+def test_serial_svrg_stamps_each_stage_when_its_anchor_exists(tmp_path, monkeypatch):
+    # a clock that reads the inner steps taken so far: stage s ends after s*m
+    steps, vr_gradient = [0], baselines.vr_gradient
+
+    def counted(*args):
+        steps[0] += 1
+        return vr_gradient(*args)
+
+    monkeypatch.setattr(baselines, "vr_gradient", counted)
+    monkeypatch.setattr(harness.time, "perf_counter", lambda: float(steps[0]))
+    records = run_experiment(small_config(tmp_path, algo="svrg", P=1, tau=0, m=10, S=3))
+    assert [r.wall_time for r in records] == [0.0, 10.0, 20.0, 30.0]
+
+
 def test_sweep_theta_zero_matches_dsvrg(tmp_path):
     cfg = small_config(tmp_path, target_objective=0.5)
     out_dir = tmp_path / "sweep"
@@ -236,10 +270,41 @@ def test_sweep_theta_zero_matches_dsvrg(tmp_path):
 
 
 def test_sweep_workers_emits_all_rows(tmp_path):
+    # the worker count is the field P; each file has the bytes that the
+    # former ``workers`` axis wrote for it
     cfg = small_config(tmp_path, target_objective=1e-4, n=64, B=4)
-    summary = sweep(cfg, "workers", [1, 2, 4], out_dir=str(tmp_path / "ws"))
+    summary = sweep(cfg, "P", [1, 2, 4], out_dir=str(tmp_path / "ws"))
     rows = Path(summary).read_text().splitlines()[1:]
     assert [r.split(",")[0] for r in rows] == ["1", "2", "4"]
+    digests = {v: hashlib.sha256((tmp_path / "ws" / f"P_{v}.csv").read_bytes()).hexdigest()
+               for v in (1, 2, 4)}
+    assert digests == {
+        1: "5be74b798d024cb4474f351c8ca209d736a8462b05d045cd6545346f72202e95",
+        2: "94167d77220c6ba52d329612aadea537867aa54230cd00789de6870269130c84",
+        4: "ec1ce2c14decc4ae614dd8f8e9ab2c00e85a7733ffb24ce34f7cef3a5f3d483c",
+    }
+
+
+def test_cli_sweep_over_algorithms_writes_one_csv_each(tmp_path, capsys):
+    ini, out_dir = tmp_path / "exp.ini", tmp_path / "algos"
+    small_config(tmp_path).to_file(ini)
+    assert main(["sweep", "--config", str(ini), "--axis", "algo", "--values",
+                 "dvrsgd,dpg,ssp", "--out-dir", str(out_dir), "--gnuplot"]) == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "algo_dpg.csv", "algo_dvrsgd.csv", "algo_ssp.csv", "sweep_algo.gp",
+        "sweep_algo_summary.csv"]
+    for algo in ("dvrsgd", "dpg", "ssp"):
+        run_experiment(small_config(tmp_path, algo=algo))
+        assert (out_dir / f"algo_{algo}.csv").read_bytes() == (tmp_path / "run.csv").read_bytes()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("axis,values", [("P", ["two"]), ("tau", ["1", "1.5"]),
+                                         ("endpoints", ["x"])])
+def test_sweep_rejects_a_value_before_running_any(tmp_path, axis, values):
+    with pytest.raises(ValueError):
+        sweep(small_config(tmp_path), axis, values, out_dir=str(tmp_path / "bad"))
+    assert not (tmp_path / "bad").exists()
 
 
 def test_sweep_rejects_unknown_axis(tmp_path):
@@ -264,8 +329,7 @@ def test_uneven_shuffled_partitions_full_run():
     h = HyperParams(eta=0.1, theta=0.5, tau=3, B=5, m=12, S=4, P=4)
     from dvrsgd.transport import LatencyModel
     r = run_cluster(p, h, seed=10, partition_strategy="shuffled", partition_seed=11,
-                    latency=LatencyModel("uniform", lo=0.5, hi=2.0, seed=12),
-                    collect_trace=False)
+                    latency=LatencyModel("uniform", lo=0.5, hi=2.0, seed=12))
     assert sorted(r.partitioning.counts.tolist()) == [25, 25, 25, 26]
     for rec, snap in zip(r.records, r.snapshots):
         assert rec.objective == pytest.approx(objective(p, snap.anchor), abs=1e-12)
@@ -297,7 +361,7 @@ def test_socket_matches_sim_single_worker(tmp_path):
     # forced schedule: P=1, tau=0, zero latency; both transports must agree bitwise
     p = make_synthetic("l2-logistic", 60, 5, lam=0.01, seed=2)
     h = HyperParams(eta=0.1, theta=0.5, tau=0, B=1, m=20, S=2, P=1)
-    sim = run_cluster(p, h, seed=4, collect_trace=False)
+    sim = run_cluster(p, h, seed=4)
     addrs = {"scheduler": ("127.0.0.1", 0), "server": ("127.0.0.1", 0),
              "worker:0": ("127.0.0.1", 0)}
     sock = run_cluster_socket(p, h, addrs, seed=4, timeout=30.0)
@@ -328,7 +392,7 @@ def test_full_run_trace_replays_identically():
     h = HyperParams(eta=0.1, theta=0.5, tau=4, B=5, m=16, S=3, P=4)
 
     def go():
-        return run_cluster(p, h, seed=6,
+        return run_cluster(p, h, seed=6, collect_trace=True,
                            latency=LatencyModel("uniform", lo=0.5, hi=3.0, seed=7))
 
     a, b = go(), go()
@@ -345,7 +409,8 @@ def test_eval_responses_identical_bytes_across_workers():
     from helpers import eval_responses_by_stage
     p = make_synthetic("l2-logistic", 80, 5, lam=0.02, seed=5)
     h = HyperParams(eta=0.1, theta=0.5, tau=4, B=5, m=16, S=3, P=4)
-    r = run_cluster(p, h, seed=6, latency=LatencyModel("uniform", lo=0.5, hi=3.0, seed=8))
+    r = run_cluster(p, h, seed=6, collect_trace=True,
+                    latency=LatencyModel("uniform", lo=0.5, hi=3.0, seed=8))
     by_stage = eval_responses_by_stage(r.trace, h.m)
     assert sorted(by_stage) == [0, 1, 2, 3]
     for stage, ws in by_stage.items():

@@ -49,7 +49,7 @@ TAU_GATED = ["dvrsgd", "dsvrg", "dpg", "vrdpg"]
 def test_every_schedule_gives_the_same_bytes_at_tau_zero(problem, algo, P):
     assert sorted(LATENCY) == sorted(LatencyModel.KINDS)
     h = HyperParams(eta=0.02, theta=0.5, tau=0, B=5, m=40, S=4, P=P)
-    runs = {kind: run_cluster(problem, h, algo=algo, seed=5, collect_trace=False,
+    runs = {kind: run_cluster(problem, h, algo=algo, seed=5,
                               latency=LatencyModel(kind, seed=P, **kwargs))
             for kind, kwargs in LATENCY.items()}
     roles = ["scheduler", "server", *(f"worker:{p}" for p in range(P))]
@@ -63,7 +63,7 @@ def test_every_schedule_gives_the_same_bytes_at_tau_zero(problem, algo, P):
 def test_schedules_differ_once_tau_allows_stale_pulls(problem):
     # the control: the same schedules at tau = 4 give different trajectories
     h = HyperParams(eta=0.02, theta=0.5, tau=4, B=5, m=40, S=4, P=8)
-    finals = {outcome(run_cluster(problem, h, seed=5, collect_trace=False,
+    finals = {outcome(run_cluster(problem, h, seed=5,
                                   latency=LatencyModel(kind, seed=8, **kwargs)))[0]
               for kind, kwargs in LATENCY.items()}
     assert len(finals) == len(LATENCY)
@@ -87,7 +87,7 @@ def test_overlapping_evaluation_rounds_keep_every_push(algo):
     # pushed for the stage before
     problem = make_synthetic("quadratic", 64, 4, seed=0, mu=1.0, smoothness=10.0)
     h = HyperParams(eta=0.02, theta=0.5, tau=2, B=1, m=2, S=6, P=8)
-    result = run_cluster(problem, h, algo=algo, seed=0, collect_trace=False,
+    result = run_cluster(problem, h, algo=algo, seed=0,
                          latency=LatencyModel("adversarial", seed=0))
     check_snapshots(problem, h, result)
 
@@ -101,7 +101,7 @@ def test_only_vr_workers_keep_a_snapshot(monkeypatch, algo):
                         lambda *args, **kw: built.append(build(*args, **kw)) or built[-1])
     problem = make_synthetic("quadratic", 64, 4, seed=0, mu=1.0, smoothness=10.0)
     h = HyperParams(eta=0.02, theta=0.5, tau=2, B=1, m=2, S=6, P=8)
-    result = run_cluster(problem, h, algo=algo, seed=0, collect_trace=False,
+    result = run_cluster(problem, h, algo=algo, seed=0,
                          latency=LatencyModel("adversarial", seed=0))
     check_snapshots(problem, h, result)
     (_, _, workers, _), = built
@@ -129,10 +129,10 @@ class Replay:
 def test_any_schedule_ends_with_every_stage_and_its_snapshot(problem, algo, P, m, S, tau, seed,
                                                              delays):
     h = HyperParams(eta=0.02, theta=0.5, tau=tau, B=5, m=m, S=S, P=P)
-    result = run_cluster(problem, h, algo=algo, seed=seed, collect_trace=False,
+    result = run_cluster(problem, h, algo=algo, seed=seed,
                          latency=Replay(delays))
     assert len(result.records) == S + 1 and not result.stopped_early
     check_snapshots(problem, h, result)
     if tau == 0 and algo in TAU_GATED:
-        steady = run_cluster(problem, h, algo=algo, seed=seed, collect_trace=False)
+        steady = run_cluster(problem, h, algo=algo, seed=seed)
         assert outcome(result) == outcome(steady)

@@ -37,7 +37,7 @@ def test_assignment_respects_weights():
 def test_issued_timestamps_exact(tmp_path):
     p = make_synthetic("l2-logistic", 40, 4, lam=0.01, seed=0)
     h = HyperParams(eta=0.1, theta=0.5, tau=2, B=4, m=6, S=3, P=2)
-    r = run_cluster(p, h, seed=1)
+    r = run_cluster(p, h, seed=1, collect_trace=True)
     updates, evals = [], []
     for ev in r.trace:
         if ev.action == "send" and ev.src == "scheduler" and isinstance(ev.msg, TaskAssign):
@@ -89,7 +89,7 @@ def test_scheduler_rejects_an_unexpected_evaluation_push(workers):
 def test_fixed_stages_runs_exactly_s_stages():
     p = make_synthetic("l2-logistic", 40, 4, lam=0.01, seed=0)
     h = HyperParams(eta=0.1, theta=0.5, tau=1, B=4, m=5, S=4, P=2)
-    r = run_cluster(p, h, seed=2, collect_trace=False)
+    r = run_cluster(p, h, seed=2)
     assert [rec.stage for rec in r.records] == [0, 1, 2, 3, 4]
     assert not r.stopped_early
 
@@ -98,7 +98,7 @@ def test_objective_target_stops_early():
     p = make_synthetic("quadratic", 120, 8, seed=3, mu=1.0, smoothness=5.0)
     _, f_star = quad_solution(p)
     h = HyperParams(eta=0.05, theta=0.5, tau=2, B=6, m=20, S=50, P=2)
-    r = run_cluster(p, h, seed=4, collect_trace=False,
+    r = run_cluster(p, h, seed=4,
                     stop_rule=objective_target(f_star + 1e-6))
     assert r.stopped_early
     assert r.records[-1].stage < 50
@@ -118,7 +118,7 @@ def test_relative_decrease_rule():
 def test_progress_matches_direct_objective():
     p = make_synthetic("l2-logistic", 60, 5, lam=0.05, seed=5)
     h = HyperParams(eta=0.2, theta=0.5, tau=3, B=5, m=12, S=3, P=3)
-    r = run_cluster(p, h, seed=6, collect_trace=False)
+    r = run_cluster(p, h, seed=6)
     assert len(r.snapshots) == len(r.records)
     for rec, snap in zip(r.records, r.snapshots):
         assert rec.objective == pytest.approx(objective(p, snap.anchor), abs=1e-12)
@@ -128,7 +128,7 @@ def test_corollary_distance_bound():
     p = make_synthetic("quadratic", 200, 10, seed=7, mu=1.0, smoothness=8.0)
     w_star, f_star = quad_solution(p)
     h = HyperParams(eta=0.02, theta=0.5, tau=2, B=10, m=20, S=10, P=2)
-    r = run_cluster(p, h, seed=8, collect_trace=False)
+    r = run_cluster(p, h, seed=8)
     for rec, snap in zip(r.records, r.snapshots):
         dist_sq = float(np.sum((snap.anchor - w_star) ** 2))
         # 1e-12 slack absorbs cancellation noise once both sides hit float eps

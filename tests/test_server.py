@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from dvrsgd.baselines import algo_config, dpg_update
+from dvrsgd.baselines import algo_config, apply_hybrid, dpg_update
 from dvrsgd.data import partition
 from dvrsgd.harness import _build_nodes
 from dvrsgd.losses import full_gradient, make_synthetic, mean_gradient
 from dvrsgd.protocol import (EvalPush, PullRequest, Stop, TaskId,
                              TaskKind, UpdatePush)
 from dvrsgd.server import (FinishedTasks, HyperParams, ParamServer, ProtocolError,
-                           aggregate_local_gradients, apply_hybrid)
+                           aggregate_local_gradients)
 from dvrsgd.transport import LatencyModel, SimCluster
 
 
@@ -27,9 +27,11 @@ class Sink:
         self.seen.append(msg)
 
 
-def make_server(tau=2, theta=0.5, eta=0.1, m=10, P=1, dim=2, **kw):
+def make_server(tau=2, theta=0.5, eta=0.1, m=10, P=1, dim=2):
+    # dvrsgd's wiring: the hybrid rule, pulls gated at tau
     hyper = HyperParams(eta=eta, theta=theta, tau=tau, B=1, m=m, S=1, P=P)
-    server = ParamServer(dim, hyper, np.full(P, 1.0 / P), **kw)
+    server = ParamServer(dim, hyper, np.full(P, 1.0 / P),
+                         update_rule=algo_config("dvrsgd").rule(hyper, dim), gate_bound=tau)
     sim = SimCluster()
     sim.register("server", server)
     for p in range(P):
@@ -109,7 +111,7 @@ def test_answered_pull_state_bounded_by_worker_count():
     sched, server, workers, _ = _build_nodes(
         p, hyper, "dvrsgd", seed=1, grad_tick=0.01, partition_strategy="contiguous",
         partition_seed=0, stop_rule=None)
-    sim = SimCluster(LatencyModel("uniform", lo=1.0, hi=5.0, seed=2), collect_trace=False)
+    sim = SimCluster(LatencyModel("uniform", lo=1.0, hi=5.0, seed=2))
     sim.register("scheduler", sched)
     sim.register("server", server)
     for q, wk in enumerate(workers):
@@ -198,8 +200,9 @@ def test_update_rules_form_w_bar_from_the_answered_w(algo, theta):
     # worker 0 is answered w_hat; worker 1's update then moves w, so the
     # server applies worker 0's push to a w other than the one it answered
     hyper = HyperParams(eta=0.1, theta=theta, tau=1, B=1, m=10, S=1, P=2)
-    rule = algo_config(algo).rule
-    server = ParamServer(3, hyper, [0.5, 0.5], update_rule=rule and rule(hyper, 3))
+    row = algo_config(algo)
+    server = ParamServer(3, hyper, [0.5, 0.5], update_rule=row.rule(hyper, 3),
+                         gate_bound=row.gate(hyper))
     sim = SimCluster()
     sim.register("server", server)
     for p in range(2):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dvrsgd import protocol, transport
+from dvrsgd.baselines import algo_config
 from dvrsgd.harness import run_cluster_socket
 from dvrsgd.losses import make_synthetic
 from dvrsgd.protocol import (PullRequest, PullResponse, Stop, TaskAssign, TaskId, TaskKind,
@@ -65,7 +66,7 @@ def test_pair_fifo_under_constant_latency():
 
 def test_pair_fifo_under_random_latency():
     # adversarial jitter would reorder without the FIFO clamp
-    sim = SimCluster(LatencyModel("adversarial", seed=3))
+    sim = SimCluster(LatencyModel("adversarial", seed=3), collect_trace=True)
     sim.register("a", Chatter([("b", k) for k in range(50)]))
     rec = Recorder()
     sim.register("b", rec)
@@ -76,7 +77,7 @@ def test_pair_fifo_under_random_latency():
 
 def test_deterministic_replay():
     def run():
-        sim = SimCluster(LatencyModel("uniform", lo=0.0, hi=4.0, seed=11))
+        sim = SimCluster(LatencyModel("uniform", lo=0.0, hi=4.0, seed=11), collect_trace=True)
         sim.register("a", Chatter([("b", k) for k in range(20)]))
         sim.register("b", Recorder())
         trace = sim.run_until_quiescent()
@@ -86,13 +87,13 @@ def test_deterministic_replay():
 
 
 def test_empty_queue_gives_empty_trace():
-    sim = SimCluster()
+    sim = SimCluster(collect_trace=True)
     sim.register("a", Recorder())
     assert sim.run_until_quiescent() == []
 
 
 def test_single_message_trace():
-    sim = SimCluster()
+    sim = SimCluster(collect_trace=True)
     sim.register("a", Chatter([("b", "x")]))
     sim.register("b", Recorder())
     trace = sim.run_until_quiescent()
@@ -540,7 +541,8 @@ def test_socket_corrupt_frame_fails_fast_naming_the_reader(monkeypatch):
 def test_push_that_answers_no_released_pull_fails_the_socket_run(script):
     # a raw peer speaks for the workers; the sinks take the server's answers
     hyper = HyperParams(eta=0.1, theta=0.5, tau=0, B=1, m=10, S=1, P=2)
-    cluster = _started(server=ParamServer(2, hyper, [0.5, 0.5]),
+    cluster = _started(server=ParamServer(2, hyper, [0.5, 0.5], gate_bound=0,
+                                          update_rule=algo_config("dvrsgd").rule(hyper, 2)),
                        **{f"worker:{p}": Sink(expect=10) for p in range(2)})
     task, delta = TaskId(1, TaskKind.UPDATE), np.array([1.0, -1.0])
     frames = [protocol.encode(PullRequest(worker, task) if op == "pull"
@@ -560,7 +562,8 @@ def test_push_that_answers_no_released_pull_fails_the_socket_run(script):
 
 def test_pull_from_a_worker_outside_the_cluster_fails_the_socket_run():
     hyper = HyperParams(eta=0.1, theta=0.5, tau=0, B=1, m=10, S=1, P=2)
-    cluster = _started(server=ParamServer(2, hyper, [0.5, 0.5]),
+    cluster = _started(server=ParamServer(2, hyper, [0.5, 0.5], gate_bound=0,
+                                          update_rule=algo_config("dvrsgd").rule(hyper, 2)),
                        **{f"worker:{p}": Sink(expect=10) for p in range(2)})
     try:
         with _raw_client(cluster, "server", "worker:0") as client:
