@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .losses import Problem, Sample
+from .losses import Problem
 
 __all__ = ["DataFormatError", "load_libsvm", "write_libsvm", "Partitioning", "partition"]
 
@@ -19,7 +19,8 @@ class DataFormatError(Exception):
     pass
 
 
-def _parse_line(line: str, lineno: int) -> Sample:
+def _parse_line(line: str, lineno: int) -> tuple[float, list[int], list[float]]:
+    """``(label, indices, values)`` of one sample, indices 0-based."""
     parts = line.split()
     try:
         label = float(parts[0])
@@ -36,12 +37,11 @@ def _parse_line(line: str, lineno: int) -> Sample:
             raise DataFormatError(f"line {lineno}: bad feature token {tok!r}")
         if idx < 1:
             raise DataFormatError(f"line {lineno}: feature indices are 1-based, got {idx}")
+        if indices and idx - 1 <= indices[-1]:
+            raise DataFormatError(f"line {lineno}: feature indices must be strictly increasing")
         indices.append(idx - 1)
         values.append(val)
-    try:
-        return Sample(indices, values, label)
-    except ValueError as exc:
-        raise DataFormatError(f"line {lineno}: {exc}")
+    return label, indices, values
 
 
 def load_libsvm(path, *, lam: float = 0.0, dim: int | None = None) -> Problem:
@@ -50,20 +50,20 @@ def load_libsvm(path, *, lam: float = 0.0, dim: int | None = None) -> Problem:
     K = number of distinct labels; binary files become ``l2-logistic``
     (parameter length d), others ``multiclass-logistic`` (length K*d).
     """
-    samples: list[Sample] = []
+    samples = []
     label_map: dict[float, int] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            s = _parse_line(line, lineno)
-            if s.label not in label_map:
-                label_map[s.label] = len(label_map)
-            samples.append(s)
+            label, indices, values = _parse_line(line, lineno)
+            if label not in label_map:
+                label_map[label] = len(label_map)
+            samples.append((label, indices, values))
     if not samples:
         raise DataFormatError(f"{path}: no samples")
-    max_dim = max((int(s.indices[-1]) + 1 for s in samples if s.indices.size), default=0)
+    max_dim = max((indices[-1] + 1 for _, indices, _ in samples if indices), default=0)
     if dim is None:
         dim = max_dim
     elif dim < max_dim:
@@ -72,9 +72,9 @@ def load_libsvm(path, *, lam: float = 0.0, dim: int | None = None) -> Problem:
         raise DataFormatError(f"{path}: could not infer a feature dimension")
     X = np.zeros((len(samples), dim))
     y = np.empty(len(samples), dtype=np.int64)
-    for i, s in enumerate(samples):
-        X[i, s.indices] = s.values
-        y[i] = label_map[s.label]
+    for i, (label, indices, values) in enumerate(samples):
+        X[i, indices] = values
+        y[i] = label_map[label]
     k = len(label_map)
     kind = "l2-logistic" if k == 2 else "multiclass-logistic"
     return Problem(kind, X, y, lam=lam, num_classes=k,
@@ -99,13 +99,8 @@ def write_libsvm(problem: Problem, path):
 class Partitioning:
     """Disjoint cover of sample indices: one subset D_p per worker."""
 
-    assignments: np.ndarray     # sample index -> worker id
-    counts: np.ndarray          # n_p
     weights: np.ndarray         # q_p = n_p / N
     subsets: tuple = field(repr=False)  # D_p as ascending sample indices
-
-    def indices_for(self, p: int) -> np.ndarray:
-        return self.subsets[p]
 
 
 def partition(problem: Problem, P: int, strategy: str = "contiguous", *,
@@ -126,12 +121,9 @@ def partition(problem: Problem, P: int, strategy: str = "contiguous", *,
         order = np.random.default_rng(seed).permutation(n)
     base, extra = divmod(n, P)
     counts = np.array([base + (1 if p < extra else 0) for p in range(P)], dtype=np.int64)
-    assignments = np.empty(n, dtype=np.int64)
     subsets = []
     start = 0
-    for p, c in enumerate(counts):
+    for c in counts:
         subsets.append(np.sort(order[start:start + c]))
-        assignments[subsets[p]] = p
         start += c
-    return Partitioning(assignments=assignments, counts=counts, weights=counts / n,
-                        subsets=tuple(subsets))
+    return Partitioning(weights=counts / n, subsets=tuple(subsets))

@@ -16,7 +16,6 @@ along one axis, any field of the config file's form, and writes a summary CSV.
 import argparse
 import configparser
 import dataclasses
-import logging
 import os
 import sys
 import time
@@ -26,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import algo_config, svrg_stages
-from .data import Partitioning, partition
+from .data import load_libsvm, partition
 from .losses import Problem, make_synthetic, objective
 from .scheduler import (ProgressRecord, SchedulerNode, fixed_stages,
                         objective_target, relative_decrease)
@@ -48,7 +47,6 @@ class RunResult:
     snapshots: list
     final_w: np.ndarray | None
     trace: list[TraceEvent] | None
-    partitioning: Partitioning | None
     stopped_early: bool = False
 
 
@@ -59,19 +57,19 @@ def _build_nodes(problem: Problem, hyper: HyperParams, algo: str, *, seed: int,
     parts = partition(problem, hyper.P, partition_strategy, seed=partition_seed)
     server = ParamServer(problem.dim, hyper, parts.weights,
                          update_rule=cfg.rule(hyper, problem.dim), gate_bound=cfg.gate(hyper))
-    workers = [WorkerNode(p, problem, parts.indices_for(p), hyper,
+    workers = [WorkerNode(p, problem, parts.subsets[p], hyper,
                           gradient=cfg.gradient, seed=seed, grad_tick=grad_tick)
                for p in range(hyper.P)]
     sched = SchedulerNode(hyper, parts.weights, problem.n, seed=seed,
                           stop_rule=stop_rule)
-    return sched, server, workers, parts
+    return sched, server, workers
 
 
 def _run_nodes(cluster, problem: Problem, hyper: HyperParams, algo: str,
                **build) -> RunResult:
     """Register the scheduler, server and workers that ``_build_nodes``
     makes on ``cluster`` and run it until every node can shut down."""
-    sched, server, workers, parts = _build_nodes(problem, hyper, algo, **build)
+    sched, server, workers = _build_nodes(problem, hyper, algo, **build)
     cluster.register("scheduler", sched)
     cluster.register("server", server)
     for p, wk in enumerate(workers):
@@ -83,8 +81,7 @@ def _run_nodes(cluster, problem: Problem, hyper: HyperParams, algo: str,
         # cycle frees a finished run without the cyclic GC
         cluster.nodes.clear()
     return RunResult(records=sched.records, snapshots=server.snapshot_history,
-                     final_w=server.w, trace=trace, partitioning=parts,
-                     stopped_early=sched.stopped_early)
+                     final_w=server.w, trace=trace, stopped_early=sched.stopped_early)
 
 
 def run_cluster(problem: Problem, hyper: HyperParams, *, algo: str = "dvrsgd",
@@ -121,8 +118,7 @@ def _run_serial_svrg(problem: Problem, hyper: HyperParams, seed: int) -> RunResu
         records.append(ProgressRecord(stage=s, objective=objective(problem, w),
                                       wall_time=time.perf_counter() - t0,
                                       comp_times=[0.0], comm_times=[0.0]))
-    return RunResult(records=records, snapshots=[], final_w=w,
-                     trace=None, partitioning=None)
+    return RunResult(records=records, snapshots=[], final_w=w, trace=None)
 
 
 # -- configuration ------------------------------------------------------------
@@ -223,7 +219,6 @@ class ExperimentConfig:
 
     def build_problem(self) -> Problem:
         if self.source == "libsvm":
-            from .data import load_libsvm
             return load_libsvm(self.path, lam=self.lam, dim=self.dim)
         if self.kind == "quadratic":
             return make_synthetic("quadratic", self.n, self.d, seed=self.problem_seed,
@@ -330,11 +325,16 @@ def write_csv(records: list[ProgressRecord], path):
                      f"{r.comp_total!r},{r.comm_total!r}\n")
 
 
-def run_experiment(config: ExperimentConfig, *, out=None) -> list[ProgressRecord]:
-    """Execute one configured experiment and write its progress CSV."""
+def _check(config: ExperimentConfig):
+    """Raise one ValueError listing every reason ``config`` cannot run."""
     errors = config.validate()
     if errors:
         raise ValueError("invalid config:\n  " + "\n  ".join(errors))
+
+
+def run_experiment(config: ExperimentConfig, *, out=None) -> list[ProgressRecord]:
+    """Execute one configured experiment and write its progress CSV."""
+    _check(config)
     problem = config.build_problem()
     hyper = config.build_hyper(problem.n)
     if config.algo == "svrg":
@@ -356,14 +356,16 @@ def sweep(config: ExperimentConfig, axis: str, values, out_dir=".", *,
           gnuplot: bool = False) -> str:
     """Run the experiment once per value of ``axis``, a file-form field of
     ``config``; write per-value and summary CSVs."""
-    cases = [(v, _parse_field(axis, str(v))) for v in values]  # all parsed before any run
+    cases = [(v, dataclasses.replace(config, **{axis: _parse_field(axis, str(v))}))
+             for v in values]
+    for _, case in cases:  # every value is checked before any run writes a file
+        _check(case)
     os.makedirs(out_dir, exist_ok=True)
     summary_path = os.path.join(out_dir, f"sweep_{axis}_summary.csv")
     target = config.target_objective
     rows = [SWEEP_HEADER]
-    for v, value in cases:
-        records = run_experiment(dataclasses.replace(config, **{axis: value}),
-                                 out=os.path.join(out_dir, f"{axis}_{v}.csv"))
+    for v, case in cases:
+        records = run_experiment(case, out=os.path.join(out_dir, f"{axis}_{v}.csv"))
         stages = next((r.stage for r in records
                        if target is not None and r.objective <= target), -1)
         last = records[-1] if records else None  # S = 0 writes no record
@@ -372,20 +374,20 @@ def sweep(config: ExperimentConfig, axis: str, values, out_dir=".", *,
     with open(summary_path, "w") as fh:
         fh.write("".join(row + "\n" for row in rows))
     if gnuplot:
-        script = os.path.join(out_dir, f"sweep_{axis}.gp")
-        with open(script, "w") as fh:
+        # one point per row, labelled by its value, so string axes plot too
+        data = os.path.basename(summary_path)
+        series = ", ".join(f'"{data}" skip 1 using 0:{col}:xtic(1) with linespoints '
+                           f'title "{title}"'
+                           for col, title in ((3, "total"), (4, "comp"), (5, "comm")))
+        with open(os.path.join(out_dir, f"sweep_{axis}.gp"), "w") as fh:
             fh.write(f'set datafile separator ","\nset key top right\n'
-                     f'set xlabel "{axis}"\nset ylabel "time"\n'
-                     f'plot "{os.path.basename(summary_path)}" using 1:3 with linespoints '
-                     f'title "total", "" using 1:4 with linespoints title "comp", '
-                     f'"" using 1:5 with linespoints title "comm"\n')
+                     f'set xlabel "{axis}"\nset ylabel "time"\nplot {series}\n')
     return summary_path
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="dvrsgd",
                                      description="distributed VR-SGD experiment runner")
-    parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="cmd", required=True)
     p_run = sub.add_parser("run", help="run one experiment from a config file")
     p_run.add_argument("--config", required=True)
@@ -400,8 +402,6 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--out-dir", default=".")
     p_sweep.add_argument("--gnuplot", action="store_true")
     args = parser.parse_args(argv)
-    logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING,
-                        format="%(name)s %(levelname)s %(message)s")
     try:
         config = ExperimentConfig.from_file(args.config)
         if args.cmd == "run":
@@ -419,7 +419,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

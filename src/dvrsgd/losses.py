@@ -40,12 +40,9 @@ are.
 import numpy as np
 
 __all__ = [
-    "Sample",
     "Problem",
-    "sample_loss",
     "loss_sum",
     "objective",
-    "sample_gradient",
     "mean_gradient",
     "full_gradient",
     "make_synthetic",
@@ -56,27 +53,6 @@ KINDS = ("quadratic", "l2-logistic", "multiclass-logistic")
 # doubles per block of gradient rows (1 MB): large enough to amortise the
 # per-call NumPy overhead, small enough to stay in cache and out of fresh pages
 _BLOCK_ELEMS = 1 << 17
-
-
-class Sample:
-    """One training sample in sparse form: (indices, values, label).
-
-    Feature indices must be strictly increasing; ``label`` is a class index
-    for logistic problems and a real target for quadratic ones.
-    """
-
-    __slots__ = ("indices", "values", "label")
-
-    def __init__(self, indices, values, label):
-        indices = np.asarray(indices, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        if indices.shape != values.shape:
-            raise ValueError("indices and values must have equal length")
-        if indices.size and (np.any(np.diff(indices) <= 0) or indices[0] < 0):
-            raise ValueError("feature indices must be nonnegative and strictly increasing")
-        self.indices = indices
-        self.values = values
-        self.label = label
 
 
 class Problem:
@@ -268,11 +244,6 @@ def _evaluate(problem: Problem, w: np.ndarray, idx: np.ndarray, *, grad: bool = 
             None if losses is None else float(losses[0]))
 
 
-def sample_loss(problem: Problem, w, i: int) -> float:
-    """f_i(w), the loss of sample i including the ridge term."""
-    return loss_sum(problem, w, [i])
-
-
 def loss_sum(problem: Problem, w, indices) -> float:
     """Sum of f_i(w) over the given indices, accumulated in index order."""
     return _evaluate(problem, _check_param(problem, w), _check_indices(problem, indices),
@@ -285,11 +256,6 @@ def objective(problem: Problem, w) -> float:
     if not np.isfinite(value):
         raise FloatingPointError("objective overflowed; loss formulation is broken")
     return value
-
-
-def sample_gradient(problem: Problem, w, i: int) -> np.ndarray:
-    """grad f_i(w), including the ridge term when lam > 0."""
-    return mean_gradient(problem, w, [i])
 
 
 def mean_gradient(problem: Problem, w, indices) -> np.ndarray:

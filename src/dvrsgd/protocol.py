@@ -34,7 +34,7 @@ sender's endpoint name in UTF-8 (``hello`` and ``read_hello``).
 """
 
 import struct
-from dataclasses import field, make_dataclass
+from dataclasses import make_dataclass
 from enum import IntEnum
 from typing import NamedTuple
 
@@ -101,19 +101,15 @@ class _Message:
 _BY_TAG: dict = {}
 
 
-def _message(tag: int, name: str, spec: str = "", **defaults):
+def _message(tag: int, name: str, spec: str = ""):
     """A message class for ``tag`` whose fields are the ``name:kind`` words of
-    ``spec`` in constructor order; ``defaults`` gives default values by field
-    name.  On the wire the fixed-width fields keep that order and the one
-    vector, if any, comes last."""
+    ``spec`` in constructor order.  On the wire the fixed-width fields keep
+    that order and the one vector, if any, comes last."""
     fields = [tuple(word.split(":")) for word in spec.split()]
     wire = tuple(sorted(fields, key=lambda f: f[1] == "vec"))  # stable: the vector last
     assert [kind for _, kind in wire].count("vec") <= 1, f"{name}: more than one vector"
-    cls = make_dataclass(
-        name, [(f, kind, field(default=defaults[f])) if f in defaults else (f, kind)
-               for f, kind in fields],
-        bases=(_Message,), namespace={"__module__": __name__, "_tag": tag, "_wire": wire},
-        eq=False, repr=False, slots=True)
+    cls = make_dataclass(name, fields, bases=(_Message,), eq=False, repr=False, slots=True,
+                         namespace={"__module__": __name__, "_tag": tag, "_wire": wire})
     cls._encode, cls._decode = _compile(cls, [f for f, _ in fields])
     _BY_TAG[tag] = cls
     return cls
@@ -181,7 +177,7 @@ PullRequest = _message(2, "PullRequest", "worker:u32 task:task")
 PullResponse = _message(3, "PullResponse", "task:task w:vec")
 UpdatePush = _message(4, "UpdatePush", "worker:u32 task:task delta:vec")
 EvalPush = _message(5, "EvalPush", "worker:u32 local_grad:vec local_obj_sum:f64 "
-                    "comp_time:f64 comm_time:f64", comp_time=0.0, comm_time=0.0)
+                    "comp_time:f64 comm_time:f64")
 Stop = _message(6, "Stop")
 SnapshotBroadcast = _message(7, "SnapshotBroadcast", "grad:vec")
 

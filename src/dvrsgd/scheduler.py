@@ -18,7 +18,7 @@ valid for eta in (0, mu*theta/(2 L^2)) and theta in (0, 1].
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -26,9 +26,8 @@ from .protocol import EvalPush, Stop, TaskAssign, TaskId, TaskKind
 from .server import HyperParams, ProtocolError
 from .transport import Node
 
-__all__ = ["ProgressRecord", "StagePlan", "SchedulerNode", "plan_stage",
-           "compute_rate_gamma", "RateBound", "fixed_stages", "objective_target",
-           "relative_decrease", "assignment_stream"]
+__all__ = ["ProgressRecord", "SchedulerNode", "plan_stage", "compute_rate_gamma",
+           "fixed_stages", "objective_target", "relative_decrease", "assignment_stream"]
 
 
 @dataclass
@@ -50,23 +49,13 @@ class ProgressRecord:
         return sum(self.comm_times)
 
 
-@dataclass(frozen=True)
-class StagePlan:
-    stage: int
-    tasks: tuple[TaskId, ...]
-    assignment: tuple[int, ...]  # worker id per task, in timestamp order
-
-
 def assignment_stream(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
 
 
-def plan_stage(stage: int, m: int, weights, rng: np.random.Generator) -> StagePlan:
-    """Plan stage ``stage``: m update tasks, workers drawn with probability q_p."""
-    weights = np.asarray(weights, dtype=np.float64)
-    tasks = tuple(TaskId((stage - 1) * m + k, TaskKind.UPDATE) for k in range(1, m + 1))
-    assignment = tuple(int(p) for p in rng.choice(weights.shape[0], size=m, p=weights))
-    return StagePlan(stage, tasks, assignment)
+def plan_stage(m: int, weights, rng: np.random.Generator) -> list[int]:
+    """The worker of each of a stage's m update tasks, drawn with probability q_p."""
+    return rng.choice(len(weights), size=m, p=weights).tolist()
 
 
 # -- stopping rules ---------------------------------------------------------
@@ -125,9 +114,9 @@ class SchedulerNode(Node):
         self.send("server", TaskAssign(task))
 
     def _issue_stage(self, stage: int):
-        plan = plan_stage(stage, self.hyper.m, self.weights, self.rng)
-        for task, p in zip(plan.tasks, plan.assignment):
-            self.send(f"worker:{p}", TaskAssign(task))
+        first = (stage - 1) * self.hyper.m + 1
+        for k, p in enumerate(plan_stage(self.hyper.m, self.weights, self.rng)):
+            self.send(f"worker:{p}", TaskAssign(TaskId(first + k, TaskKind.UPDATE)))
         self._issue_evaluation(stage)
 
     def _finish(self):
@@ -167,17 +156,12 @@ class SchedulerNode(Node):
         self._issue_stage(self.stage)
 
 
-class RateBound(NamedTuple):
-    gamma: float
-    is_contraction: bool
-
-
 def compute_rate_gamma(mu: float, L: float, eta: float, theta: float,
-                       m: int, tau: int) -> RateBound:
+                       m: int, tau: int) -> float:
     """Linear-rate constant gamma for the hybrid delayed update.
 
     Raises ValueError when eta falls outside (0, mu*theta/(2 L^2)) or theta
-    outside (0, 1]; flags whether gamma < 1 (contraction guaranteed).
+    outside (0, 1]; gamma < 1 guarantees a contraction.
     """
     if not (mu > 0 and L > 0 and m >= 1 and tau >= 0):
         raise ValueError("need mu > 0, L > 0, m >= 1, tau >= 0")
@@ -188,5 +172,4 @@ def compute_rate_gamma(mu: float, L: float, eta: float, theta: float,
         raise ValueError(f"eta={eta} outside the admissible range (0, {limit})")
     first = (1.0 - 2.0 * eta * (mu - eta * L * L / theta)) ** (m / (1.0 + tau))
     second = eta * L * L / (theta * mu - eta * L * L)
-    gamma = first + second
-    return RateBound(gamma, gamma < 1.0)
+    return first + second

@@ -35,7 +35,6 @@ there are at most P records.
 """
 
 import heapq
-import logging
 import math
 from dataclasses import dataclass
 
@@ -49,8 +48,6 @@ from .vrgrad import Snapshot
 
 __all__ = ["HyperParams", "FinishedTasks", "ParamServer", "ProtocolError",
            "aggregate_local_gradients"]
-
-log = logging.getLogger(__name__)
 
 
 class ProtocolError(Exception):
@@ -255,7 +252,6 @@ class ParamServer(Node):
         # a STOP ends new work, but each evaluation round whose pulls were
         # already answered still completes; the final snapshot must exist
         if self.stopped and not (isinstance(msg, EvalPush) and self._rounds):
-            log.info("server stopped; discarding %r from %s", msg, src)
             return
         if isinstance(msg, PullRequest):
             self.gate_pull(msg)
@@ -275,7 +271,6 @@ class ParamServer(Node):
                 raise ProtocolError("server only accepts evaluation task assignments")
         elif isinstance(msg, Stop):
             self.stopped = True
-            log.info("discarding %d deferred pulls after STOP", len(self.pending_pulls))
             self.pending_pulls.clear()
         else:
             raise ProtocolError(f"server cannot handle {type(msg).__name__}")

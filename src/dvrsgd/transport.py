@@ -48,8 +48,11 @@ class TransportError(Exception):
 
 
 class LivelockError(TransportError):
-    """The simulated event count exceeded its configured bound."""
+    """The simulated event count exceeded ``_MAX_EVENTS``."""
 
+
+# dispatches a simulated run may take before it counts as a livelock
+_MAX_EVENTS = 10_000_000
 
 # random latencies drawn per Generator call: a block of k draws is the
 # sequence of k scalar draws, so the block only saves per-call overhead
@@ -159,10 +162,8 @@ class Node:
 class SimCluster:
     """Deterministic single-threaded event loop over logical time."""
 
-    def __init__(self, latency: LatencyModel | None = None, *, max_events: int = 10_000_000,
-                 collect_trace: bool = False):
+    def __init__(self, latency: LatencyModel | None = None, *, collect_trace: bool = False):
         self.latency = latency or LatencyModel("constant", value=0.0)
-        self.max_events = max_events
         self.collect_trace = collect_trace
         self.nodes: dict[str, Node] = {}
         self.now = 0.0
@@ -201,7 +202,7 @@ class SimCluster:
 
         Returns the ordered trace (sends interleaved with deliveries in
         causal order), or None when ``collect_trace`` is off.  Raises
-        LivelockError past ``max_events`` dispatches.
+        LivelockError past ``_MAX_EVENTS`` dispatches.
         """
         if not self._started:
             self._started = True
@@ -215,8 +216,8 @@ class SimCluster:
                 self.trace.append(TraceEvent("deliver", when, seq, src, dst, msg))
             self.nodes[dst].handle(src, msg)
             dispatched += 1
-            if dispatched > self.max_events:
-                raise LivelockError(f"exceeded {self.max_events} events without quiescing")
+            if dispatched > _MAX_EVENTS:
+                raise LivelockError(f"exceeded {_MAX_EVENTS} events without quiescing")
         return self.trace if self.collect_trace else None
 
 
@@ -247,9 +248,8 @@ class SocketCluster:
         self.addresses = dict(addresses)
         self.timeout = self.check_timeout(timeout)
         self.nodes: dict[str, Node] = {}
-        self._listeners: dict[str, socket.socket] = {}
-        self._conns: dict[tuple[str, str], _Connection] = {}
-        self._accepted: set[_Connection] = set()
+        self._socks: list[socket.socket] = []  # every socket opened, for close
+        self._conns: dict[tuple[str, str], _Connection] = {}  # dialed, by (src, dst)
         self._unsent: list[_Connection] = []  # queues for the next _send_unsent
         self._sel: selectors.BaseSelector | None = None
         self._t0 = time.monotonic()
@@ -275,9 +275,6 @@ class SocketCluster:
         self.nodes[endpoint] = node
         node.bind(self, endpoint)
 
-    def bound_port(self, endpoint: str) -> int:
-        return self._listeners[endpoint].getsockname()[1]
-
     def start(self):
         """Bind every hosted endpoint's listener; ``wait`` serves them."""
         self._sel = selectors.DefaultSelector()
@@ -288,7 +285,7 @@ class SocketCluster:
             # kernel must be able to hold all of them unaccepted
             srv = socket.create_server((host, port), backlog=len(self.addresses))
             srv.setblocking(False)
-            self._listeners[endpoint] = srv
+            self._socks.append(srv)
             # rebind in case port 0 was requested
             self.addresses[endpoint] = (host, srv.getsockname()[1])
             self._sel.register(srv, selectors.EVENT_READ, endpoint)
@@ -342,8 +339,8 @@ class SocketCluster:
             self._fail(endpoint, exc)
             return
         sock.setblocking(False)
+        self._socks.append(sock)
         conn = _Connection(sock, endpoint, endpoint)
-        self._accepted.add(conn)
         self._sel.register(sock, selectors.EVENT_READ, conn)
 
     def _read(self, conn: _Connection):
@@ -359,7 +356,6 @@ class SocketCluster:
                     raise ConnectionError("peer closed the stream while the run was live")
                 self._sel.unregister(conn.sock)
                 conn.sock.close()
-                self._accepted.discard(conn)
                 return
             buf = conn.inbuf
             buf += chunk
@@ -392,6 +388,7 @@ class SocketCluster:
                 (host, port), timeout=min(self.timeout, _CONNECT_TIMEOUT_S))
         except OSError as exc:
             raise TransportError(f"cannot connect {src} -> {dst}: {exc}") from exc
+        self._socks.append(sock)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.setblocking(False)
         conn = self._conns[(src, dst)] = _Connection(sock, src, f"{src} -> {dst}")
@@ -452,12 +449,9 @@ class SocketCluster:
 
     def close(self):
         """Close every socket and the selector."""
-        socks = [*self._listeners.values(), *(c.sock for c in self._conns.values()),
-                 *(c.sock for c in self._accepted)]
-        for sock_ in socks:
-            sock_.close()
-        self._listeners.clear()
+        for sock in self._socks:
+            sock.close()
+        self._socks.clear()
         self._conns.clear()
-        self._accepted.clear()
         if self._sel is not None:
             self._sel.close()

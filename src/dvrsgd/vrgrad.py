@@ -81,7 +81,7 @@ def _vr_gradient(problem: Problem, w: np.ndarray, snapshot: Snapshot,
 
 
 def draw_batch(rng: np.random.Generator, pool: np.ndarray, size: int) -> np.ndarray:
-    """Sample ``size`` distinct entries of ``pool`` uniformly, in pool order.
+    """Draw ``size`` distinct entries of ``pool`` uniformly, in pool order.
 
     Every mini-batch in the package (serial and distributed alike) is this
     draw, made here or ``draw_batches`` rows at a time, so equal generator

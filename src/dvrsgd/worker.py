@@ -25,7 +25,6 @@ worker draws its batches a block at a time (``vrgrad.BatchStream``), the same
 batches as one draw per update.
 """
 
-import logging
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -46,8 +45,6 @@ from .vrgrad import BatchStream, Snapshot
 from .vrgrad import _vr_gradient as vr_gradient
 
 __all__ = ["WorkerNode", "sampling_stream"]
-
-log = logging.getLogger(__name__)
 
 
 def sampling_stream(seed: int, stream_id: int) -> np.random.Generator:
@@ -175,8 +172,6 @@ class WorkerNode(Node):
 
     def handle(self, src: str, msg):
         if self.stopped:
-            if not isinstance(msg, (Stop, _ComputeDone)):
-                log.info("worker %d stopped; discarding %r", self.worker_id, msg)
             return
         if isinstance(msg, TaskAssign):
             self.queue.append(msg.task)

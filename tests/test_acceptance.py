@@ -94,15 +94,15 @@ def test_criterion_04_rate_bound_holds(quad_problem):
     p, _, f_star = quad_problem
     mu, L, theta, tau = 1.0, 10.0, 0.5, 8
     eta, m = 5e-4, 2000  # eta inside (0, mu*theta/(2 L^2)) = (0, 0.0025)
-    bound = compute_rate_gamma(mu, L, eta, theta, m, tau)
-    assert bound.is_contraction, "m was chosen large enough for gamma < 1"
+    gamma = compute_rate_gamma(mu, L, eta, theta, m, tau)
+    assert gamma < 1.0, "m was chosen large enough for a contraction"
     h = HyperParams(eta=eta, theta=theta, tau=tau, B=1, m=m, S=50, P=8)
     r = run_cluster(p, h, seed=5)
     sub = np.maximum([rec.objective - f_star for rec in r.records], 1e-18)
     ratios = sub[5:51] / sub[4:50]
     measured = float(np.exp(np.mean(np.log(ratios))))
-    assert measured <= bound.gamma
-    print(f"\ncriterion 4 PASS: mean contraction {measured:.3f} <= gamma {bound.gamma:.3f}")
+    assert measured <= gamma
+    print(f"\ncriterion 4 PASS: mean contraction {measured:.3f} <= gamma {gamma:.3f}")
 
 
 def test_criterion_05_dpg_plateau_gap(quad_problem, criterion3_run):
@@ -135,12 +135,12 @@ def test_criterion_06_bounded_delay_invariant():
 def test_criterion_07_snapshot_aggregation_identity():
     p = make_synthetic("l2-logistic", 1000, 12, lam=0.03, seed=22)
     parts = partition(p, 7, "shuffled", seed=23)
-    assert len(set(parts.counts.tolist())) > 1  # genuinely uneven
+    assert len({len(s) for s in parts.subsets}) > 1  # genuinely uneven
     rng = np.random.default_rng(24)
     worst = 0.0
     for _ in range(5):
         w = rng.normal(size=p.dim)
-        grads = [mean_gradient(p, w, parts.indices_for(q)) for q in range(7)]
+        grads = [mean_gradient(p, w, parts.subsets[q]) for q in range(7)]
         agg = aggregate_local_gradients(grads, parts.weights)
         worst = max(worst, float(np.linalg.norm(agg - full_gradient(p, w))))
     assert worst <= 1e-12

@@ -48,6 +48,10 @@ def test_malformed_line_reports_number(tmp_path):
     f.write_text("1 2:0.5 2:0.6\n")
     with pytest.raises(DataFormatError, match="line 1"):
         load_libsvm(f)
+    f.write_text("0 1:1.0\n1 1:0.5 3:-2.0 2:0.25\n")
+    with pytest.raises(DataFormatError, match="line 2: feature indices must be strictly "
+                                              "increasing"):
+        load_libsvm(f)
 
 
 def test_empty_file_rejected(tmp_path):
@@ -69,24 +73,24 @@ def test_dim_override(tmp_path):
 def test_partition_even_split():
     p = make_synthetic("l2-logistic", 10, 3, seed=0)
     parts = partition(p, 2)
-    assert parts.counts.tolist() == [5, 5]
+    assert [len(s) for s in parts.subsets] == [5, 5]
     assert parts.weights.tolist() == [0.5, 0.5]
-    assert np.array_equal(parts.indices_for(0), np.arange(5))
+    assert np.array_equal(parts.subsets[0], np.arange(5))
 
 
 def test_partition_remainder_to_early_workers():
     p = make_synthetic("l2-logistic", 10, 3, seed=0)
     parts = partition(p, 3)
-    assert parts.counts.tolist() == [4, 3, 3]
+    assert [len(s) for s in parts.subsets] == [4, 3, 3]
 
 
 def test_partition_shuffled_deterministic():
     p = make_synthetic("l2-logistic", 24, 3, seed=0)
     a = partition(p, 5, "shuffled", seed=3)
     b = partition(p, 5, "shuffled", seed=3)
-    assert np.array_equal(a.assignments, b.assignments)
+    assert all(np.array_equal(x, y) for x, y in zip(a.subsets, b.subsets))
     c = partition(p, 5, "shuffled", seed=4)
-    assert not np.array_equal(a.assignments, c.assignments)
+    assert not all(np.array_equal(x, y) for x, y in zip(a.subsets, c.subsets))
 
 
 def test_partition_disjoint_cover_randomized():
@@ -98,18 +102,22 @@ def test_partition_disjoint_cover_randomized():
                            mu=1.0, smoothness=2.0)
         strategy = "shuffled" if rng.random() < 0.5 else "contiguous"
         parts = partition(p, P, strategy, seed=int(rng.integers(1000)))
-        union = np.concatenate([parts.indices_for(q) for q in range(P)])
+        union = np.concatenate(parts.subsets)
         assert sorted(union.tolist()) == list(range(n))
-        assert parts.counts.sum() == n
+        assert len(parts.subsets) == P
         assert abs(parts.weights.sum() - 1.0) <= 1e-15
 
 
 @pytest.mark.parametrize("strategy", ["contiguous", "shuffled"])
 @pytest.mark.parametrize("n, P", [(1, 1), (7, 3), (50, 50), (101, 8), (8192, 256)])
 def test_partition_subsets_are_the_assignment_scans(strategy, n, P):
+    # each subset is the ascending scan of the sample -> worker map it defines
     parts = partition(make_synthetic("quadratic", n, 2, seed=1), P, strategy, seed=9)
+    assignments = np.full(n, -1)
+    for q, subset in enumerate(parts.subsets):
+        assignments[subset] = q
     for q in range(P):
-        assert np.array_equal(parts.indices_for(q), np.nonzero(parts.assignments == q)[0])
+        assert np.array_equal(parts.subsets[q], np.nonzero(assignments == q)[0])
 
 
 def test_partition_rejects_more_workers_than_samples():
@@ -128,5 +136,5 @@ def test_weighted_aggregate_identity():
         w = rng.normal(size=p.dim)
         agg = np.zeros(p.dim)
         for q in range(7):
-            agg += parts.weights[q] * mean_gradient(p, w, parts.indices_for(q))
+            agg += parts.weights[q] * mean_gradient(p, w, parts.subsets[q])
         assert np.linalg.norm(agg - full_gradient(p, w)) <= 1e-12

@@ -1,7 +1,10 @@
 import dataclasses
 import gc
 import hashlib
+import os
 import socket
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 
 from dvrsgd import baselines, harness
 from dvrsgd.baselines import BASELINES, algo_config, serial_svrg
+from dvrsgd.data import load_libsvm, partition, write_libsvm
 from dvrsgd.harness import (ExperimentConfig, main, run_cluster, run_cluster_socket,
                             run_experiment, sweep)
 from dvrsgd.losses import make_synthetic, objective
@@ -260,7 +264,16 @@ def test_sweep_theta_zero_matches_dsvrg(tmp_path):
     rows = Path(summary).read_text().splitlines()
     assert rows[0] == "value,stages_to_target,total_time,comp_time,comm_time"
     assert len(rows) == 3
-    assert (out_dir / "sweep_theta.gp").exists()
+    # one point per summary row, labelled by its value, for any axis
+    assert (out_dir / "sweep_theta.gp").read_text() == (
+        'set datafile separator ","\nset key top right\nset xlabel "theta"\n'
+        'set ylabel "time"\n'
+        'plot "sweep_theta_summary.csv" skip 1 using 0:3:xtic(1) with linespoints '
+        'title "total", '
+        '"sweep_theta_summary.csv" skip 1 using 0:4:xtic(1) with linespoints '
+        'title "comp", '
+        '"sweep_theta_summary.csv" skip 1 using 0:5:xtic(1) with linespoints '
+        'title "comm"\n')
     # the theta=0 run reproduces a dsvrg run with the same seed
     import dataclasses
     dsvrg_cfg = dataclasses.replace(cfg, algo="dsvrg", out=str(tmp_path / "dsvrg.csv"))
@@ -299,8 +312,10 @@ def test_cli_sweep_over_algorithms_writes_one_csv_each(tmp_path, capsys):
     capsys.readouterr()
 
 
+# "uniform" parses, validates and would run first; "unifrom" fails validate()
 @pytest.mark.parametrize("axis,values", [("P", ["two"]), ("tau", ["1", "1.5"]),
-                                         ("endpoints", ["x"])])
+                                         ("endpoints", ["x"]),
+                                         ("latency", ["uniform", "unifrom"])])
 def test_sweep_rejects_a_value_before_running_any(tmp_path, axis, values):
     with pytest.raises(ValueError):
         sweep(small_config(tmp_path), axis, values, out_dir=str(tmp_path / "bad"))
@@ -330,7 +345,8 @@ def test_uneven_shuffled_partitions_full_run():
     from dvrsgd.transport import LatencyModel
     r = run_cluster(p, h, seed=10, partition_strategy="shuffled", partition_seed=11,
                     latency=LatencyModel("uniform", lo=0.5, hi=2.0, seed=12))
-    assert sorted(r.partitioning.counts.tolist()) == [25, 25, 25, 26]
+    parts = partition(p, h.P, "shuffled", seed=11)
+    assert sorted(len(s) for s in parts.subsets) == [25, 25, 25, 26]
     for rec, snap in zip(r.records, r.snapshots):
         assert rec.objective == pytest.approx(objective(p, snap.anchor), abs=1e-12)
     assert r.records[-1].objective < r.records[0].objective
@@ -346,6 +362,50 @@ def test_cli_run_and_sweep(tmp_path, capsys):
                  "--out-dir", str(tmp_path / "cli-sweep")]) == 0
     assert main(["run", "--config", str(tmp_path / "missing.ini")]) == 1
     capsys.readouterr()
+
+
+def test_python_m_dvrsgd_runs_the_cli_without_warnings(tmp_path):
+    cfg = small_config(tmp_path)
+    ini = tmp_path / "exp.ini"
+    cfg.to_file(ini)
+    env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-m", "dvrsgd", "run", "--config", str(ini)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == f"wrote 4 stage records to {cfg.out}\n"
+    run_experiment(cfg, out=str(tmp_path / "in-process.csv"))
+    assert Path(cfg.out).read_bytes() == (tmp_path / "in-process.csv").read_bytes()
+
+
+@pytest.mark.parametrize("dim", [None, 9])
+def test_libsvm_source_runs_through_the_harness(tmp_path, dim):
+    path = tmp_path / "train.svm"
+    write_libsvm(make_synthetic("l2-logistic", 40, 6, lam=0.05, seed=4), path)
+    cfg = small_config(tmp_path, source="libsvm", path=str(path), dim=dim, lam=0.05)
+    records = run_experiment(cfg)
+    problem = load_libsvm(path, lam=0.05, dim=dim)
+    assert problem.num_features == (6 if dim is None else 9)
+    want = run_cluster(problem, cfg.build_hyper(problem.n), algo=cfg.algo, seed=cfg.seed)
+    assert len(records) == cfg.S + 1
+    assert records == want.records
+
+
+@pytest.mark.parametrize("fields", [dict(stop_param=0.6), dict(target_objective=0.6)],
+                         ids=["stop-param", "target-objective"])
+def test_stop_target_from_a_config_ends_the_run_early(tmp_path, fields):
+    records = run_experiment(small_config(tmp_path, S=20, stop="target", **fields))
+    assert len(records) < 21
+    assert records[-1].objective <= 0.6 < records[-2].objective
+
+
+def test_stop_reldecrease_from_a_config_ends_the_run_early(tmp_path):
+    rtol = 1e-2
+    records = run_experiment(small_config(tmp_path, S=20, stop="reldecrease", stop_param=rtol))
+    assert len(records) < 21
+    objectives = [r.objective for r in records]
+    # the last stage is the first to improve by less than rtol relatively
+    gains = [(a - b) / a for a, b in zip(objectives, objectives[1:])]
+    assert gains[-1] <= rtol and min(gains[:-1]) > rtol
 
 
 def test_cli_algo_override(tmp_path):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from dvrsgd.losses import (Problem, Sample, _ordered_sum, full_gradient, loss_sum,
-                           make_synthetic, objective, sample_gradient, sample_loss)
+from dvrsgd.data import DataFormatError, _parse_line
+from dvrsgd.losses import (Problem, _ordered_sum, full_gradient, loss_sum, make_synthetic,
+                           mean_gradient, objective)
 from helpers import finite_difference_gradient, logistic_newton, quad_solution
 
 ALL_KINDS = [
@@ -13,14 +14,16 @@ ALL_KINDS = [
 
 
 def test_sample_invariants():
-    s = Sample([0, 2, 5], [1.0, -2.0, 0.5], 1)
+    # one sparse sample: values land at their 0-based indices, which must strictly increase
+    label, indices, values = _parse_line("1 1:1.0 3:-2.0 6:0.5", 1)
+    assert label == 1.0
     dense = np.zeros(6)
-    dense[s.indices] = s.values
+    dense[indices] = values
     assert np.array_equal(dense, [1.0, 0.0, -2.0, 0.0, 0.0, 0.5])
-    with pytest.raises(ValueError):
-        Sample([2, 1], [1.0, 1.0], 0)  # not strictly increasing
-    with pytest.raises(ValueError):
-        Sample([0, 0], [1.0, 1.0], 0)
+    with pytest.raises(DataFormatError, match="strictly increasing"):
+        _parse_line("0 3:1.0 2:1.0", 1)
+    with pytest.raises(DataFormatError, match="strictly increasing"):
+        _parse_line("0 1:1.0 1:1.0", 1)
 
 
 def test_multiclass_gradient_at_zero():
@@ -28,7 +31,7 @@ def test_multiclass_gradient_at_zero():
     p = make_synthetic("multiclass-logistic", 10, 4, num_classes=3, lam=0.0, seed=3)
     w = np.zeros(p.dim)
     for i in range(p.n):
-        g = sample_gradient(p, w, i).reshape(p.num_classes, p.num_features)
+        g = mean_gradient(p, w, [i]).reshape(p.num_classes, p.num_features)
         x, y = p.features[i], p.targets[i]
         for j in range(p.num_classes):
             coef = 1.0 / p.num_classes - (1.0 if j == y else 0.0)
@@ -41,7 +44,7 @@ def test_quadratic_zero_residual_gradient():
     p0 = Problem("quadratic", p.features, p.targets, lam=0.0)
     a = p0.features[7]
     w = p0.targets[7] * a / float(a @ a)  # a.w == b exactly up to rounding
-    g = sample_gradient(p0, w, 7)
+    g = mean_gradient(p0, w, [7])
     assert np.linalg.norm(g) < 1e-12
 
 
@@ -51,8 +54,8 @@ def test_gradients_match_finite_differences():
         for _ in range(17):  # ~50 (w, i) pairs across the three kinds
             w = rng.normal(size=p.dim)
             i = int(rng.integers(p.n))
-            g = sample_gradient(p, w, i)
-            fd = finite_difference_gradient(lambda v: sample_loss(p, v, i), w)
+            g = mean_gradient(p, w, [i])
+            fd = finite_difference_gradient(lambda v: loss_sum(p, v, [i]), w)
             assert np.linalg.norm(g - fd) <= 1e-5 * max(1.0, np.linalg.norm(g))
 
 
@@ -60,16 +63,16 @@ def test_full_gradient_is_ordered_mean_bitwise():
     rng = np.random.default_rng(1)
     for p in ALL_KINDS:
         w = rng.normal(size=p.dim)
-        acc = sample_gradient(p, w, 0)
+        acc = mean_gradient(p, w, [0])
         for i in range(1, p.n):
-            acc = acc + sample_gradient(p, w, i)
+            acc = acc + mean_gradient(p, w, [i])
         assert np.array_equal(full_gradient(p, w), acc / p.n)
 
 
 def test_full_gradient_single_sample():
     p = make_synthetic("l2-logistic", 1, 4, lam=0.1, seed=5)
     w = np.arange(4.0)
-    assert np.array_equal(full_gradient(p, w), sample_gradient(p, w, 0))
+    assert np.array_equal(full_gradient(p, w), mean_gradient(p, w, [0]))
 
 
 def test_objective_at_zero_is_log_k():
@@ -145,7 +148,7 @@ def test_make_synthetic_rejects_bad_sizes():
 def test_parameter_validation():
     p = ALL_KINDS[0]
     with pytest.raises(ValueError):
-        sample_gradient(p, np.zeros(p.dim), p.n)  # index out of range
+        mean_gradient(p, np.zeros(p.dim), [p.n])  # index out of range
     bad = np.zeros(p.dim)
     bad[0] = np.nan
     with pytest.raises(ValueError):

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from dvrsgd import harness
 from dvrsgd.baselines import BASELINES
+from dvrsgd.data import partition
 from dvrsgd.harness import run_cluster, run_cluster_socket
 from dvrsgd.losses import make_synthetic, mean_gradient
 from dvrsgd.server import HyperParams, aggregate_local_gradients
@@ -72,10 +73,10 @@ def test_schedules_differ_once_tau_allows_stale_pulls(problem):
 def check_snapshots(problem, hyper, result):
     """One snapshot per stage 0..S, each holding, bit for bit, the aggregate
     of the partitions' mean gradients at its anchor."""
-    parts = result.partitioning
+    parts = partition(problem, hyper.P)
     assert [snap.stage for snap in result.snapshots] == list(range(hyper.S + 1))
     for snap in result.snapshots:
-        grads = [mean_gradient(problem, snap.anchor, parts.indices_for(p))
+        grads = [mean_gradient(problem, snap.anchor, parts.subsets[p])
                  for p in range(hyper.P)]
         assert np.array_equal(snap.anchor_grad, aggregate_local_gradients(grads, parts.weights))
 
@@ -104,7 +105,7 @@ def test_only_vr_workers_keep_a_snapshot(monkeypatch, algo):
     result = run_cluster(problem, h, algo=algo, seed=0,
                          latency=LatencyModel("adversarial", seed=0))
     check_snapshots(problem, h, result)
-    (_, _, workers, _), = built
+    (_, _, workers), = built
     if algo == "dvrsgd":
         assert all(wk.snapshot.stage == h.S for wk in workers)
     else:

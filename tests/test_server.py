@@ -108,7 +108,7 @@ def test_duplicate_pulls_rejected_while_pending_and_once_answered():
 def test_answered_pull_state_bounded_by_worker_count():
     p = make_synthetic("quadratic", 120, 4, seed=5, mu=1.0, smoothness=5.0)
     hyper = HyperParams(eta=0.02, theta=0.5, tau=2, B=3, m=20, S=4, P=6)
-    sched, server, workers, _ = _build_nodes(
+    sched, server, workers = _build_nodes(
         p, hyper, "dvrsgd", seed=1, grad_tick=0.01, partition_strategy="contiguous",
         partition_seed=0, stop_rule=None)
     sim = SimCluster(LatencyModel("uniform", lo=1.0, hi=5.0, seed=2))
@@ -313,7 +313,7 @@ def evaluate(server, grads):
     for p in range(len(grads)):
         assert server.gate_pull(PullRequest(p, task)) is True
     for p, g in enumerate(grads):
-        server.handle(f"worker:{p}", EvalPush(p, np.asarray(g, dtype=float), 0.0))
+        server.handle(f"worker:{p}", EvalPush(p, np.asarray(g, dtype=float), 0.0, 0.0, 0.0))
 
 
 def test_stage_end_single_worker_identity():
@@ -339,11 +339,11 @@ def test_stage_end_missing_worker():
     for p in range(3):
         server.gate_pull(PullRequest(p, task))
     for p in (0, 2):
-        server.handle(f"worker:{p}", EvalPush(p, np.zeros(2), 0.0))
+        server.handle(f"worker:{p}", EvalPush(p, np.zeros(2), 0.0, 0.0, 0.0))
     assert server.snapshot_history == [] and sorted(server._rounds[0][1]) == [0, 2]
     server.handle("scheduler", Stop())
     assert not server.can_shutdown()
-    server.handle("worker:1", EvalPush(1, np.zeros(2), 0.0))
+    server.handle("worker:1", EvalPush(1, np.zeros(2), 0.0, 0.0, 0.0))
     assert [s.stage for s in server.snapshot_history] == [0] and server.can_shutdown()
 
 
@@ -353,15 +353,15 @@ def test_overlapping_rounds_keep_their_own_pushes():
     server, _ = make_server(tau=0, m=1, P=2)
     for p in range(2):
         assert server.gate_pull(PullRequest(p, TaskId(1, TaskKind.EVALUATION))) is True
-    server.handle("worker:0", EvalPush(0, np.array([1.0, 0.0]), 0.0))
+    server.handle("worker:0", EvalPush(0, np.array([1.0, 0.0]), 0.0, 0.0, 0.0))
     pull(server, 1)
     server.apply_update(push(1, np.array([1.0, 1.0])))
     anchor1 = server.w
     assert server.gate_pull(PullRequest(0, TaskId(2, TaskKind.EVALUATION))) is True
-    server.handle("worker:0", EvalPush(0, np.array([3.0, 0.0]), 0.0))
-    server.handle("worker:1", EvalPush(1, np.array([0.0, 1.0]), 0.0))
+    server.handle("worker:0", EvalPush(0, np.array([3.0, 0.0]), 0.0, 0.0, 0.0))
+    server.handle("worker:1", EvalPush(1, np.array([0.0, 1.0]), 0.0, 0.0, 0.0))
     assert server.gate_pull(PullRequest(1, TaskId(2, TaskKind.EVALUATION))) is True
-    server.handle("worker:1", EvalPush(1, np.array([0.0, 3.0]), 0.0))
+    server.handle("worker:1", EvalPush(1, np.array([0.0, 3.0]), 0.0, 0.0, 0.0))
     zero, one = server.snapshot_history
     assert (zero.stage, one.stage) == (0, 1)
     assert np.array_equal(zero.anchor, np.zeros(2)) and one.anchor is anchor1
@@ -385,14 +385,14 @@ def round_state(server):
 def test_eval_push_that_answers_no_released_eval_pull_rejected(worker, pulled):
     server, _ = make_server(tau=0, m=3, P=2)
     assert server.gate_pull(PullRequest(0, TaskId(1, TaskKind.EVALUATION))) is True
-    server.handle("worker:0", EvalPush(0, np.ones(2), 0.0))
+    server.handle("worker:0", EvalPush(0, np.ones(2), 0.0, 0.0, 0.0))
     if pulled is not None:
         server.gate_pull(PullRequest(worker, pulled))
     before = round_state(server)
     with pytest.raises(ProtocolError, match=f"worker {worker} has no released evaluation pull"):
-        server.handle(f"worker:{worker}", EvalPush(worker, np.zeros(2), 0.0))
+        server.handle(f"worker:{worker}", EvalPush(worker, np.zeros(2), 0.0, 0.0, 0.0))
     assert round_state(server) == before and server.snapshot_history == []
-    assert server._rounds[0][1][0] == EvalPush(0, np.ones(2), 0.0)
+    assert server._rounds[0][1][0] == EvalPush(0, np.ones(2), 0.0, 0.0, 0.0)
 
 
 def test_aggregate_weights_must_sum_to_one():
@@ -404,7 +404,7 @@ def test_stage_end_matches_full_gradient_random_partition():
     p = make_synthetic("quadratic", 100, 6, seed=1, mu=1.0, smoothness=5.0)
     parts = partition(p, 4, "shuffled", seed=2)
     w = np.random.default_rng(3).normal(size=p.dim)
-    grads = [mean_gradient(p, w, parts.indices_for(q)) for q in range(4)]
+    grads = [mean_gradient(p, w, parts.subsets[q]) for q in range(4)]
     agg = aggregate_local_gradients(grads, parts.weights)
     assert np.linalg.norm(agg - full_gradient(p, w)) <= 1e-12
 

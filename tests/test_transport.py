@@ -120,7 +120,9 @@ def test_duplicate_endpoint_rejected(make):
     assert cluster.nodes == {"a": first} and first.transport is cluster
 
 
-def test_livelock_detection():
+def test_livelock_detection(monkeypatch):
+    monkeypatch.setattr(transport, "_MAX_EVENTS", 100)
+
     class PingPong(Node):
         def handle(self, src, msg):
             self.send(src, msg)
@@ -129,7 +131,7 @@ def test_livelock_detection():
             if self.endpoint == "a":
                 self.send("b", "ball")
 
-    sim = SimCluster(max_events=100)
+    sim = SimCluster()
     sim.register("a", PingPong())
     sim.register("b", PingPong())
     with pytest.raises(LivelockError):
@@ -227,7 +229,7 @@ def _started(**nodes):
 
 def _raw_client(cluster, endpoint, name="peer"):
     """A TCP client of ``endpoint`` that has sent its HELLO as ``name``."""
-    sock = socket.create_connection(("127.0.0.1", cluster.bound_port(endpoint)), timeout=5.0)
+    sock = socket.create_connection(("127.0.0.1", cluster.addresses[endpoint][1]), timeout=5.0)
     hello = name.encode()
     sock.sendall(struct.pack("<I", len(hello) + 1) + b"\x00" + hello)
     return sock
@@ -327,7 +329,7 @@ def test_stream_not_opening_with_a_hello_fails_the_run():
     sink = Sink(expect=1)
     cluster = _started(a=sink)
     try:
-        with socket.create_connection(("127.0.0.1", cluster.bound_port("a")),
+        with socket.create_connection(("127.0.0.1", cluster.addresses["a"][1]),
                                       timeout=5.0) as client:
             client.sendall(protocol.encode(TaskAssign(TaskId(1, TaskKind.UPDATE)))
                            + protocol.encode(Stop()))
@@ -479,7 +481,7 @@ def test_socket_run_with_hundreds_of_workers_completes():
 
 def test_close_of_an_idle_cluster_closes_its_listener():
     cluster = _started(a=Sink(expect=1))
-    listener = cluster._listeners["a"]
+    (listener,) = cluster._socks
     cluster.close()
     assert listener.fileno() == -1
     cluster.close()  # a second close is harmless

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dvrsgd.losses import full_gradient, make_synthetic, mean_gradient, sample_gradient
+from dvrsgd.losses import full_gradient, make_synthetic, mean_gradient
 from dvrsgd.vrgrad import (BatchStream, Snapshot, draw_batch, draw_batches, make_snapshot,
                            vr_gradient)
 from helpers import quad_solution
@@ -58,7 +58,6 @@ def test_variance_shrinkage_near_optimum():
 def test_plain_gradient_special_cases(problem):
     rng = np.random.default_rng(6)
     w = rng.normal(size=problem.dim)
-    assert np.array_equal(mean_gradient(problem, w, [4]), sample_gradient(problem, w, 4))
     assert np.array_equal(mean_gradient(problem, w, np.arange(problem.n)),
                           full_gradient(problem, w))
     # anchored at w the per-sample corrections cancel, leaving anchor_grad:

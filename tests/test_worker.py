@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dvrsgd.losses import KINDS, loss_sum, make_synthetic, objective, sample_gradient
+from dvrsgd.losses import KINDS, loss_sum, make_synthetic, mean_gradient, objective
 from dvrsgd.protocol import (EvalPush, PullRequest, PullResponse, SnapshotBroadcast,
                              Stop, TaskAssign, TaskId, TaskKind, UpdatePush, eval_stage,
                              update_stage)
@@ -183,7 +183,7 @@ def test_evaluation_task_single_sample_partition(problem):
     sim.run_until_quiescent()
     (push,) = server.pushes
     assert isinstance(push, EvalPush)
-    assert np.array_equal(push.local_grad, sample_gradient(problem, np.zeros(problem.dim), 7))
+    assert np.array_equal(push.local_grad, mean_gradient(problem, np.zeros(problem.dim), [7]))
 
 
 def test_evaluation_objective_sums(problem):
