@@ -211,6 +211,11 @@ class ExperimentConfig:
             errors.append(f"unknown problem source {self.source!r}")
         if self.source == "libsvm" and not self.path:
             errors.append("libsvm source needs a path")
+        elif self.source == "libsvm":
+            try:
+                open(self.path, "rb").close()
+            except OSError as exc:
+                errors.append(f"path {self.path!r} cannot be read: {exc.strerror}")
         if self.mode not in ("sim", "socket"):
             errors.append(f"unknown transport mode {self.mode!r}")
         if self.mode == "socket" and not self.endpoints:

@@ -145,6 +145,7 @@ class ParamServer(Node):
         # heap of ((threshold, timestamp, arrival), request)
         self.pending_pulls: list[tuple[tuple[int, int, int], PullRequest]] = []
         self._last_pull: dict[int, list] = {}  # worker -> [_order_key, w_hat/stage or None]
+        self._endpoints = tuple(f"worker:{p}" for p in range(hyper.P))
         self._arrival = 0
         self.snapshot_history: list[Snapshot] = []
         # open evaluation rounds: stage -> (anchor, {worker: EvalPush})
@@ -153,19 +154,12 @@ class ParamServer(Node):
 
     # -- gating -----------------------------------------------------------
 
-    def _threshold(self, task) -> int:
-        """The finished watermark at which a pull for ``task`` may be answered."""
-        if task.kind == TaskKind.UPDATE:
-            if self.gate_bound is None:
-                return -1
-            return task.timestamp - self.gate_bound - 1
-        return task.timestamp - 1
-
     @staticmethod
     def _order_key(task) -> tuple[int, int]:
-        # a stage's evaluation task shares its timestamp with the next stage's
-        # first update task and comes before it
-        return task.timestamp, 0 if task.kind == TaskKind.EVALUATION else 1
+        # a stage's evaluation task (rank 0) shares its timestamp with the next
+        # stage's first update task (rank 1) and comes before it.  The gate
+        # tests a kind as the int it is: UPDATE is 0 and EVALUATION is 1.
+        return task.timestamp, 1 - task.kind
 
     def gate_pull(self, req: PullRequest) -> bool:
         """Answer ``req`` now if eligible, else buffer it.  Returns True if answered."""
@@ -175,30 +169,34 @@ class ParamServer(Node):
         key = self._order_key(task)
         if key <= self._last_pull.get(req.worker, ((-1, 0), None))[0]:
             raise ProtocolError(f"duplicate pull from worker {req.worker} for {task}")
-        if task.kind == TaskKind.UPDATE and task.timestamp in self.finished:
+        if task.kind:  # evaluation: once every update timestamp < t is finished
+            threshold = task.timestamp - 1
+        elif task.timestamp in self.finished:
             raise ProtocolError(f"pull for already-finished task {task}")
-        self._last_pull[req.worker] = [key, None]
-        threshold = self._threshold(task)
+        else:
+            threshold = -1 if self.gate_bound is None else task.timestamp - self.gate_bound - 1
+        last = self._last_pull[req.worker] = [key, None]
         if threshold <= self.finished.watermark:
-            self._respond(req)
+            self._respond(req, last)
             return True
         self._arrival += 1
         heapq.heappush(self.pending_pulls, ((threshold, task.timestamp, self._arrival), req))
         return False
 
-    def _respond(self, req: PullRequest):
+    def _respond(self, req: PullRequest, last=None):
+        """Send ``req`` its response.  ``last``, the worker's ``_last_pull``
+        record while ``req`` is its last pull, keeps what it was answered with."""
         task = req.task
-        if task.kind == TaskKind.EVALUATION:
+        if task.kind:
             held = eval_stage(task, self.hyper.m)
             # the stage-final w, frozen by the stage's first answered pull before
             # any next-stage update lands; every worker gets it, byte-identical
             w = self._rounds.setdefault(held, (self.w, {}))[0]
         else:
             w = held = self.w
-        last = self._last_pull[req.worker]
-        if last[0] == self._order_key(task):  # still its last pull
+        if last is not None:
             last[1] = held
-        self.send(f"worker:{req.worker}", PullResponse(task, w))
+        self.send(self._endpoints[req.worker], PullResponse(task, w))
 
     def _rescan_pending(self):
         """Answer every buffered pull whose threshold the watermark has reached.
@@ -208,12 +206,16 @@ class ParamServer(Node):
         sorted scan of all buffered pulls would.
         """
         pending, watermark = self.pending_pulls, self.finished.watermark
-        released = []
+        if not pending or pending[0][0][0] > watermark:
+            return
+        released = [heapq.heappop(pending)]
         while pending and pending[0][0][0] <= watermark:
             released.append(heapq.heappop(pending))
-        released.sort(key=lambda e: e[0][1:])
+        if len(released) > 1:
+            released.sort(key=lambda e: e[0][1:])
         for _, req in released:
-            self._respond(req)
+            last = self._last_pull[req.worker]
+            self._respond(req, last if last[0] == self._order_key(req.task) else None)
 
     # -- updates and stage end ---------------------------------------------
 
@@ -239,8 +241,8 @@ class ParamServer(Node):
         snap = Snapshot(anchor=anchor, anchor_grad=grad, stage=stage)
         self.snapshot_history.append(snap)
         if not self.stopped:
-            for p in range(self.hyper.P):
-                self.send(f"worker:{p}", SnapshotBroadcast(grad))
+            for endpoint in self._endpoints:
+                self.send(endpoint, SnapshotBroadcast(grad))
         return snap
 
     def can_shutdown(self) -> bool:

@@ -12,7 +12,8 @@ Both transports honor the same contract:
 Latencies come from a seeded ``LatencyModel``; deliveries that would overtake
 an earlier message on the same pair are clamped to preserve FIFO order, and
 ties are broken by a global sequence number, so a fixed seed replays the exact
-same schedule.  It records a full event trace for invariant checking.
+same schedule.  With ``collect_trace`` on (it is off by default) it records
+every send and delivery, in causal order, for invariant checking.
 
 ``SocketCluster`` serves every registered node behind real TCP endpoints
 speaking the frame format from ``protocol``, from one ``selectors`` loop that
@@ -179,23 +180,26 @@ class SimCluster:
         self.nodes[endpoint] = node
         node.bind(self, endpoint)
 
-    def _push(self, when: float, src: str, dst: str, msg):
+    def send(self, src: str, dst: str, msg):
+        if dst not in self.nodes:
+            raise TransportError(f"unknown endpoint {dst!r}")
+        when = self.now + self.latency.sample()
+        last = self._last_delivery.get((src, dst), 0.0)
+        if when < last:  # would overtake the pair's previous message
+            when = last
+        else:
+            self._last_delivery[src, dst] = when
         self._seq += 1
         heapq.heappush(self._heap, (when, self._seq, src, dst, msg))
         if self.collect_trace:
             self.trace.append(TraceEvent("send", self.now, self._seq, src, dst, msg))
 
-    def send(self, src: str, dst: str, msg):
-        if dst not in self.nodes:
-            raise TransportError(f"unknown endpoint {dst!r}")
-        pair = (src, dst)
-        when = max(self.now + self.latency.sample(), self._last_delivery.get(pair, 0.0))
-        self._last_delivery[pair] = when
-        self._push(when, src, dst, msg)
-
     def schedule(self, endpoint: str, delay: float, msg):
         # local timer (compute completion); not subject to pair FIFO clamping
-        self._push(self.now + delay, endpoint, endpoint, msg)
+        self._seq += 1
+        heapq.heappush(self._heap, (self.now + delay, self._seq, endpoint, endpoint, msg))
+        if self.collect_trace:
+            self.trace.append(TraceEvent("send", self.now, self._seq, endpoint, endpoint, msg))
 
     def run_until_quiescent(self) -> list[TraceEvent]:
         """Dispatch events in (time, seq) order until the queue drains.
@@ -208,17 +212,17 @@ class SimCluster:
             self._started = True
             for node in self.nodes.values():
                 node.on_start()
-        dispatched = 0
-        while self._heap:
-            when, seq, src, dst, msg = heapq.heappop(self._heap)
+        heap, pop, nodes = self._heap, heapq.heappop, self.nodes
+        trace = self.trace if self.collect_trace else None
+        for _ in range(_MAX_EVENTS + 1):
+            if not heap:
+                return trace
+            when, seq, src, dst, msg = pop(heap)
             self.now = when
-            if self.collect_trace:
-                self.trace.append(TraceEvent("deliver", when, seq, src, dst, msg))
-            self.nodes[dst].handle(src, msg)
-            dispatched += 1
-            if dispatched > _MAX_EVENTS:
-                raise LivelockError(f"exceeded {_MAX_EVENTS} events without quiescing")
-        return self.trace if self.collect_trace else None
+            if trace is not None:
+                trace.append(TraceEvent("deliver", when, seq, src, dst, msg))
+            nodes[dst].handle(src, msg)
+        raise LivelockError(f"exceeded {_MAX_EVENTS} events without quiescing")
 
 
 class _Connection:

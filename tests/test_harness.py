@@ -312,14 +312,42 @@ def test_cli_sweep_over_algorithms_writes_one_csv_each(tmp_path, capsys):
     capsys.readouterr()
 
 
-# "uniform" parses, validates and would run first; "unifrom" fails validate()
+# "uniform" parses, validates and would run first; "unifrom" fails validate(),
+# and so does a libsvm path that cannot be opened after one that can
 @pytest.mark.parametrize("axis,values", [("P", ["two"]), ("tau", ["1", "1.5"]),
                                          ("endpoints", ["x"]),
-                                         ("latency", ["uniform", "unifrom"])])
-def test_sweep_rejects_a_value_before_running_any(tmp_path, axis, values):
+                                         ("latency", ["uniform", "unifrom"]),
+                                         ("path", ["a.svm", "missing.svm"])])
+def test_sweep_rejects_a_value_before_running_any(tmp_path, monkeypatch, axis, values):
+    cfg = small_config(tmp_path)
+    if axis == "path":
+        monkeypatch.chdir(tmp_path)
+        write_libsvm(make_synthetic("l2-logistic", 40, 6, lam=0.05, seed=4), "a.svm")
+        cfg.source = "libsvm"
     with pytest.raises(ValueError):
-        sweep(small_config(tmp_path), axis, values, out_dir=str(tmp_path / "bad"))
+        sweep(cfg, axis, values, out_dir=str(tmp_path / "bad"))
     assert not (tmp_path / "bad").exists()
+
+
+def test_validate_names_a_libsvm_path_that_cannot_be_read(tmp_path, capsys):
+    write_libsvm(make_synthetic("l2-logistic", 40, 6, lam=0.05, seed=4), tmp_path / "a.svm")
+    cfg = small_config(tmp_path, source="libsvm", path=str(tmp_path / "a.svm"))
+    assert cfg.validate() == []
+    for path, cause in ((tmp_path / "missing.svm", "No such file or directory"),
+                        (tmp_path, "Is a directory")):
+        cfg.path = str(path)
+        assert cfg.validate() == [f"path {str(path)!r} cannot be read: {cause}"]
+    # a synthetic source never reads its path
+    assert small_config(tmp_path, path=str(tmp_path / "missing.svm")).validate() == []
+    # the sweep exits 1 before it runs the readable path
+    cfg.path = str(tmp_path / "a.svm")
+    cfg.to_file(tmp_path / "exp.ini")
+    out = tmp_path / "paths"
+    assert main(["sweep", "--config", str(tmp_path / "exp.ini"), "--axis", "path",
+                 "--values", f"{tmp_path / 'a.svm'},{tmp_path / 'missing.svm'}",
+                 "--out-dir", str(out)]) == 1
+    assert "missing.svm' cannot be read: No such file or directory" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_rejects_unknown_axis(tmp_path):

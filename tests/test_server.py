@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -276,6 +278,78 @@ def test_update_releases_deferred_pulls_in_timestamp_order():
     server.apply_update(push(1, np.zeros(2), worker=2))
     # only t=2 becomes eligible; t=3 still waits on 2
     assert [r.task.timestamp for _, r in server.pending_pulls] == [3]
+
+
+def recording(server):
+    """The (destination, message) of every send ``server`` makes from now on."""
+    sent = []
+    server.send = lambda dst, msg: sent.append((dst, msg))
+    return sent
+
+
+def test_update_that_releases_nothing_sends_nothing():
+    server, _ = make_server(tau=1, P=3)
+    pull(server, 1, worker=0)
+    pull(server, 2, worker=1)
+    assert server.gate_pull(PullRequest(2, TaskId(5, TaskKind.UPDATE))) is False
+    pending = list(server.pending_pulls)
+    sent = recording(server)
+    # task 2 lands above the watermark, then task 1 moves it to 2: t=5 still
+    # waits for task 3
+    server.apply_update(push(2, np.zeros(2), worker=1))
+    server.apply_update(push(1, np.zeros(2), worker=0))
+    assert sent == [] and server.pending_pulls == pending
+    assert server.finished.watermark == 2
+
+
+def test_one_update_releases_evaluation_pulls_before_an_update_pull():
+    # stage 1 ends with task 10; its evaluation pulls (timestamp 11) and the
+    # pull for next-stage task 10 + tau + 1 = 13 all wait for watermark 10
+    tau, m = 2, 10
+    server, _ = make_server(tau=tau, m=m, P=4)
+    finish(server, range(1, 10))
+    pull(server, 10, worker=0)
+    evaluation = TaskId(m + 1, TaskKind.EVALUATION)
+    update = TaskId(m + tau + 1, TaskKind.UPDATE)
+    for worker, task in ((2, evaluation), (3, update), (1, evaluation)):
+        assert server.gate_pull(PullRequest(worker, task)) is False
+    assert {entry[0][0] for entry in server.pending_pulls} == {m}
+    sent = recording(server)
+    server.apply_update(push(10, np.ones(2), worker=0))
+    # evaluation first (lower timestamp), then by arrival
+    assert [(dst, msg.task) for dst, msg in sent] == [
+        ("worker:2", evaluation), ("worker:1", evaluation), ("worker:3", update)]
+    assert all(msg.w is server.w for _, msg in sent)
+    assert server.pending_pulls == []
+    # each answered pull keeps what it was answered with: the round's stage
+    # for an evaluation pull, w_hat for the update pull
+    assert server._last_pull[1][1] == server._last_pull[2][1] == 1
+    assert server._last_pull[3][1] is server.w
+    assert 1 in server._rounds and server._last_pull[0][1] is None
+
+
+def test_gate_error_texts():
+    server, _ = make_server(tau=0, m=10, P=2)
+    finish(server, [1])
+    stale = TaskId(1, TaskKind.UPDATE)
+    with pytest.raises(ProtocolError, match=r"^pull for already-finished task "
+                                            + re.escape(str(stale)) + "$"):
+        server.gate_pull(PullRequest(0, stale))
+    deferred = TaskId(3, TaskKind.UPDATE)
+    assert server.gate_pull(PullRequest(0, deferred)) is False
+    answered = TaskId(2, TaskKind.UPDATE)
+    pull(server, 2, worker=1)
+    for worker, task in ((0, deferred), (1, answered), (1, stale)):
+        with pytest.raises(ProtocolError, match=rf"^duplicate pull from worker {worker} for "
+                                                + re.escape(str(task)) + "$"):
+            server.gate_pull(PullRequest(worker, task))
+    # no record of either pull changed, so both still behave as before
+    assert server._last_pull[0] == [(3, 1), None]
+    assert server.gate_pull(PullRequest(0, TaskId(11, TaskKind.EVALUATION))) is False
+    with pytest.raises(ProtocolError, match=r"^worker 0 has no released pull for "):
+        server.apply_update(push(3, np.zeros(2)))
+    server.apply_update(push(2, np.zeros(2), worker=1))
+    assert len(server.pending_pulls) == 1
 
 
 def test_watermark_overflow_set():

@@ -142,6 +142,20 @@ def test_batch_stream_is_the_draw_batch_sequence_across_blocks():
         assert np.array_equal(stream.next(), draw_batch(rng, pool, 20))
 
 
+@pytest.mark.parametrize("n,size", [(32, 8), (250, 20), (1250, 20), (20, 20), (1, 1)])
+@pytest.mark.parametrize("length", [1, 8, 9, 16, 17, 32, 33, 64, 65, 130])
+def test_short_batch_streams_are_the_draw_batch_sequence(n, size, length):
+    # the workloads' pool and batch sizes, a batch of the whole pool and a
+    # one-row pool, on both sides of the block edges at 8, 16, 32, 64 and 128
+    pool = np.random.default_rng(n).permutation(np.arange(n)) * 3 + 7
+    stream = BatchStream(np.random.default_rng(length), pool, size)
+    rng = np.random.default_rng(length)
+    for served in range(length):
+        assert np.array_equal(stream.next(), draw_batch(rng, pool, size))
+        # 8 rows a block until 64 batches are served, then 64
+        assert len(stream._block) == (8 if served < 64 else 64)
+
+
 def test_batch_stream_draws_nothing_until_asked():
     rng = np.random.default_rng(5)
     before = rng.bit_generator.state
