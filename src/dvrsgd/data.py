@@ -12,7 +12,8 @@ import numpy as np
 
 from .losses import Problem
 
-__all__ = ["DataFormatError", "load_libsvm", "write_libsvm", "Partitioning", "partition"]
+__all__ = ["DataFormatError", "load_libsvm", "write_libsvm", "Partitioning", "partition",
+           "check_partition"]
 
 
 class DataFormatError(Exception):
@@ -103,6 +104,15 @@ class Partitioning:
     subsets: tuple = field(repr=False)  # D_p as ascending sample indices
 
 
+def check_partition(n: int, P: int, strategy: str):
+    """Raise the ValueError that ``partition`` raises for ``P`` subsets of
+    ``n`` samples by ``strategy``, without a problem."""
+    if P < 1 or P > n:
+        raise ValueError(f"need 1 <= P <= N, got P={P}, N={n}")
+    if strategy not in ("contiguous", "shuffled"):
+        raise ValueError(f"unknown partition strategy {strategy!r}")
+
+
 def partition(problem: Problem, P: int, strategy: str = "contiguous", *,
               seed: int = 0) -> Partitioning:
     """Split the samples into P disjoint subsets.
@@ -112,10 +122,7 @@ def partition(problem: Problem, P: int, strategy: str = "contiguous", *,
     ceil(N/P) then floor(N/P).
     """
     n = problem.n
-    if P < 1 or P > n:
-        raise ValueError(f"need 1 <= P <= N, got P={P}, N={n}")
-    if strategy not in ("contiguous", "shuffled"):
-        raise ValueError(f"unknown partition strategy {strategy!r}")
+    check_partition(n, P, strategy)
     order = np.arange(n)
     if strategy == "shuffled":
         order = np.random.default_rng(seed).permutation(n)

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import algo_config, svrg_stages
-from .data import load_libsvm, partition
-from .losses import Problem, make_synthetic, objective
+from .data import check_partition, load_libsvm, partition
+from .losses import Problem, check_synthetic, make_synthetic, objective
 from .scheduler import (ProgressRecord, SchedulerNode, fixed_stages,
                         objective_target, relative_decrease)
 from .server import HyperParams, ParamServer
@@ -200,6 +200,13 @@ class ExperimentConfig:
             builders.append(lambda: algo_config(self.algo).rule(self.build_hyper(self.n), 0))
         if self.mode == "socket":
             builders.append(lambda: SocketCluster.check_timeout(self.timeout))
+        if self.source == "synthetic":
+            # what generating the data and splitting it would reject
+            builders.append(lambda: check_synthetic(self.kind, self.n, self.d,
+                                                    num_classes=self.k, mu=self.mu,
+                                                    smoothness=self.smoothness))
+            if self.algo != "svrg":
+                builders.append(lambda: check_partition(self.n, self.P, self.strategy))
         errors = []
         for build in builders:
             try:
@@ -225,11 +232,9 @@ class ExperimentConfig:
     def build_problem(self) -> Problem:
         if self.source == "libsvm":
             return load_libsvm(self.path, lam=self.lam, dim=self.dim)
-        if self.kind == "quadratic":
-            return make_synthetic("quadratic", self.n, self.d, seed=self.problem_seed,
-                                  mu=self.mu, smoothness=self.smoothness)
-        return make_synthetic(self.kind, self.n, self.d, num_classes=self.k,
-                              lam=self.lam, seed=self.problem_seed)
+        # each kind reads its own arguments and ignores the rest
+        return make_synthetic(self.kind, self.n, self.d, num_classes=self.k, lam=self.lam,
+                              seed=self.problem_seed, mu=self.mu, smoothness=self.smoothness)
 
     def build_hyper(self, n: int) -> HyperParams:
         """Hyperparameters for ``n`` samples; an unset m is ceil(n / B), and a

@@ -46,6 +46,7 @@ __all__ = [
     "mean_gradient",
     "full_gradient",
     "make_synthetic",
+    "check_synthetic",
 ]
 
 KINDS = ("quadratic", "l2-logistic", "multiclass-logistic")
@@ -269,6 +270,22 @@ def full_gradient(problem: Problem, w) -> np.ndarray:
     return mean_gradient(problem, w, np.arange(problem.n))
 
 
+def check_synthetic(kind, n, d, *, num_classes=2, mu=1.0, smoothness=10.0):
+    """Raise the ValueError that ``make_synthetic`` raises for these
+    arguments, without generating any data."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown problem kind {kind!r}")
+    if n < 1 or d < 1:
+        raise ValueError("need n >= 1 and d >= 1")
+    if kind == "quadratic":
+        if d < 2:
+            raise ValueError("quadratic generator needs d >= 2")
+        if not smoothness > mu > 0:
+            raise ValueError("need smoothness > mu > 0")
+    elif kind == "multiclass-logistic" and int(num_classes) < 2:
+        raise ValueError("multiclass generator needs num_classes >= 2")
+
+
 def make_synthetic(kind, n, d, *, num_classes=2, lam=0.0, seed=0,
                    mu=1.0, smoothness=10.0) -> Problem:
     """Generate a reproducible synthetic problem of the given kind.
@@ -284,17 +301,10 @@ def make_synthetic(kind, n, d, *, num_classes=2, lam=0.0, seed=0,
         mu = lam (lower bound) and the standard curvature upper bound
         lam + c * max_i |x_i|^2 with c = 1/4 (binary) or 1/2 (softmax).
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown problem kind {kind!r}")
-    if n < 1 or d < 1:
-        raise ValueError("need n >= 1 and d >= 1")
+    check_synthetic(kind, n, d, num_classes=num_classes, mu=mu, smoothness=smoothness)
     rng = np.random.default_rng(seed)
 
     if kind == "quadratic":
-        if d < 2:
-            raise ValueError("quadratic generator needs d >= 2")
-        if not smoothness > mu > 0:
-            raise ValueError("need smoothness > mu > 0")
         A = rng.normal(size=(n, d))
         A[:, -1] = 0.0  # rank <= d-1, so min curvature comes from the ridge alone
         A *= np.sqrt(smoothness - mu) / np.linalg.norm(A, axis=1, keepdims=True)
@@ -311,8 +321,6 @@ def make_synthetic(kind, n, d, *, num_classes=2, lam=0.0, seed=0,
                        smoothness=lam + 0.25 * row_norm_sq)
 
     k = int(num_classes)
-    if k < 2:
-        raise ValueError("multiclass generator needs num_classes >= 2")
     W_true = rng.normal(size=(k, d)) * 2.0
     Z = X @ W_true.T
     P = np.exp(Z - Z.max(axis=1)[:, None])

@@ -95,9 +95,7 @@ class SchedulerNode(Node):
         self.stopped_early = False
         self._pending: dict[int, EvalPush] = {}
         self._t0 = None
-
-    def _worker_eps(self):
-        return [f"worker:{p}" for p in range(self.hyper.P)]
+        self._endpoints = tuple(f"worker:{p}" for p in range(hyper.P))
 
     def on_start(self):
         self._t0 = self.now
@@ -107,23 +105,24 @@ class SchedulerNode(Node):
         self._issue_evaluation(stage=0)
 
     def _issue_evaluation(self, stage: int):
-        task = TaskId(stage * self.hyper.m + 1, TaskKind.EVALUATION)
+        assign = TaskAssign(TaskId(stage * self.hyper.m + 1, TaskKind.EVALUATION))
         self._pending = {}
-        for ep in self._worker_eps():
-            self.send(ep, TaskAssign(task))
-        self.send("server", TaskAssign(task))
+        for ep in self._endpoints:  # a message is a value: one for every worker
+            self.send(ep, assign)
+        self.send("server", assign)
 
     def _issue_stage(self, stage: int):
         first = (stage - 1) * self.hyper.m + 1
         for k, p in enumerate(plan_stage(self.hyper.m, self.weights, self.rng)):
-            self.send(f"worker:{p}", TaskAssign(TaskId(first + k, TaskKind.UPDATE)))
+            self.send(self._endpoints[p], TaskAssign(TaskId(first + k, TaskKind.UPDATE)))
         self._issue_evaluation(stage)
 
     def _finish(self):
         self.stopped = True
-        for ep in self._worker_eps():
-            self.send(ep, Stop())
-        self.send("server", Stop())
+        stop = Stop()
+        for ep in self._endpoints:
+            self.send(ep, stop)
+        self.send("server", stop)
 
     def handle(self, src: str, msg):
         if self.stopped:

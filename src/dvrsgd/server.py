@@ -241,8 +241,9 @@ class ParamServer(Node):
         snap = Snapshot(anchor=anchor, anchor_grad=grad, stage=stage)
         self.snapshot_history.append(snap)
         if not self.stopped:
+            broadcast = SnapshotBroadcast(grad)  # a message is a value: one for all
             for endpoint in self._endpoints:
-                self.send(endpoint, SnapshotBroadcast(grad))
+                self.send(endpoint, broadcast)
         return snap
 
     def can_shutdown(self) -> bool:

@@ -30,7 +30,9 @@ ends (at a frame boundary or inside a frame), ends it, and ``wait`` raises
 that failure as a ``TransportError`` naming the endpoint.
 """
 
+import functools
 import heapq
+import itertools
 import math
 import selectors
 import socket
@@ -71,6 +73,11 @@ class LatencyModel:
     kinds: constant(value), uniform(lo, hi), exponential(mean),
     adversarial (heavy-tailed seeded mixture).  Each parameter a kind reads
     must be finite and >= 0, so logical time never runs backwards.
+
+    ``sample()`` returns the next latency.  It is the ``__next__`` of an
+    iterator, so a send pays no Python call for it: ``itertools.repeat`` for
+    a constant, else a chain over blocks of ``_LATENCY_BLOCK`` draws, each
+    drawn when the one before it runs out.
     """
 
     _READS = {"constant": ("value",), "uniform": ("lo", "hi"), "exponential": ("mean",),
@@ -91,28 +98,21 @@ class LatencyModel:
                                  f"got {getattr(self, name)!r}")
         if kind == "uniform" and self.lo > self.hi:
             raise ValueError(f"uniform latency needs lo <= hi, got {self.lo!r} > {self.hi!r}")
-        self._rng = np.random.default_rng(seed)
-        self._pos = 0
-        self._block: list[float] = []
-
-    def _draw(self, size: int) -> np.ndarray:
-        if self.kind == "uniform":
-            return self._rng.uniform(self.lo, self.hi, size)
-        if self.kind == "exponential":
-            return self._rng.exponential(self.mean, size)
-        # adversarial: mostly fast with occasional order-of-magnitude stragglers
-        return self._rng.choice([0.0, 1.0, 5.0, 25.0, 125.0], size,
-                                p=[0.3, 0.3, 0.2, 0.15, 0.05])
-
-    def sample(self) -> float:
-        if self.kind == "constant":
-            return self.value
-        if self._pos == len(self._block):
-            self._block = self._draw(_LATENCY_BLOCK).tolist()
-            self._pos = 0
-        v = self._block[self._pos]
-        self._pos += 1
-        return v
+        if kind == "constant":
+            self.sample = itertools.repeat(self.value).__next__
+            return
+        rng = np.random.default_rng(seed)
+        if kind == "uniform":
+            draw = functools.partial(rng.uniform, self.lo, self.hi, _LATENCY_BLOCK)
+        elif kind == "exponential":
+            draw = functools.partial(rng.exponential, self.mean, _LATENCY_BLOCK)
+        else:  # adversarial: mostly fast with occasional order-of-magnitude stragglers
+            draw = functools.partial(rng.choice, [0.0, 1.0, 5.0, 25.0, 125.0], _LATENCY_BLOCK,
+                                     p=[0.3, 0.3, 0.2, 0.15, 0.05])
+        # the iterator holds the generator but not the model, so no cycle
+        # keeps a finished run's model alive
+        blocks = iter(lambda: draw().tolist(), None)
+        self.sample = itertools.chain.from_iterable(blocks).__next__
 
 
 @dataclass(frozen=True)
@@ -128,22 +128,25 @@ class TraceEvent:
 
 
 class Node:
-    """Base class for cluster roles; subclasses implement ``handle``."""
+    """Base class for cluster roles; subclasses implement ``handle``.
+
+    A transport's ``register`` calls ``bind``, which gives the node two
+    callables: ``send(dst, msg)`` sends ``msg`` to endpoint ``dst``, and
+    ``after(delay, msg)`` delivers ``msg`` to this node once ``delay`` of
+    work has elapsed.
+    """
 
     endpoint = None
     transport = None
     stopped = False
 
     def bind(self, transport, endpoint: str):
+        # the transport's own methods with the endpoint filled in, so a
+        # message costs no Python call on the way to them
         self.transport = transport
         self.endpoint = endpoint
-
-    def send(self, dst: str, msg):
-        self.transport.send(self.endpoint, dst, msg)
-
-    def after(self, delay: float, msg):
-        """Deliver ``msg`` to this node once ``delay`` of work has elapsed."""
-        self.transport.schedule(self.endpoint, delay, msg)
+        self.send = functools.partial(transport.send, endpoint)
+        self.after = functools.partial(transport.schedule, endpoint)
 
     @property
     def now(self) -> float:

@@ -8,9 +8,10 @@ which is unbiased for grad F(w) and whose variance vanishes as both w and the
 anchor approach the optimum.  Each mini-batch Bt is drawn uniformly without
 replacement by ``draw_batch``, or by ``draw_batches`` many at a time with the
 same result.  A worker's ``BatchStream`` serves the ``draw_batch`` sequence
-from ``draw_batches`` blocks from its first batch on: 8 rows a block until it
-has served 64 batches, then 64, so a short stream pays few per-call costs and
-holds few undrawn rows.
+from ``draw_batches`` blocks from its first batch on.  Its first block is as
+long as the stream is expected to be, 8 to 64 rows, and it draws blocks of
+that length until it has drawn 64 rows, then 64 a block: a short stream pays
+one or two per-call costs and holds few undrawn rows.
 
 The public functions check their inputs: ``make_snapshot`` and
 ``vr_gradient`` reject a w of the wrong shape or with a non-finite entry and
@@ -36,13 +37,14 @@ __all__ = ["Snapshot", "make_snapshot", "vr_gradient", "draw_batch", "draw_batch
 # n > _FLOYD_MAX_POOL and size > n // 50
 _FLOYD_MAX_POOL = 10000
 
-# A BatchStream draws _FIRST_BLOCK rows a block until it has served _BLOCK
-# batches, then _BLOCK.  A block costs about 25-50 us plus 1 us a row against
-# 8-10 us a choice call, so 8 rows take half the time of 8 calls and a long
-# stream pays the fixed cost once per 64 batches.  The short streams of a
-# P=256 cluster (13-41 batches a worker) hold at most 8 rows each; blocks
-# that grow with the stream saved little more time and held more memory.
-_FIRST_BLOCK = 8
+# A BatchStream's first block holds the stream's expected length, clamped to
+# _MIN_BLOCK.._BLOCK rows, and it draws blocks of that length until it has
+# drawn _BLOCK rows, then _BLOCK.  A block of 8-row batches from a 32-row
+# pool costs about 25 us plus 0.6 us a row, against 8 us a choice call: a
+# P=256 worker (13-41 batches, 24 expected) makes one or two calls instead of
+# two to six and holds at most 24 rows, and a long stream pays the fixed cost
+# once per 64 batches.
+_MIN_BLOCK = 8
 _BLOCK = 64
 
 
@@ -157,24 +159,28 @@ def _check_batch_size(pool: np.ndarray, size: int):
 
 class BatchStream:
     """The ``draw_batch(rng, pool, size)`` sequence, drawn by ``draw_batches``
-    a block at a time: ``_FIRST_BLOCK`` rows a block until the stream has
-    served ``_BLOCK`` batches, then ``_BLOCK`` rows.  Nothing is drawn before
-    the first ``next``."""
+    a block at a time.  ``expected`` is the number of batches the stream is
+    likely to serve: blocks hold that many rows, at least ``_MIN_BLOCK`` and
+    at most ``_BLOCK``, until the stream has drawn ``_BLOCK`` rows, then
+    ``_BLOCK``.  The length only sets the block sizes, never the batches.
+    Nothing is drawn before the first ``next``."""
 
-    __slots__ = ("rng", "pool", "size", "_block", "_next", "_drawn")
+    __slots__ = ("rng", "pool", "size", "_first", "_block", "_next", "_drawn")
 
-    def __init__(self, rng: np.random.Generator, pool: np.ndarray, size: int):
+    def __init__(self, rng: np.random.Generator, pool: np.ndarray, size: int,
+                 expected: int = 0):
         _check_batch_size(pool, size)
         self.rng = rng
         self.pool = pool
         self.size = size
+        self._first = min(_BLOCK, max(_MIN_BLOCK, expected))
         self._block = ()
         self._next = 0  # rows of the block served so far
         self._drawn = 0  # rows of every block so far
 
     def next(self) -> np.ndarray:
         if self._next == len(self._block):
-            count = _FIRST_BLOCK if self._drawn < _BLOCK else _BLOCK
+            count = self._first if self._drawn < _BLOCK else _BLOCK
             self._block = draw_batches(self.rng, self.pool, self.size, count)
             self._drawn += count
             self._next = 0

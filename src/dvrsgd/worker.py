@@ -22,7 +22,8 @@ they keep none.
 Mini-batch randomness comes from a per-worker stream derived from
 (seed, worker id), so runs are reproducible regardless of message timing.  The
 worker draws its batches a block at a time (``vrgrad.BatchStream``), the same
-batches as one draw per update.
+batches as one draw per update, in blocks sized to the m*S*n_p/N updates it
+expects to serve.
 """
 
 import math
@@ -35,7 +36,7 @@ from .losses import Problem, _evaluate, mean_gradient
 # not called here: the per-layer trace (bench/layers.py) looks it up by name
 from .losses import loss_sum  # noqa: F401
 from .protocol import (EvalPush, PullRequest, PullResponse, SnapshotBroadcast,
-                       Stop, TaskAssign, TaskId, TaskKind, UpdatePush, eval_stage,
+                       Stop, TaskAssign, TaskId, UpdatePush, eval_stage,
                        update_stage)
 from .server import HyperParams, ProtocolError
 from .transport import Node
@@ -89,7 +90,10 @@ class WorkerNode(Node):
         self.hyper = hyper
         self.gradient = gradient
         self.grad_tick = self.check_grad_tick(grad_tick)
-        self.batches = BatchStream(sampling_stream(seed, worker_id), self.indices, hyper.B)
+        # each of the m*S update tasks comes here with probability n_p/N
+        expected = hyper.m * hyper.S * self.indices.shape[0] // problem.n
+        self.batches = BatchStream(sampling_stream(seed, worker_id), self.indices, hyper.B,
+                                   expected)
 
         self.queue: deque[TaskId] = deque()
         self.waiting: TaskId | None = None
@@ -117,7 +121,7 @@ class WorkerNode(Node):
         return self.waiting is not None or self.computing
 
     def _startable(self, task: TaskId) -> bool:
-        if task.kind == TaskKind.EVALUATION or self.gradient == "plain":
+        if task.kind or self.gradient == "plain":  # kind 1 is EVALUATION
             return True
         need = update_stage(task, self.hyper.m) - 1
         return self.snapshot is not None and self.snapshot.stage == need
@@ -181,10 +185,10 @@ class WorkerNode(Node):
                 raise ProtocolError(f"worker {self.worker_id} got unexpected pull response {msg.task}")
             self.comm_time += self.now - self._pull_sent_at
             task, self.waiting = self.waiting, None
-            if task.kind == TaskKind.UPDATE:
-                self._run_update(task, msg.w)
-            else:
+            if task.kind:  # EVALUATION is 1, UPDATE 0
                 self._run_evaluation(task, msg.w)
+            else:
+                self._run_update(task, msg.w)
         elif isinstance(msg, _ComputeDone):
             self.computing = False
             for dst, push in msg.sends:

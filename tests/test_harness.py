@@ -151,11 +151,20 @@ def worker_charging(grad_tick):
     *[(dict(algo=algo, theta=0.0),
        lambda algo=algo: algo_config(algo).rule(HyperParams(eta=0.1, theta=0.0), 1))
       for algo in ("dpg", "vrdpg")],
+    # the synthetic source's generator and partition, checked without the data
+    (dict(kind="quadratc"), lambda: make_synthetic("quadratc", 60, 5)),
+    (dict(kind="quadratic", d=1), lambda: make_synthetic("quadratic", 60, 1)),
+    (dict(kind="quadratic", mu=20.0), lambda: make_synthetic("quadratic", 60, 5, mu=20.0)),
+    (dict(P=500), lambda: partition(make_synthetic("l2-logistic", 60, 5), 500)),
+    (dict(strategy="shuffeld"),
+     lambda: partition(make_synthetic("l2-logistic", 60, 5), 2, "shuffeld")),
 ], ids=["latency-trace", "stop-typo", "stop-target-no-target", "B-0-m-unset", "m-0",
         "eta-negative", "theta-above-1", "latency-uniform-negative", "latency-constant-negative",
         "latency-nan", "latency-exponential-negative", "latency-lo-above-hi",
         "grad-tick-negative", "grad-tick-infinite", "eta-infinite", "timeout-nan",
-        "timeout-negative", "timeout-0", "timeout-infinite", "dpg-theta-0", "vrdpg-theta-0"])
+        "timeout-negative", "timeout-0", "timeout-infinite", "dpg-theta-0", "vrdpg-theta-0",
+        "kind-typo", "quadratic-d-1", "quadratic-mu-above-smoothness", "P-above-n",
+        "strategy-typo"])
 def test_validate_reports_the_owning_constructors_error(tmp_path, capsys, fields, owner):
     with pytest.raises(ValueError) as exc:
         owner()
@@ -313,13 +322,20 @@ def test_cli_sweep_over_algorithms_writes_one_csv_each(tmp_path, capsys):
 
 
 # "uniform" parses, validates and would run first; "unifrom" fails validate(),
-# and so does a libsvm path that cannot be opened after one that can
+# and so does a libsvm path that cannot be opened after one that can, and a
+# synthetic problem or partition that cannot be made after one that can
 @pytest.mark.parametrize("axis,values", [("P", ["two"]), ("tau", ["1", "1.5"]),
                                          ("endpoints", ["x"]),
                                          ("latency", ["uniform", "unifrom"]),
-                                         ("path", ["a.svm", "missing.svm"])])
+                                         ("path", ["a.svm", "missing.svm"]),
+                                         ("kind", ["quadratic", "quadratc"]),
+                                         ("d", ["5", "1"]),
+                                         ("mu", ["1.0", "20.0"]),
+                                         ("P", ["2", "500"])])
 def test_sweep_rejects_a_value_before_running_any(tmp_path, monkeypatch, axis, values):
     cfg = small_config(tmp_path)
+    if axis in ("d", "mu"):  # the bounds of the quadratic generator
+        cfg.kind = "quadratic"
     if axis == "path":
         monkeypatch.chdir(tmp_path)
         write_libsvm(make_synthetic("l2-logistic", 40, 6, lam=0.05, seed=4), "a.svm")

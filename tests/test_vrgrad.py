@@ -156,6 +156,28 @@ def test_short_batch_streams_are_the_draw_batch_sequence(n, size, length):
         assert len(stream._block) == (8 if served < 64 else 64)
 
 
+@pytest.mark.parametrize("n,size", [(32, 8), (250, 20), (1250, 20), (20, 20), (1, 1)])
+@pytest.mark.parametrize("expected", [0, 5, 24, 63, 64, 1000])
+def test_stream_sized_blocks_are_the_draw_batch_sequence(n, size, expected):
+    # blocks hold the expected length, clamped to 8..64 rows, until 64 rows
+    # are drawn, then 64; 193 batches pass at least two block edges after
+    # that point, and each batch is checked, so every edge is crossed
+    first, length = min(64, max(8, expected)), 193
+    want, drawn = [], 0
+    while drawn < length:
+        want.append(first if drawn < 64 else 64)
+        drawn += want[-1]
+    pool = np.random.default_rng(n).permutation(np.arange(n)) * 3 + 7
+    stream = BatchStream(np.random.default_rng(expected), pool, size, expected)
+    rng = np.random.default_rng(expected)
+    got = []
+    for _ in range(length):
+        assert np.array_equal(stream.next(), draw_batch(rng, pool, size))
+        if stream._next == 1:  # a block was drawn for this batch
+            got.append(len(stream._block))
+    assert got == want and max(got) <= 64
+
+
 def test_batch_stream_draws_nothing_until_asked():
     rng = np.random.default_rng(5)
     before = rng.bit_generator.state

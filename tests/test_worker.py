@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dvrsgd.data import partition
 from dvrsgd.losses import KINDS, loss_sum, make_synthetic, mean_gradient, objective
 from dvrsgd.protocol import (EvalPush, PullRequest, PullResponse, SnapshotBroadcast,
                              Stop, TaskAssign, TaskId, TaskKind, UpdatePush, eval_stage,
@@ -109,6 +110,22 @@ def test_batches_across_block_refills_are_the_draw_batch_sequence(problem, monke
     assert len(server.pushes) == len(drawn) == 200
     rng, pool = sampling_stream(6, 0), np.sort(indices)
     assert all(np.array_equal(got, draw_batch(rng, pool, 4)) for got in drawn)
+
+
+@pytest.mark.parametrize("n,P,m,S,firsts", [
+    (8192, 256, 1024, 6, (24, 24)),  # wide-p256-sim: 1024*6*32/8192
+    (2000, 8, 100, 50, (64, 64)),    # quad-p8-sim: 625 expected, clamped to 64
+    (61, 2, 10, 3, (15, 14)),        # uneven partitions: 10*3*31/61 and 10*3*30/61
+    (60, 4, 1, 1, (8, 8)),           # under one batch expected: clamped to 8
+])
+def test_worker_sizes_its_first_block_to_its_expected_stream(n, P, m, S, firsts):
+    # each of the m*S update tasks goes to worker p with probability n_p/N
+    problem = make_synthetic("quadratic", n, 4, seed=1)
+    hyper = HyperParams(eta=0.1, B=2, m=m, S=S, P=P)
+    for p, first in enumerate(firsts):
+        worker = WorkerNode(p, problem, partition(problem, P).subsets[p], hyper, seed=3)
+        worker.batches.next()
+        assert len(worker.batches._block) == first
 
 
 def test_batch_larger_than_partition_rejected(problem):
