@@ -12,8 +12,8 @@ import numpy as np
 
 from .losses import Problem
 
-__all__ = ["DataFormatError", "load_libsvm", "write_libsvm", "Partitioning", "partition",
-           "check_partition"]
+__all__ = ["DataFormatError", "load_libsvm", "count_libsvm", "write_libsvm", "Partitioning",
+           "partition", "check_partition"]
 
 
 class DataFormatError(Exception):
@@ -45,6 +45,22 @@ def _parse_line(line: str, lineno: int) -> tuple[float, list[int], list[float]]:
     return label, indices, values
 
 
+def _sample_lines(path):
+    """``(line number, stripped line)`` of every sample line of a LibSVM
+    file: the lines that are neither blank nor ``#`` comments."""
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                yield lineno, line
+
+
+def count_libsvm(path) -> int:
+    """The number of samples ``load_libsvm`` reads from ``path``, found
+    without parsing them."""
+    return sum(1 for _ in _sample_lines(path))
+
+
 def load_libsvm(path, *, lam: float = 0.0, dim: int | None = None) -> Problem:
     """Load a LibSVM-format classification file into a Problem.
 
@@ -53,15 +69,11 @@ def load_libsvm(path, *, lam: float = 0.0, dim: int | None = None) -> Problem:
     """
     samples = []
     label_map: dict[float, int] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            label, indices, values = _parse_line(line, lineno)
-            if label not in label_map:
-                label_map[label] = len(label_map)
-            samples.append((label, indices, values))
+    for lineno, line in _sample_lines(path):
+        label, indices, values = _parse_line(line, lineno)
+        if label not in label_map:
+            label_map[label] = len(label_map)
+        samples.append((label, indices, values))
     if not samples:
         raise DataFormatError(f"{path}: no samples")
     max_dim = max((indices[-1] + 1 for _, indices, _ in samples if indices), default=0)

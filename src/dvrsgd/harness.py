@@ -25,13 +25,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import algo_config, svrg_stages
-from .data import check_partition, load_libsvm, partition
+from .data import check_partition, count_libsvm, load_libsvm, partition
 from .losses import Problem, check_synthetic, make_synthetic, objective
 from .scheduler import (ProgressRecord, SchedulerNode, fixed_stages,
                         objective_target, relative_decrease)
 from .server import HyperParams, ParamServer
 from .transport import (LatencyModel, SimCluster, SocketCluster, TraceEvent,
-                        TransportError)
+                        TransportError, unfinished)
 from .worker import WorkerNode
 
 __all__ = ["ExperimentConfig", "RunResult", "run_cluster", "run_experiment",
@@ -68,7 +68,8 @@ def _build_nodes(problem: Problem, hyper: HyperParams, algo: str, *, seed: int,
 def _run_nodes(cluster, problem: Problem, hyper: HyperParams, algo: str,
                **build) -> RunResult:
     """Register the scheduler, server and workers that ``_build_nodes``
-    makes on ``cluster`` and run it until every node can shut down."""
+    makes on ``cluster`` and run it until every node can shut down; a run
+    that drains before then raises, naming the nodes that are not done."""
     sched, server, workers = _build_nodes(problem, hyper, algo, **build)
     cluster.register("scheduler", sched)
     cluster.register("server", server)
@@ -76,6 +77,9 @@ def _run_nodes(cluster, problem: Problem, hyper: HyperParams, algo: str,
         cluster.register(f"worker:{p}", wk)
     try:
         trace = cluster.run_until_quiescent()
+        if stuck := unfinished(cluster.nodes):
+            raise TransportError(f"run drained before every node could shut down; "
+                                 f"not done: {stuck}")
     finally:
         # each node holds the cluster and the cluster its nodes: breaking the
         # cycle frees a finished run without the cyclic GC
@@ -201,12 +205,17 @@ class ExperimentConfig:
         if self.mode == "socket":
             builders.append(lambda: SocketCluster.check_timeout(self.timeout))
         if self.source == "synthetic":
-            # what generating the data and splitting it would reject
+            # what generating the data would reject
             builders.append(lambda: check_synthetic(self.kind, self.n, self.d,
                                                     num_classes=self.k, mu=self.mu,
                                                     smoothness=self.smoothness))
-            if self.algo != "svrg":
-                builders.append(lambda: check_partition(self.n, self.P, self.strategy))
+        if self.algo != "svrg" and (self.source == "synthetic" or
+                                    self.source == "libsvm" and self.path):
+            # what splitting it would reject: a file's samples are counted,
+            # not parsed, and a file that cannot be read is reported below
+            builders.append(lambda: check_partition(
+                self.n if self.source == "synthetic" else count_libsvm(self.path),
+                self.P, self.strategy))
         errors = []
         for build in builders:
             try:
@@ -214,6 +223,8 @@ class ExperimentConfig:
             except ValueError as exc:
                 if str(exc) not in errors:  # a bad hyperparameter fails the rule too
                     errors.append(str(exc))
+            except OSError:
+                pass
         if self.source not in ("synthetic", "libsvm"):
             errors.append(f"unknown problem source {self.source!r}")
         if self.source == "libsvm" and not self.path:

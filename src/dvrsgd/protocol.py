@@ -76,6 +76,14 @@ def eval_stage(task: TaskId, m: int) -> int:
 
 FRAME_HEAD = struct.Struct("<I")  # every frame's header: the body length
 _CODES = {"u32": "I", "f64": "d", "task": "QB"}  # struct codes of the fixed-width kinds
+_F8 = np.dtype("<f8")  # every vector's wire type, parsed once
+
+
+def _check_length(buf):
+    """Raise unless the frame's u32 header gives its body length."""
+    (body_len,) = FRAME_HEAD.unpack_from(buf)
+    if body_len != len(buf) - 4:
+        raise DecodeError(f"frame length mismatch: header says {body_len}, got {len(buf) - 4}")
 
 
 class _Message:
@@ -134,14 +142,15 @@ def _compile(cls, order):
 
     # what encode packs, what decode unpacks and checks, and the value that
     # decode passes to the constructor for each field
-    packed, unpacked, checks, value = [str(size - 4), str(cls._tag)], ["_", "_"], [], {}
+    packed, unpacked, checks, value = [str(size - 4), str(cls._tag)], ["body", "_"], [], {}
     for f, kind in fixed:
         if kind == "task":
             packed += [f"self.{f}.timestamp", f"self.{f}.kind"]
             unpacked += [f"{f}_ts", f"{f}_kind"]
             checks += [f"if {f}_kind > 1: raise DecodeError(f'invalid task kind {{{f}_kind}}')",
                        f"if {f}_ts < 1: raise DecodeError('task timestamp must be >= 1')"]
-            value[f] = f"TaskId({f}_ts, TASK_KINDS[{f}_kind])"
+            # tuple.__new__ skips the NamedTuple's Python-level __new__
+            value[f] = f"new_task(TaskId, ({f}_ts, TASK_KINDS[{f}_kind]))"
         else:
             packed.append(f"self.{f}")
             unpacked.append(f)
@@ -152,22 +161,28 @@ def _compile(cls, order):
         packed += ['b""'] * bool(pad) + ["len(v)"]
         unpacked += ["pad"] * bool(pad) + ["n"]
         sized += ["if pad != PAD: raise DecodeError('nonzero pad byte')"] * bool(pad)
-        sized += [f"if n > (len(buf) - {size}) // 8: "
-                  "raise DecodeError('vector length exceeds frame')"]
-        value[vec] = f'np.frombuffer(buf, "<f8", n, {size})'
+        value[vec] = f"np.frombuffer(buf, F8, n, {size})"
         end += " + 8 * n"
-        encode.append(f'v = np.ascontiguousarray(self.{vec}, "<f8")')
+        encode.append(f"v = np.ascontiguousarray(self.{vec}, F8)")
     encode.append(f"return head.pack({', '.join(packed)})" + " + v.tobytes()" * bool(vec))
-    decode = [f"if len(buf) < {size}: raise DecodeError('truncated frame')",
+    # a good frame costs one comparison per size; a bad one runs the checks
+    # that its error must come after, so each error is reported in turn
+    exceeds = (f"if n > (len(buf) - {size}) // 8: "
+               "raise DecodeError('vector length exceeds frame')") if vec else "pass"
+    decode = [f"if len(buf) < {size}: check_length(buf); raise DecodeError('truncated frame')",
               f"{', '.join(unpacked)} = head.unpack_from(buf)",
+              "if body != len(buf) - 4: check_length(buf)",
               *sized,
-              f"if len(buf) != {end}: raise DecodeError('trailing bytes after message payload')",
+              f"if len(buf) != {end}:",
+              f"    {exceeds}",
+              "    raise DecodeError('trailing bytes after message payload')",
               *checks,
               f"return cls({', '.join(value[f] for f in order)})"]
     source = "\n    ".join(["def encode(self):", *encode]) + "\n" + \
         "\n    ".join(["def decode(buf):", *decode])
     scope = {"head": head, "cls": cls, "np": np, "DecodeError": DecodeError, "TaskId": TaskId,
-             "TASK_KINDS": tuple(TaskKind), "PAD": bytes(pad)}
+             "TASK_KINDS": tuple(TaskKind), "PAD": bytes(pad), "F8": _F8,
+             "new_task": tuple.__new__, "check_length": _check_length}
     exec(source, scope)
     return scope["encode"], staticmethod(scope["decode"])
 
@@ -182,11 +197,12 @@ Stop = _message(6, "Stop")
 SnapshotBroadcast = _message(7, "SnapshotBroadcast", "grad:vec")
 
 Message = tuple(_BY_TAG.values())
+_MESSAGES = frozenset(Message)
 
 
 def encode(msg) -> bytes:
     """Serialize a message into one length-prefixed frame."""
-    if type(msg) not in Message:
+    if type(msg) not in _MESSAGES:
         raise TypeError(f"not a protocol message: {type(msg).__name__}")
     return msg._encode()
 
@@ -201,13 +217,11 @@ def decode(buf: bytes):
     """
     if len(buf) < 5:
         raise DecodeError("frame too short")
-    (body_len,) = FRAME_HEAD.unpack_from(buf)
-    if body_len != len(buf) - 4:
-        raise DecodeError(f"frame length mismatch: header says {body_len}, got {len(buf) - 4}")
     cls = _BY_TAG.get(buf[4])
     if cls is None:
+        _check_length(buf)  # a length mismatch is the first error to report
         raise DecodeError(f"unknown message tag {buf[4]}")
-    return cls._decode(buf)
+    return cls._decode(buf)  # which checks the header's length
 
 
 def hello(name: str) -> bytes:

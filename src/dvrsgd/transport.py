@@ -18,16 +18,18 @@ every send and delivery, in causal order, for invariant checking.
 ``SocketCluster`` serves every registered node behind real TCP endpoints
 speaking the frame format from ``protocol``, from one ``selectors`` loop that
 ``wait`` runs on the calling thread.  The loop accepts connections, cuts
-complete frames out of each inbound stream's buffer and runs the receiving
-node's handler inline, so a frame costs one wake-up; outbound frames queue
-per connection, and each pass of the loop sends every queue that grew with
-one non-blocking ``send``.
+complete frames straight out of each ``recv`` result (a chunk that is one
+frame is decoded without a copy; only a frame split across chunks is
+buffered) and runs the receiving node's handler inline, so a frame costs one
+wake-up; outbound frames queue per connection, and each pass of the loop
+sends every queue that grew with one non-blocking ``send``.
 It exists to show the same node code runs as an actual distributed program;
 the simulator is the substrate for experiments and tests.  The loop returns
 once every node it hosts can shut down.  Before that, the first exception from
 a node, or the first inbound stream that cannot be read or decoded or that
 ends (at a frame boundary or inside a frame), ends it, and ``wait`` raises
-that failure as a ``TransportError`` naming the endpoint.
+that failure as a ``TransportError`` naming the endpoint; a run still
+unfinished at its timeout raises one naming every endpoint not yet done.
 """
 
 import functools
@@ -43,7 +45,8 @@ import numpy as np
 
 from . import protocol
 
-__all__ = ["LatencyModel", "TraceEvent", "Node", "SimCluster", "SocketCluster", "LivelockError", "TransportError"]
+__all__ = ["LatencyModel", "TraceEvent", "Node", "SimCluster", "SocketCluster", "LivelockError",
+           "TransportError", "unfinished"]
 
 
 class TransportError(Exception):
@@ -65,6 +68,8 @@ _LATENCY_BLOCK = 1024
 # its own short bound rather than the run's whole timeout
 _CONNECT_TIMEOUT_S = 1.0
 _RECV_BYTES = 1 << 18
+_HEAD = protocol.FRAME_HEAD.size
+_frame_len = protocol.FRAME_HEAD.unpack_from  # a frame's body length, from its header
 
 
 class LatencyModel:
@@ -125,6 +130,11 @@ class TraceEvent:
     src: str
     dst: str
     msg: object
+
+
+def unfinished(nodes: dict) -> str:
+    """The endpoints among ``nodes`` that cannot shut down yet."""
+    return ", ".join(ep for ep, node in nodes.items() if not node.can_shutdown())
 
 
 class Node:
@@ -306,14 +316,17 @@ class SocketCluster:
         ``TransportError`` once ``timeout`` has passed."""
         deadline = time.monotonic() + self.timeout
         for endpoint, node in self.nodes.items():
-            self._run_node(endpoint, node.on_start)
-            if self._failure is not None:
+            try:
+                node.on_start()
+            except Exception as exc:  # the node is broken: stop every node
+                self._fail(endpoint, exc)
                 break
         self._send_unsent()
         while self._failure is None and not self._quiescent():
             left = deadline - time.monotonic()
             if left <= 0:
-                raise TransportError(f"cluster did not finish within {self.timeout}s")
+                raise TransportError(f"cluster did not finish within {self.timeout}s; "
+                                     f"not done: {unfinished(self.nodes)}")
             for key, mask in self._sel.select(left):
                 if self._failure is not None:  # drop the rest of the batch
                     break
@@ -331,12 +344,6 @@ class SocketCluster:
             where, exc = self._failure
             raise TransportError(f"{where}: {exc!r}") from exc
 
-    def _run_node(self, endpoint: str, fn, *args):
-        try:
-            fn(*args)
-        except Exception as exc:  # the node is broken: stop every node
-            self._fail(endpoint, exc)
-
     def _accept(self, srv: socket.socket, endpoint: str):
         try:
             sock, _ = srv.accept()
@@ -351,12 +358,14 @@ class SocketCluster:
         self._sel.register(sock, selectors.EVENT_READ, conn)
 
     def _read(self, conn: _Connection):
-        """Take what the stream has, and hand every complete frame in the
-        buffer to the receiving node; the first frame must be the HELLO that
-        names the sender (``protocol.read_hello``)."""
+        """Take what the stream has, and hand every complete frame in it to
+        the receiving node; the first frame must be the HELLO that names the
+        sender (``protocol.read_hello``).  A chunk that is one frame is
+        decoded as it is, any other frame is one slice of immutable bytes, and
+        only a partial frame waits in ``inbuf`` for the rest of its bytes."""
         try:
-            chunk = conn.sock.recv(_RECV_BYTES)
-            if not chunk:
+            data = conn.sock.recv(_RECV_BYTES)
+            if not data:
                 if conn.inbuf:
                     raise protocol.DecodeError("stream ended inside a frame")
                 if not self._quiescent():
@@ -365,30 +374,42 @@ class SocketCluster:
                 conn.sock.close()
                 return
             buf = conn.inbuf
-            buf += chunk
-            pos, have = 0, len(buf)
-            head = protocol.FRAME_HEAD
-            while have - pos >= head.size:
-                end = pos + head.size + head.unpack_from(buf, pos)[0]
+            if buf:  # a frame's first bytes came in an earlier chunk
+                buf += data
+                if len(buf) < _HEAD or len(buf) < _HEAD + _frame_len(buf)[0]:
+                    return
+                data = bytes(buf)
+                buf.clear()
+            # looked up per read, not per frame, but still at call time
+            decode, handle, src = protocol.decode, self.nodes[conn.endpoint].handle, conn.src
+            pos, have = 0, len(data)
+            while have - pos >= _HEAD:
+                end = pos + _HEAD + _frame_len(data, pos)[0]
                 if end > have:
                     break
-                frame = bytes(buf[pos:end])
+                frame = data[pos:end]  # the chunk itself when it is one frame
                 pos = end
-                if conn.src is None:
-                    conn.src = protocol.read_hello(frame)
-                    conn.where = f"{conn.endpoint} <- {conn.src}"
+                if src is None:
+                    src = conn.src = protocol.read_hello(frame)
+                    conn.where = f"{conn.endpoint} <- {src}"
                     continue
-                msg = protocol.decode(frame)
-                self._run_node(conn.endpoint, self.nodes[conn.endpoint].handle, conn.src, msg)
-                if self._failure is not None:
+                msg = decode(frame)
+                try:
+                    handle(src, msg)
+                except Exception as exc:  # the node is broken: stop every node
+                    self._fail(conn.endpoint, exc)
                     return
-            del buf[:pos]
+            if pos < have:
+                buf += data[pos:]
         except BlockingIOError:
             pass
         except (OSError, ValueError, protocol.DecodeError) as exc:
             self._fail(conn.where, exc)
 
     def _dial(self, src: str, dst: str) -> _Connection:
+        """Connect the (src, dst) stream at its first send and queue its HELLO."""
+        if dst not in self.addresses:
+            raise TransportError(f"unknown endpoint {dst!r}")
         host, port = self.addresses[dst]
         try:
             sock = socket.create_connection(
@@ -399,16 +420,9 @@ class SocketCluster:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.setblocking(False)
         conn = self._conns[(src, dst)] = _Connection(sock, src, f"{src} -> {dst}")
-        self._write(conn, protocol.hello(src))
+        conn.outbuf += protocol.hello(src)
+        self._unsent.append(conn)
         return conn
-
-    def _write(self, conn: _Connection, frame: bytes):
-        """Queue ``frame`` behind the stream's unsent bytes; the loop sends
-        each stream's queue once per pass, so frames written in one pass go
-        out in one ``send``."""
-        if not conn.outbuf:
-            self._unsent.append(conn)
-        conn.outbuf += frame
 
     def _send_unsent(self):
         """Send every queue on the list; the only code that sends.  A queue
@@ -428,12 +442,14 @@ class SocketCluster:
                 self._sel.register(conn.sock, selectors.EVENT_WRITE, conn)
 
     def send(self, src: str, dst: str, msg):
-        """Queue ``msg`` on the (src, dst) stream; called from node code,
-        inside the loop."""
-        if dst not in self.addresses:
-            raise TransportError(f"unknown endpoint {dst!r}")
+        """Queue ``msg``'s frame behind the (src, dst) stream's unsent bytes;
+        called from node code, inside the loop.  The loop sends each stream's
+        queue once per pass, so frames queued in one pass go out in one
+        ``send``."""
         conn = self._conns.get((src, dst)) or self._dial(src, dst)
-        self._write(conn, protocol.encode(msg))
+        if not conn.outbuf:
+            self._unsent.append(conn)
+        conn.outbuf += protocol.encode(msg)
 
     def schedule(self, endpoint: str, delay: float, msg):
         # real compute time already elapsed; run the completion inline

@@ -116,22 +116,15 @@ class WorkerNode(Node):
 
     # -- task scheduling ----------------------------------------------------
 
-    @property
-    def busy(self) -> bool:
-        return self.waiting is not None or self.computing
-
-    def _startable(self, task: TaskId) -> bool:
-        if task.kind or self.gradient == "plain":  # kind 1 is EVALUATION
-            return True
-        need = update_stage(task, self.hyper.m) - 1
-        return self.snapshot is not None and self.snapshot.stage == need
-
     def _pump(self):
-        if self.busy or self.stopped or not self.queue:
+        if self.waiting is not None or self.computing or self.stopped or not self.queue:
             return
-        if not self._startable(self.queue[0]):
-            return  # head-of-line wait for the stage snapshot broadcast
-        task = self.queue.popleft()
+        task = self.queue[0]
+        if not task.kind and self.gradient == "vr":  # kind 1 is EVALUATION
+            snap = self.snapshot
+            if snap is None or snap.stage != update_stage(task, self.hyper.m) - 1:
+                return  # head-of-line wait for the stage snapshot broadcast
+        self.queue.popleft()
         self.waiting = task
         self._pull_sent_at = self.now
         self.send("server", PullRequest(self.worker_id, task))
@@ -139,29 +132,27 @@ class WorkerNode(Node):
     # -- task execution ------------------------------------------------------
 
     def _charge(self, started: float, modelled: float) -> float:
-        """Add one task's compute cost to comp_time and return it: the
-        modelled ``grad_tick`` cost plus the transport time that passed since
-        ``started`` (real seconds on sockets; exactly 0.0 in sim, whose clock
-        stands still inside a handler)."""
+        """Start computing one task: add its cost to comp_time and return it,
+        the modelled ``grad_tick`` cost plus the transport time that passed
+        since ``started`` (real seconds on sockets; exactly 0.0 in sim, whose
+        clock stands still inside a handler).  The caller sends the pushes
+        after it, as an evaluation's push reports the charged comp_time."""
         cost = modelled + (self.now - started)
         self.comp_time += cost
-        return cost
-
-    def _emit_after(self, cost: float, sends: list):
         self.computing = True
-        self.after(cost, _ComputeDone(sends))
+        return cost
 
     def _run_update(self, task: TaskId, w_hat: np.ndarray):
         started = self.now
         batch = draw_batch(self.batches)
         if self.gradient == "vr":
             delta = vr_gradient(self.problem, w_hat, self.snapshot, batch)
-            cost = self.grad_tick * 2 * self.hyper.B
+            modelled = self.grad_tick * 2 * self.hyper.B
         else:
             delta = mean_gradient(self.problem, w_hat, batch)
-            cost = self.grad_tick * self.hyper.B
-        push = UpdatePush(self.worker_id, task, delta)
-        self._emit_after(self._charge(started, cost), [("server", push)])
+            modelled = self.grad_tick * self.hyper.B
+        cost = self._charge(started, modelled)
+        self.after(cost, _ComputeDone([("server", UpdatePush(self.worker_id, task, delta))]))
 
     def _run_evaluation(self, task: TaskId, w_hat: np.ndarray):
         started = self.now
@@ -170,7 +161,7 @@ class WorkerNode(Node):
         self._last_eval_stage = eval_stage(task, self.hyper.m)
         cost = self._charge(started, self.grad_tick * self.indices.shape[0])
         push = EvalPush(self.worker_id, local_grad, obj_sum, self.comp_time, self.comm_time)
-        self._emit_after(cost, [("server", push), ("scheduler", push)])
+        self.after(cost, _ComputeDone([("server", push), ("scheduler", push)]))
 
     # -- message handling ------------------------------------------------------
 

@@ -17,7 +17,7 @@ from dvrsgd.data import load_libsvm, partition, write_libsvm
 from dvrsgd.harness import (ExperimentConfig, main, run_cluster, run_cluster_socket,
                             run_experiment, sweep)
 from dvrsgd.losses import make_synthetic, objective
-from dvrsgd.server import HyperParams
+from dvrsgd.server import HyperParams, ParamServer
 from dvrsgd.transport import LatencyModel, SocketCluster, TransportError
 from dvrsgd.worker import WorkerNode
 
@@ -321,9 +321,14 @@ def test_cli_sweep_over_algorithms_writes_one_csv_each(tmp_path, capsys):
     capsys.readouterr()
 
 
+# sweeps over the 40-sample libsvm file a.svm: a partition it cannot be split
+# into fails validate() as it does for a synthetic source
+LIBSVM_SWEEPS = [("strategy", ["contiguous", "shuffeld"]), ("P", ["2", "50"])]
+
+
 # "uniform" parses, validates and would run first; "unifrom" fails validate(),
 # and so does a libsvm path that cannot be opened after one that can, and a
-# synthetic problem or partition that cannot be made after one that can
+# problem or partition that cannot be made after one that can
 @pytest.mark.parametrize("axis,values", [("P", ["two"]), ("tau", ["1", "1.5"]),
                                          ("endpoints", ["x"]),
                                          ("latency", ["uniform", "unifrom"]),
@@ -331,15 +336,16 @@ def test_cli_sweep_over_algorithms_writes_one_csv_each(tmp_path, capsys):
                                          ("kind", ["quadratic", "quadratc"]),
                                          ("d", ["5", "1"]),
                                          ("mu", ["1.0", "20.0"]),
-                                         ("P", ["2", "500"])])
+                                         ("P", ["2", "500"]),
+                                         *LIBSVM_SWEEPS])
 def test_sweep_rejects_a_value_before_running_any(tmp_path, monkeypatch, axis, values):
     cfg = small_config(tmp_path)
     if axis in ("d", "mu"):  # the bounds of the quadratic generator
         cfg.kind = "quadratic"
-    if axis == "path":
+    if axis == "path" or (axis, values) in LIBSVM_SWEEPS:
         monkeypatch.chdir(tmp_path)
         write_libsvm(make_synthetic("l2-logistic", 40, 6, lam=0.05, seed=4), "a.svm")
-        cfg.source = "libsvm"
+        cfg.source, cfg.path = "libsvm", "a.svm"
     with pytest.raises(ValueError):
         sweep(cfg, axis, values, out_dir=str(tmp_path / "bad"))
     assert not (tmp_path / "bad").exists()
@@ -621,6 +627,40 @@ def test_socket_cluster_timeout():
     cluster.register("a", Idle())
     with pytest.raises(TransportError, match="did not finish within 0.2s"):
         cluster.run_until_quiescent()
+
+
+class SwallowingServer(ParamServer):
+    """A server that never answers the 40th pull it releases, so its worker
+    waits on it forever and the run drains without finishing."""
+
+    released = 0
+
+    def _respond(self, req, last=None):
+        self.released += 1
+        if self.released != 40:
+            super()._respond(req, last)
+
+
+# every role is still waiting: the worker on its pull, the rest on its push
+STUCK = "not done: scheduler, server, worker:0, worker:1, worker:2, worker:3$"
+
+
+def test_run_that_drains_without_finishing_raises_naming_the_nodes(monkeypatch):
+    monkeypatch.setattr(harness, "ParamServer", SwallowingServer)
+    p = make_synthetic("quadratic", 200, 5, seed=1)
+    h = HyperParams(eta=0.01, theta=0.5, tau=2, B=4, m=20, S=4, P=4)
+    with pytest.raises(TransportError, match="^run drained before every node could shut "
+                       "down; " + STUCK):
+        run_cluster(p, h, seed=3)
+
+
+def test_socket_run_that_never_finishes_names_the_nodes_at_its_timeout(monkeypatch):
+    monkeypatch.setattr(harness, "ParamServer", SwallowingServer)
+    p = make_synthetic("quadratic", 200, 5, seed=1)
+    h = HyperParams(eta=0.01, theta=0.5, tau=2, B=4, m=20, S=4, P=4)
+    roles = ["scheduler", "server", *(f"worker:{k}" for k in range(4))]
+    with pytest.raises(TransportError, match="^cluster did not finish within 1.0s; " + STUCK):
+        run_cluster_socket(p, h, {r: ("127.0.0.1", 0) for r in roles}, seed=3, timeout=1.0)
 
 
 @pytest.mark.parametrize("text", ["[hyper]\ntau = 1\ntau = 2\n", "tau = 1\n[hyper]\n",

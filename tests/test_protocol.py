@@ -226,3 +226,18 @@ def test_bad_task_id_rejected(cls, timestamp, kind):
     frame = encode(sample_message(cls, task=TaskId(timestamp, kind)))
     with pytest.raises(DecodeError, match="task timestamp must be >= 1|invalid task kind"):
         decode(frame)
+
+
+@pytest.mark.parametrize("tag", [*(cls._tag for cls in Message), 0, 99],
+                         ids=[*(cls.__name__ for cls in Message), "tag-0", "tag-99"])
+def test_length_header_disagreeing_with_the_frame_rejected(tag):
+    # the compiled decoders check the header; a tag outside the table is
+    # still reported as a length mismatch first when the header is wrong
+    cls = next((m for m in Message if m._tag == tag), Stop)
+    frame = encode(sample_message(cls, 3))
+    frame = frame[:4] + bytes([tag]) + frame[5:]
+    for body_len in (0, len(frame) - 5, len(frame) - 3, 2**32 - 1):
+        bad = body_len.to_bytes(4, "little") + frame[4:]
+        with pytest.raises(DecodeError, match=f"^frame length mismatch: header says "
+                           f"{body_len}, got {len(frame) - 4}$"):
+            decode(bad)

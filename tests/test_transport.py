@@ -577,3 +577,84 @@ def test_pull_from_a_worker_outside_the_cluster_fails_the_socket_run():
             assert time.monotonic() - t0 < 1.0
     finally:
         cluster.close()
+
+
+class ScriptedSocket:
+    """Stands in for an inbound stream's socket: each ``recv`` returns the
+    next of ``chunks``."""
+
+    def __init__(self, chunks):
+        self.chunks = list(chunks)
+
+    def recv(self, size):
+        assert len(self.chunks[0]) <= size
+        return self.chunks.pop(0)
+
+
+# a stream that opens with its HELLO, then frames with and without vectors
+STREAM_MESSAGES = [
+    PullResponse(TaskId(3, TaskKind.UPDATE), np.random.default_rng(1).standard_normal(7)),
+    TaskAssign(TaskId(4, TaskKind.EVALUATION)),
+    UpdatePush(1, TaskId(5, TaskKind.UPDATE), np.array([0.5, -0.0, 5e-324])),
+    PullResponse(TaskId(6, TaskKind.UPDATE), np.zeros(0)),
+    Stop(),
+]
+STREAM_FRAMES = [protocol.hello("peer"), *map(protocol.encode, STREAM_MESSAGES)]
+
+
+def _read_chunks(chunks):
+    """Hand ``chunks`` to one inbound stream's ``_read``, one per call, and
+    return what its node received, as (src, msg) pairs, and the stream."""
+    cluster, node = SocketCluster({"a": ("127.0.0.1", 0)}, timeout=5.0), Recorder()
+    cluster.register("a", node)
+    conn = transport._Connection(ScriptedSocket(chunks), "a", "a")
+    for _ in chunks:
+        cluster._read(conn)
+    assert cluster._failure is None
+    assert conn.src == "peer" and conn.where == "a <- peer"
+    return [(src, msg) for _, src, msg in node.seen], conn
+
+
+def _check_vectors(received):
+    """Every decoded vector holds the bits that were sent, in a read-only,
+    aligned view."""
+    assert [msg for _, msg in received] == STREAM_MESSAGES
+    for (_, got), sent in zip(received, STREAM_MESSAGES):
+        for name, kind in sent._wire:
+            if kind == "vec":
+                v = getattr(got, name)
+                assert v.tobytes() == getattr(sent, name).tobytes()
+                assert v.flags.aligned and not v.flags.writeable
+
+
+@pytest.mark.parametrize("split", ["hello-and-frames-in-one-chunk", "hello-then-frames"])
+def test_read_cuts_several_frames_out_of_one_chunk(split):
+    whole = b"".join(STREAM_FRAMES)
+    chunks = [whole] if split == "hello-and-frames-in-one-chunk" else \
+        [STREAM_FRAMES[0], b"".join(STREAM_FRAMES[1:])]
+    received, conn = _read_chunks(chunks)
+    assert [src for src, _ in received] == ["peer"] * len(STREAM_MESSAGES)
+    _check_vectors(received)
+    assert not conn.inbuf
+
+
+def test_read_reassembles_a_frame_split_at_every_byte_offset():
+    # two chunks cut the stream anywhere: inside the HELLO, inside a header,
+    # at a frame boundary or inside a vector; the earlier runs' vectors stay
+    # intact while later runs read on
+    whole = b"".join(STREAM_FRAMES)
+    runs = []
+    for cut in range(1, len(whole)):
+        received, conn = _read_chunks([whole[:cut], whole[cut:]])
+        assert [src for src, _ in received] == ["peer"] * len(STREAM_MESSAGES)
+        assert not conn.inbuf
+        runs.append(received)
+    for received in runs:
+        _check_vectors(received)
+
+
+def test_read_decodes_a_chunk_that_is_one_frame_without_a_copy():
+    received, conn = _read_chunks(STREAM_FRAMES)
+    _check_vectors(received)
+    assert received[0][1].w.base is STREAM_FRAMES[1]  # a view over the chunk itself
+    assert not conn.inbuf
