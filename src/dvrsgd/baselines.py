@@ -25,7 +25,7 @@ from .protocol import update_stage
 from .worker import sampling_stream
 
 __all__ = ["BASELINES", "AlgoConfig", "serial_svrg", "svrg_stages", "apply_hybrid",
-           "dpg_update", "DownpourAdagrad", "DecayingSgd", "algo_config"]
+           "dpg_update", "algo_config"]
 
 ADAGRAD_EPS0 = 1e-8
 SSP_DECAY = 0.95
@@ -79,38 +79,6 @@ def dpg_update(w: np.ndarray, w_hat: np.ndarray, theta: float) -> np.ndarray:
     return (1.0 - theta) * w + theta * w_hat
 
 
-class DownpourAdagrad:
-    """Per-coordinate adaptive server step; no delay bound.
-
-    acc_j starts at ADAGRAD_EPS0; each push does acc_j += g_j^2 then
-    w_j -= eta * g_j / sqrt(acc_j).
-    """
-
-    def __init__(self, eta: float, dim: int):
-        self.eta = eta
-        self.acc = np.full(dim, ADAGRAD_EPS0)
-
-    def __call__(self, server, push, w_hat) -> np.ndarray:
-        g = push.delta
-        self.acc = self.acc + g * g
-        return server.w - self.eta * g / np.sqrt(self.acc)
-
-
-class DecayingSgd:
-    """Plain SGD server step whose rate decays by SSP_DECAY per stage."""
-
-    def __init__(self, eta0: float, m: int):
-        self.eta0 = eta0
-        self.m = m
-
-    def rate(self, stage: int) -> float:
-        return self.eta0 * SSP_DECAY ** (stage - 1)
-
-    def __call__(self, server, push, w_hat) -> np.ndarray:
-        eta = self.rate(update_stage(push.task, self.m))
-        return server.w - eta * push.delta
-
-
 @dataclass(frozen=True)
 class AlgoConfig:
     """Wiring for one cluster algorithm."""
@@ -120,28 +88,12 @@ class AlgoConfig:
     gate: Callable                     # hyper -> delay bound (None = unbounded)
 
 
-def _gate_tau(hyper: HyperParams):
-    return hyper.tau
-
-
-def _gate_none(hyper: HyperParams):
-    return None
-
-
-def _gate_ssp(hyper: HyperParams):
-    return SSP_STALENESS * hyper.P
-
-
 def _rule_hybrid(hyper: HyperParams, dim: int):
     eta, theta = hyper.eta, hyper.theta
 
     def rule(server, push, w_hat):
         return apply_hybrid(server.w, w_hat, push.delta, eta, theta)
     return rule
-
-
-def _rule_hybrid_theta_zero(hyper: HyperParams, dim: int):
-    return _rule_hybrid(replace(hyper, theta=0.0), dim)
 
 
 def _rule_convex(hyper: HyperParams, dim: int):
@@ -155,20 +107,34 @@ def _rule_convex(hyper: HyperParams, dim: int):
 
 
 def _rule_adagrad(hyper: HyperParams, dim: int):
-    return DownpourAdagrad(hyper.eta, dim)
+    """Per-coordinate Adagrad step: acc = ADAGRAD_EPS0 + sum of g*g, w -= eta*g/sqrt(acc)."""
+    eta, acc = hyper.eta, np.full(dim, ADAGRAD_EPS0)
+
+    def rule(server, push, w_hat):
+        nonlocal acc
+        g = push.delta
+        acc = acc + g * g
+        return server.w - eta * g / np.sqrt(acc)
+    return rule
 
 
-def _rule_ssp(hyper: HyperParams, dim: int):
-    return DecayingSgd(hyper.eta, hyper.m)
+def _rule_decaying(hyper: HyperParams, dim: int):
+    """Plain SGD step whose rate decays by SSP_DECAY per stage."""
+    eta, m = hyper.eta, hyper.m
+
+    def rule(server, push, w_hat):
+        return server.w - eta * SSP_DECAY ** (update_stage(push.task, m) - 1) * push.delta
+    return rule
 
 
 BASELINES: dict[str, AlgoConfig] = {
-    "dvrsgd": AlgoConfig("vr", _rule_hybrid, _gate_tau),
-    "dsvrg": AlgoConfig("vr", _rule_hybrid_theta_zero, _gate_tau),
-    "dpg": AlgoConfig("plain", _rule_convex, _gate_tau),
-    "vrdpg": AlgoConfig("vr", _rule_convex, _gate_tau),
-    "downpour": AlgoConfig("plain", _rule_adagrad, _gate_none),
-    "ssp": AlgoConfig("plain", _rule_ssp, _gate_ssp),
+    "dvrsgd": AlgoConfig("vr", _rule_hybrid, lambda hyper: hyper.tau),
+    "dsvrg": AlgoConfig("vr", lambda hyper, dim: _rule_hybrid(replace(hyper, theta=0.0), dim),
+                        lambda hyper: hyper.tau),
+    "dpg": AlgoConfig("plain", _rule_convex, lambda hyper: hyper.tau),
+    "vrdpg": AlgoConfig("vr", _rule_convex, lambda hyper: hyper.tau),
+    "downpour": AlgoConfig("plain", _rule_adagrad, lambda hyper: None),
+    "ssp": AlgoConfig("plain", _rule_decaying, lambda hyper: SSP_STALENESS * hyper.P),
 }
 
 

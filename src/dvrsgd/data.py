@@ -13,7 +13,7 @@ import numpy as np
 from .losses import Problem
 
 __all__ = ["DataFormatError", "load_libsvm", "count_libsvm", "write_libsvm", "Partitioning",
-           "partition", "check_partition"]
+           "partition", "check_partition", "check_batch_size"]
 
 
 class DataFormatError(Exception):
@@ -123,6 +123,12 @@ def check_partition(n: int, P: int, strategy: str):
         raise ValueError(f"need 1 <= P <= N, got P={P}, N={n}")
     if strategy not in ("contiguous", "shuffled"):
         raise ValueError(f"unknown partition strategy {strategy!r}")
+
+
+def check_batch_size(B: int, size: int, worker: int):
+    """Raise unless worker ``worker``'s ``size`` samples hold a mini-batch of ``B``."""
+    if B > size:
+        raise ValueError(f"mini-batch size {B} exceeds partition size {size} of worker {worker}")
 
 
 def partition(problem: Problem, P: int, strategy: str = "contiguous", *,

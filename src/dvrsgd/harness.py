@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import algo_config, svrg_stages
-from .data import check_partition, count_libsvm, load_libsvm, partition
+from .data import check_batch_size, check_partition, count_libsvm, load_libsvm, partition
 from .losses import Problem, check_synthetic, make_synthetic, objective
 from .scheduler import (ProgressRecord, SchedulerNode, fixed_stages,
                         objective_target, relative_decrease)
@@ -209,13 +209,8 @@ class ExperimentConfig:
             builders.append(lambda: check_synthetic(self.kind, self.n, self.d,
                                                     num_classes=self.k, mu=self.mu,
                                                     smoothness=self.smoothness))
-        if self.algo != "svrg" and (self.source == "synthetic" or
-                                    self.source == "libsvm" and self.path):
-            # what splitting it would reject: a file's samples are counted,
-            # not parsed, and a file that cannot be read is reported below
-            builders.append(lambda: check_partition(
-                self.n if self.source == "synthetic" else count_libsvm(self.path),
-                self.P, self.strategy))
+        if self.source == "synthetic" or self.source == "libsvm" and self.path:
+            builders.append(self._check_split)
         errors = []
         for build in builders:
             try:
@@ -223,22 +218,29 @@ class ExperimentConfig:
             except ValueError as exc:
                 if str(exc) not in errors:  # a bad hyperparameter fails the rule too
                     errors.append(str(exc))
-            except OSError:
-                pass
+            except OSError as exc:  # only counting a libsvm file reads one
+                errors.append(f"path {self.path!r} cannot be read: {exc.strerror}")
         if self.source not in ("synthetic", "libsvm"):
             errors.append(f"unknown problem source {self.source!r}")
         if self.source == "libsvm" and not self.path:
             errors.append("libsvm source needs a path")
-        elif self.source == "libsvm":
-            try:
-                open(self.path, "rb").close()
-            except OSError as exc:
-                errors.append(f"path {self.path!r} cannot be read: {exc.strerror}")
         if self.mode not in ("sim", "socket"):
             errors.append(f"unknown transport mode {self.mode!r}")
-        if self.mode == "socket" and not self.endpoints:
-            errors.append("socket mode needs [endpoints]")
+        if self.mode == "socket" and self.algo != "svrg":  # serial svrg opens no socket
+            roles = ["scheduler", "server", *(f"worker:{p}" for p in range(self.P))]
+            if missing := [role for role in roles if role not in self.endpoints]:
+                errors.append(f"[endpoints] has no address for {', '.join(missing)}")
         return errors
+
+    def _check_split(self):
+        """Raise what splitting the samples into P parts (one for serial svrg) and
+        drawing B-sample batches would; a file's samples are counted, not parsed."""
+        n = self.n if self.source == "synthetic" else count_libsvm(self.path)
+        if self.algo != "svrg":
+            check_partition(n, self.P, self.strategy)
+        base, extra = divmod(n, 1 if self.algo == "svrg" else self.P)
+        check_batch_size(self.B, base + (extra > 0), 0)  # workers 0..extra-1: ceil(N/P)
+        check_batch_size(self.B, base, extra)  # the rest: floor(N/P)
 
     def build_problem(self) -> Problem:
         if self.source == "libsvm":

@@ -107,18 +107,12 @@ class FinishedTasks:
     def __contains__(self, t: int) -> bool:
         return t <= self.watermark or t in self._overflow
 
-    def all_finished_below(self, t: int) -> bool:
-        """True iff every update timestamp < t is finished."""
-        return self.watermark >= t - 1
-
 
 def aggregate_local_gradients(grads: list[np.ndarray], weights) -> np.ndarray:
     """Weighted aggregate sum_p q_p * grad_p, accumulated in worker order."""
     weights = np.asarray(weights, dtype=np.float64)
     if len(grads) != weights.shape[0]:
         raise ProtocolError(f"expected {weights.shape[0]} local gradients, got {len(grads)}")
-    if abs(float(weights.sum()) - 1.0) > 1e-12:
-        raise ValueError("partition weights must sum to 1")
     # one scaled (P, d) stack; _ordered_sum adds its rows in worker order
     rows = np.array(grads, dtype=np.float64)
     rows *= weights[:, None]
@@ -138,6 +132,8 @@ class ParamServer(Node):
         self.weights = np.asarray(weights, dtype=np.float64)
         if self.weights.shape != (hyper.P,):
             raise ValueError("need one partition weight per worker")
+        if abs(float(self.weights.sum()) - 1.0) > 1e-12:
+            raise ValueError("partition weights must sum to 1")
         self.w = np.zeros(dim)
         self.update_rule = update_rule
         self.gate_bound = gate_bound

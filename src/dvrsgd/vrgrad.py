@@ -13,25 +13,22 @@ long as the stream is expected to be, 8 to 64 rows, and it draws blocks of
 that length until it has drawn 64 rows, then 64 a block: a short stream pays
 one or two per-call costs and holds few undrawn rows.
 
-The public functions check their inputs: ``make_snapshot`` and
-``vr_gradient`` reject a w of the wrong shape or with a non-finite entry and
-an empty or out-of-range batch, and the samplers reject a batch size outside
-1..len(pool).  ``_vr_gradient``, the kernel behind ``vr_gradient``, checks
-nothing; a worker calls it on every update and trusts the boundaries its
-inputs passed: the worker checks its partition once when it is built, the
-server never stores (and so never sends) a non-finite w, and the snapshot
-anchor is a w the server sent.
+The public functions check their inputs: ``vr_gradient`` rejects a w of the
+wrong shape or with a non-finite entry and an empty or out-of-range batch,
+and the samplers reject a batch size outside 1..len(pool).  ``_vr_gradient``,
+the kernel behind ``vr_gradient``, checks nothing; a worker calls it on every
+update and trusts the boundaries its inputs passed: the worker checks its
+partition once when it is built, the server never stores (and so never sends)
+a non-finite w, and the snapshot anchor is a w the server sent.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import (Problem, _check_indices, _check_param, _ordered_sum, _per_sample,
-                     full_gradient)
+from .losses import Problem, _check_indices, _check_param, _ordered_sum, _per_sample
 
-__all__ = ["Snapshot", "make_snapshot", "vr_gradient", "draw_batch", "draw_batches",
-           "BatchStream"]
+__all__ = ["Snapshot", "vr_gradient", "draw_batch", "draw_batches", "BatchStream"]
 
 # NumPy's choice(n, size, replace=False) runs Floyd's algorithm unless
 # n > _FLOYD_MAX_POOL and size > n // 50
@@ -61,12 +58,6 @@ class Snapshot:
             raise ValueError("stage must be >= 0")
         if self.anchor.shape != self.anchor_grad.shape:
             raise ValueError("anchor and anchor_grad must have equal shape")
-
-
-def make_snapshot(problem: Problem, w, stage: int) -> Snapshot:
-    """Snapshot at w with anchor_grad computed by ``full_gradient``."""
-    w = _check_param(problem, w)
-    return Snapshot(anchor=w.copy(), anchor_grad=full_gradient(problem, w), stage=stage)
 
 
 def vr_gradient(problem: Problem, w, snapshot: Snapshot, batch) -> np.ndarray:

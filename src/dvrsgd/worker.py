@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_batch_size
 from .losses import Problem, _evaluate, mean_gradient
 # not called here: the per-layer trace (bench/layers.py) looks it up by name
 from .losses import loss_sum  # noqa: F401
@@ -84,9 +85,7 @@ class WorkerNode(Node):
         if self.indices[0] < 0 or self.indices[-1] >= problem.n:
             raise ValueError(f"partition of worker {worker_id} has a sample index "
                              f"outside 0..{problem.n - 1}")
-        if hyper.B > self.indices.shape[0]:
-            raise ValueError(f"mini-batch size {hyper.B} exceeds partition size "
-                             f"{self.indices.shape[0]} of worker {worker_id}")
+        check_batch_size(hyper.B, self.indices.shape[0], worker_id)
         self.hyper = hyper
         self.gradient = gradient
         self.grad_tick = self.check_grad_tick(grad_tick)

@@ -15,7 +15,7 @@ from dvrsgd.protocol import decode, encode, DecodeError
 from dvrsgd.scheduler import compute_rate_gamma
 from dvrsgd.server import HyperParams, aggregate_local_gradients
 from dvrsgd.transport import LatencyModel
-from dvrsgd.vrgrad import make_snapshot, vr_gradient
+from dvrsgd.vrgrad import Snapshot, vr_gradient
 from dvrsgd.data import partition
 from helpers import (check_gate_invariant, check_one_task_at_a_time,
                      check_pair_fifo, quad_solution)
@@ -61,7 +61,8 @@ def test_criterion_02_unbiasedness_by_enumeration():
     t0 = time.perf_counter()
     p = make_synthetic("l2-logistic", 200, 8, lam=0.02, seed=12)
     rng = np.random.default_rng(13)
-    snap = make_snapshot(p, rng.normal(size=p.dim), stage=0)
+    anchor = rng.normal(size=p.dim)
+    snap = Snapshot(anchor, full_gradient(p, anchor), stage=0)
     worst = 0.0
     for _ in range(10):
         w = rng.normal(size=p.dim)

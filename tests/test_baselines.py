@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from dvrsgd.baselines import (ADAGRAD_EPS0, BASELINES, DecayingSgd, DownpourAdagrad,
-                              algo_config, dpg_update, serial_svrg)
+from dvrsgd.baselines import ADAGRAD_EPS0, BASELINES, algo_config, dpg_update, serial_svrg
 from dvrsgd.harness import run_cluster
 from dvrsgd.losses import full_gradient, make_synthetic, objective
 from dvrsgd.protocol import TaskId, TaskKind, UpdatePush
@@ -87,7 +86,8 @@ def test_downpour_adagrad_steps():
         w = np.array([1.0])
         hyper = None
 
-    rule = DownpourAdagrad(eta=0.1, dim=1)
+    hyper = HyperParams(eta=0.1)
+    rule = algo_config("downpour").rule(hyper, 1)
     # the rule never reads w_hat, the w the server answered the pull with
     push = UpdatePush(0, TaskId(1, TaskKind.UPDATE), np.array([1.0]))
     w1 = rule(FakeServer, push, None)
@@ -96,10 +96,13 @@ def test_downpour_adagrad_steps():
     zero = UpdatePush(0, TaskId(2, TaskKind.UPDATE), np.array([0.0]))
     FakeServer.w = w1
     assert np.array_equal(rule(FakeServer, zero, None), w1)
-    # two equal steps shrink: the accumulator is monotone
+    # each build of the row starts its own accumulator: a second build's
+    # first step is the first build's, not one shrunk by the pushes above
     FakeServer.w = np.array([1.0])
-    rule2 = DownpourAdagrad(eta=0.1, dim=1)
+    rule2 = algo_config("downpour").rule(hyper, 1)
     wa = rule2(FakeServer, push, None)
+    assert np.array_equal(wa, w1)
+    # two equal steps shrink: the accumulator is monotone
     step1 = 1.0 - wa[0]
     FakeServer.w = wa
     wb = rule2(FakeServer, push, None)
@@ -108,17 +111,19 @@ def test_downpour_adagrad_steps():
 
 
 def test_decaying_sgd_rate_schedule():
-    rule = DecayingSgd(eta0=1.0, m=10)
-    assert rule.rate(1) == 1.0
-    assert rule.rate(4) == pytest.approx(0.857375, abs=1e-12)  # 0.95**3
+    rule = algo_config("ssp").rule(HyperParams(eta=1.0, m=10), 2)
 
     class FakeServer:
         w = np.array([1.0, 0.0])
         hyper = None
 
-    push = UpdatePush(0, TaskId(31, TaskKind.UPDATE), np.array([1.0, 2.0]))
-    out = rule(FakeServer, push, None)  # t=31, m=10 -> stage 4 -> eta = 0.95^3
-    assert np.allclose(out, FakeServer.w - 0.857375 * np.array([1.0, 2.0]), atol=1e-12)
+    delta = np.array([1.0, 2.0])
+    # t=1, m=10 -> stage 1 -> eta = 1.0
+    out = rule(FakeServer, UpdatePush(0, TaskId(1, TaskKind.UPDATE), delta), None)
+    assert np.array_equal(out, FakeServer.w - delta)
+    # t=31, m=10 -> stage 4 -> eta = 0.95^3
+    out = rule(FakeServer, UpdatePush(0, TaskId(31, TaskKind.UPDATE), delta), None)
+    assert np.allclose(out, FakeServer.w - 0.857375 * delta, atol=1e-12)
 
 
 def test_ssp_gate_bound():

@@ -27,8 +27,8 @@ class SortAndScanServer(ParamServer):
         if task.kind == TaskKind.UPDATE:
             if self.gate_bound is None:
                 return True
-            return self.finished.all_finished_below(task.timestamp - self.gate_bound)
-        return self.finished.all_finished_below(task.timestamp)
+            return self.finished.watermark >= task.timestamp - self.gate_bound - 1
+        return self.finished.watermark >= task.timestamp - 1
 
     def gate_pull(self, req):
         key = (req.worker, req.task.timestamp, req.task.kind)

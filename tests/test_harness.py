@@ -372,6 +372,51 @@ def test_validate_names_a_libsvm_path_that_cannot_be_read(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fields,error", [
+    (dict(n=40, P=4, B=20), "mini-batch size 20 exceeds partition size 10 of worker 0"),
+    # subsets of 11, 11, 10 and 10 samples: worker 2 is the first too small
+    (dict(n=42, P=4, B=11), "mini-batch size 11 exceeds partition size 10 of worker 2"),
+    (dict(n=42, P=4, B=12), "mini-batch size 12 exceeds partition size 11 of worker 0"),
+    # the 40 samples of a.svm, counted
+    (dict(source="libsvm", P=4, B=11), "mini-batch size 11 exceeds partition size 10 of worker 0"),
+    # serial svrg draws worker 0's batch stream from all N samples
+    (dict(algo="svrg", n=40, B=41), "mini-batch size 41 exceeds partition size 40 of worker 0"),
+], ids=["even-split", "uneven-split-floor", "uneven-split-ceil", "libsvm", "svrg"])
+def test_validate_rejects_a_mini_batch_larger_than_a_partition(tmp_path, fields, error):
+    write_libsvm(make_synthetic("l2-logistic", 40, 6, lam=0.05, seed=4), tmp_path / "a.svm")
+    cfg = small_config(tmp_path, path=str(tmp_path / "a.svm"), **fields)
+    assert cfg.validate() == [error]
+    if cfg.algo != "svrg":  # the workers the run builds raise the same error
+        problem = cfg.build_problem()
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            run_cluster(problem, cfg.build_hyper(problem.n), algo=cfg.algo)
+    # a sweep whose first value would run writes no file
+    with pytest.raises(ValueError, match=error):
+        sweep(cfg, "B", ["2", str(cfg.B)], out_dir=str(tmp_path / "bad"))
+    assert not (tmp_path / "bad").exists()
+
+
+def test_validate_names_every_role_missing_from_endpoints(tmp_path, capsys):
+    cfg = small_config(tmp_path, **SOCKET)  # endpoints for P=2
+    assert cfg.validate() == []
+    cfg.P = 4
+    assert cfg.validate() == ["[endpoints] has no address for worker:2, worker:3"]
+    cfg.endpoints = {r: a for r, a in SOCKET["endpoints"].items() if r != "server"}
+    assert cfg.validate() == ["[endpoints] has no address for server, worker:2, worker:3"]
+    cfg.endpoints = {}
+    assert cfg.validate() == ["[endpoints] has no address for scheduler, server, "
+                              "worker:0, worker:1, worker:2, worker:3"]
+    assert dataclasses.replace(cfg, algo="svrg").validate() == []  # it opens no socket
+    # the sweep exits 1 before it runs P=2
+    small_config(tmp_path, **SOCKET).to_file(tmp_path / "exp.ini")
+    out = tmp_path / "workers"
+    assert main(["sweep", "--config", str(tmp_path / "exp.ini"), "--axis", "P",
+                 "--values", "2,4", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "error: invalid config:\n  [endpoints] has no address for worker:2, worker:3\n"
+    assert not out.exists()
+
+
 def test_sweep_rejects_unknown_axis(tmp_path):
     with pytest.raises(ValueError):
         sweep(small_config(tmp_path), "voltage", [1, 2])

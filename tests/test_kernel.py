@@ -18,7 +18,7 @@ from dvrsgd import losses
 from dvrsgd.losses import (KINDS, full_gradient, loss_sum, make_synthetic, mean_gradient,
                            objective)
 from dvrsgd.server import aggregate_local_gradients
-from dvrsgd.vrgrad import make_snapshot, vr_gradient
+from dvrsgd.vrgrad import Snapshot, vr_gradient
 
 
 def reference_rows(problem, w, idx):
@@ -105,7 +105,7 @@ def test_kernel_matches_one_shot_reference_bitwise(monkeypatch, block_elems, kin
 
     full = full_gradient(p, w)
     assert np.array_equal(full, reference_mean(p, w, np.arange(p.n)))
-    snap = make_snapshot(p, anchor, stage=3)
+    snap = Snapshot(anchor, full_gradient(p, anchor), stage=3)
     assert np.array_equal(snap.anchor_grad, reference_mean(p, anchor, np.arange(p.n)))
 
     for size in sizes:
@@ -143,7 +143,7 @@ def kernel_cases(draw):
 @given(kernel_cases())
 def test_stacked_points_match_one_point_reference_bitwise(case):
     p, w, anchor, idx = case
-    snap = make_snapshot(p, anchor, stage=1)
+    snap = Snapshot(anchor, full_gradient(p, anchor), stage=1)
     assert np.array_equal(snap.anchor_grad, reference_mean(p, anchor, np.arange(p.n)))
     assert np.array_equal(mean_gradient(p, w, idx), reference_mean(p, w, idx))
     diff = reference_rows(p, w, idx) - reference_rows(p, anchor, idx)

@@ -363,8 +363,6 @@ def test_watermark_overflow_set():
     assert f.watermark == 3
     f.mark(4)
     assert f.watermark == 5
-    assert f.all_finished_below(6)
-    assert not f.all_finished_below(7)
     with pytest.raises(ProtocolError):
         f.mark(4)
 
@@ -470,8 +468,12 @@ def test_eval_push_that_answers_no_released_eval_pull_rejected(worker, pulled):
 
 
 def test_aggregate_weights_must_sum_to_one():
-    with pytest.raises(ValueError):
-        aggregate_local_gradients([np.zeros(2), np.zeros(2)], [0.6, 0.5])
+    # checked once, when the server is built, not at every stage's aggregate
+    hyper = HyperParams(eta=0.1, P=2)
+    rule = algo_config("dvrsgd").rule(hyper, 2)
+    with pytest.raises(ValueError, match="partition weights must sum to 1"):
+        ParamServer(2, hyper, [0.6, 0.5], update_rule=rule, gate_bound=0)
+    ParamServer(2, hyper, [0.5, 0.5], update_rule=rule, gate_bound=0)
 
 
 def test_stage_end_matches_full_gradient_random_partition():

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dvrsgd.losses import full_gradient, make_synthetic, mean_gradient
-from dvrsgd.vrgrad import (BatchStream, Snapshot, draw_batch, draw_batches, make_snapshot,
-                           vr_gradient)
+from dvrsgd.vrgrad import BatchStream, Snapshot, draw_batch, draw_batches, vr_gradient
 from helpers import quad_solution
 
 
@@ -15,7 +14,8 @@ def problem():
 
 
 def test_anchor_cancellation_is_exact(problem):
-    snap = make_snapshot(problem, np.linspace(-1, 1, problem.dim), stage=0)
+    anchor = np.linspace(-1, 1, problem.dim)
+    snap = Snapshot(anchor, full_gradient(problem, anchor), stage=0)
     for batch in ([0], [3, 7, 1], list(range(problem.n))):
         g = vr_gradient(problem, snap.anchor, snap, batch)
         assert np.array_equal(g, snap.anchor_grad)
@@ -23,8 +23,8 @@ def test_anchor_cancellation_is_exact(problem):
 
 def test_full_batch_equals_full_gradient(problem):
     rng = np.random.default_rng(1)
-    w = rng.normal(size=problem.dim)
-    snap = make_snapshot(problem, rng.normal(size=problem.dim), stage=0)
+    w, anchor = rng.normal(size=problem.dim), rng.normal(size=problem.dim)
+    snap = Snapshot(anchor, full_gradient(problem, anchor), stage=0)
     g = vr_gradient(problem, w, snap, np.arange(problem.n))
     assert np.linalg.norm(g - full_gradient(problem, w)) <= 1e-12
 
@@ -32,7 +32,8 @@ def test_full_batch_equals_full_gradient(problem):
 def test_unbiasedness_by_enumeration():
     p = make_synthetic("l2-logistic", 200, 5, lam=0.02, seed=2)
     rng = np.random.default_rng(3)
-    snap = make_snapshot(p, rng.normal(size=p.dim), stage=0)
+    anchor = rng.normal(size=p.dim)
+    snap = Snapshot(anchor, full_gradient(p, anchor), stage=0)
     for _ in range(10):
         w = rng.normal(size=p.dim)
         mean = np.zeros(p.dim)
@@ -48,7 +49,7 @@ def test_variance_shrinkage_near_optimum():
     rng = np.random.default_rng(5)
     w = w_star + 1e-3 * rng.normal(size=p.dim)
     anchor = w_star + 1e-3 * rng.normal(size=p.dim)
-    snap = make_snapshot(p, anchor, stage=0)
+    snap = Snapshot(anchor, full_gradient(p, anchor), stage=0)
     vr = np.array([vr_gradient(p, w, snap, [i]) for i in range(p.n)])
     plain = np.array([mean_gradient(p, w, [i]) for i in range(p.n)])
     var = lambda g: float(np.mean(np.sum((g - g.mean(axis=0)) ** 2, axis=1)))
@@ -70,7 +71,7 @@ def test_plain_gradient_special_cases(problem):
 
 def test_empty_batch_rejected(problem):
     w = np.zeros(problem.dim)
-    snap = make_snapshot(problem, w, stage=0)
+    snap = Snapshot(w, full_gradient(problem, w), stage=0)
     with pytest.raises(ValueError):
         vr_gradient(problem, w, snap, [])
     with pytest.raises(ValueError):

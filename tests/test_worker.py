@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from dvrsgd.data import partition
-from dvrsgd.losses import KINDS, loss_sum, make_synthetic, mean_gradient, objective
+from dvrsgd.losses import (KINDS, full_gradient, loss_sum, make_synthetic, mean_gradient,
+                           objective)
 from dvrsgd.protocol import (EvalPush, PullRequest, PullResponse, SnapshotBroadcast,
                              Stop, TaskAssign, TaskId, TaskKind, UpdatePush, eval_stage,
                              update_stage)
 from dvrsgd.server import HyperParams
 from dvrsgd.transport import Node, SimCluster
 from dvrsgd import worker as worker_module
-from dvrsgd.vrgrad import draw_batch, make_snapshot, vr_gradient
+from dvrsgd.vrgrad import Snapshot, draw_batch, vr_gradient
 from dvrsgd.worker import WorkerNode, sampling_stream
 
 
@@ -64,7 +65,7 @@ def test_update_at_anchor_pushes_anchor_gradient(problem):
     hyper = HyperParams(eta=0.1, theta=0.5, tau=0, B=4, m=5, S=1, P=1)
     anchor = np.linspace(-0.5, 0.5, problem.dim)
     sim, server, _, worker = build(problem, hyper, anchor, seed=3)
-    snap = make_snapshot(problem, anchor, stage=0)
+    snap = Snapshot(anchor, full_gradient(problem, anchor), stage=0)
     worker.anchor = snap.anchor
     worker.snapshot = snap
     sim.send("scheduler", "worker:0", TaskAssign(TaskId(1, TaskKind.UPDATE)))
@@ -102,7 +103,8 @@ def test_batches_across_block_refills_are_the_draw_batch_sequence(problem, monke
     sim.register("server", server)
     sim.register("scheduler", SchedulerSink())
     sim.register("worker:0", worker)
-    snap = make_snapshot(problem, np.zeros(problem.dim), stage=0)
+    anchor = np.zeros(problem.dim)
+    snap = Snapshot(anchor, full_gradient(problem, anchor), stage=0)
     worker.anchor, worker.snapshot = snap.anchor, snap
     for k in range(1, 201):
         sim.send("scheduler", "worker:0", TaskAssign(TaskId(k, TaskKind.UPDATE)))
@@ -148,7 +150,8 @@ def test_bad_partition_rejected_naming_the_worker(problem, indices, match):
 def test_update_pull_with_wrong_length_w_raises_without_pushing(problem):
     hyper = HyperParams(eta=0.1, theta=0.5, tau=0, B=4, m=5, S=1, P=1)
     sim, server, _, worker = build(problem, hyper, np.zeros(problem.dim + 1), seed=3)
-    snap = make_snapshot(problem, np.zeros(problem.dim), stage=0)
+    anchor = np.zeros(problem.dim)
+    snap = Snapshot(anchor, full_gradient(problem, anchor), stage=0)
     worker.anchor, worker.snapshot = snap.anchor, snap
     sim.send("scheduler", "worker:0", TaskAssign(TaskId(1, TaskKind.UPDATE)))
     with pytest.raises(ValueError):
@@ -174,7 +177,8 @@ def test_worker_kernel_is_the_checked_vr_gradient_bit_for_bit(kind):
     p = make_synthetic(kind, 40, 5, num_classes=3, lam=0.01, seed=7)
     rng = np.random.default_rng(8)
     for _ in range(50):
-        snap = make_snapshot(p, rng.normal(size=p.dim), stage=0)
+        anchor = rng.normal(size=p.dim)
+        snap = Snapshot(anchor, full_gradient(p, anchor), stage=0)
         w = rng.normal(size=p.dim)
         batch = np.sort(rng.choice(p.n, int(rng.integers(1, p.n + 1)), replace=False))
         assert worker_module.vr_gradient is not vr_gradient
