@@ -16,7 +16,7 @@ __all__ = ["DataFormatError", "load_libsvm", "count_libsvm", "write_libsvm", "Pa
            "partition", "check_partition", "check_batch_size"]
 
 
-class DataFormatError(Exception):
+class DataFormatError(ValueError):
     pass
 
 
@@ -80,7 +80,7 @@ def load_libsvm(path, *, lam: float = 0.0, dim: int | None = None) -> Problem:
     if dim is None:
         dim = max_dim
     elif dim < max_dim:
-        raise DataFormatError(f"--dim {dim} smaller than max feature index {max_dim}")
+        raise DataFormatError(f"{path}: dim {dim} smaller than max feature index {max_dim}")
     if dim < 1:
         raise DataFormatError(f"{path}: could not infer a feature dimension")
     X = np.zeros((len(samples), dim))

@@ -383,12 +383,16 @@ def sweep(config: ExperimentConfig, axis: str, values, out_dir=".", *,
              for v in values]
     for _, case in cases:  # every value is checked before any run writes a file
         _check(case)
+    # each value's file name, with every path separator as "_"
+    names = [f"{axis}_{v}".replace(os.sep, "_").replace("/", "_") + ".csv" for v, _ in cases]
+    if len(set(names)) < len(names):
+        raise ValueError(f"two sweep values would both write {max(names, key=names.count)}")
     os.makedirs(out_dir, exist_ok=True)
     summary_path = os.path.join(out_dir, f"sweep_{axis}_summary.csv")
     target = config.target_objective
     rows = [SWEEP_HEADER]
-    for v, case in cases:
-        records = run_experiment(case, out=os.path.join(out_dir, f"{axis}_{v}.csv"))
+    for name, (v, case) in zip(names, cases):
+        records = run_experiment(case, out=os.path.join(out_dir, name))
         stages = next((r.stage for r in records
                        if target is not None and r.objective <= target), -1)
         last = records[-1] if records else None  # S = 0 writes no record
@@ -438,7 +442,7 @@ def main(argv=None) -> int:
             summary = sweep(config, args.axis, args.values.split(","),
                             out_dir=args.out_dir, gnuplot=args.gnuplot)
             print(f"wrote sweep summary to {summary}")
-    except (ValueError, OSError, TransportError) as exc:
+    except (ValueError, OSError, TransportError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -7,8 +7,7 @@ for every worker's objective push before moving on.  Stage 0 is a bootstrap
 evaluation round: it establishes the initial snapshot (anchor and full
 gradient) and records the starting objective before any update task exists.
 The run ends by protocol: the scheduler sends STOP to every worker and the
-server and is then done, and either transport stops once every node can shut
-down.
+server and is then done; the run is over once every node can shut down.
 
 Also home to ``compute_rate_gamma``, the linear-rate constant
 
@@ -91,14 +90,13 @@ class SchedulerNode(Node):
         self.rng = assignment_stream(seed)
         self.records: list[ProgressRecord] = []
         self.stage = 0
-        self.stopped = False
         self.stopped_early = False
         self._pending: dict[int, EvalPush] = {}
         self._t0 = None
         self._endpoints = tuple(f"worker:{p}" for p in range(hyper.P))
 
     def on_start(self):
-        self._t0 = self.now
+        self._t0 = self.transport.now
         if self.hyper.S == 0:
             self._finish()
             return
@@ -140,7 +138,7 @@ class SchedulerNode(Node):
         self.records.append(ProgressRecord(
             stage=self.stage,
             objective=objective,
-            wall_time=self.now - self._t0,
+            wall_time=self.transport.now - self._t0,
             comp_times=[p.comp_time for p in by_worker],
             comm_times=[p.comm_time for p in by_worker],
         ))

@@ -30,8 +30,8 @@ arrive in that order.  The server keeps one record per worker: the key of the
 last pull to arrive, rejecting any pull at or below it, and what that pull
 was answered with until its push lands (the w_hat of an update pull, the
 round of an evaluation pull); a push that answers no pull released to its
-worker is rejected.  A pull from a worker outside 0..P-1 is rejected too, so
-there are at most P records.
+worker is rejected, as is a pushed vector not as long as w.  A pull from a
+worker outside 0..P-1 is rejected too, so there are at most P records.
 """
 
 import heapq
@@ -146,7 +146,6 @@ class ParamServer(Node):
         self.snapshot_history: list[Snapshot] = []
         # open evaluation rounds: stage -> (anchor, {worker: EvalPush})
         self._rounds: dict[int, tuple[np.ndarray, dict[int, EvalPush]]] = {}
-        self.stopped = False
 
     # -- gating -----------------------------------------------------------
 
@@ -171,17 +170,17 @@ class ParamServer(Node):
             raise ProtocolError(f"pull for already-finished task {task}")
         else:
             threshold = -1 if self.gate_bound is None else task.timestamp - self.gate_bound - 1
-        last = self._last_pull[req.worker] = [key, None]
+        self._last_pull[req.worker] = [key, None]
         if threshold <= self.finished.watermark:
-            self._respond(req, last)
+            self._respond(req)
             return True
         self._arrival += 1
         heapq.heappush(self.pending_pulls, ((threshold, task.timestamp, self._arrival), req))
         return False
 
-    def _respond(self, req: PullRequest, last=None):
-        """Send ``req`` its response.  ``last``, the worker's ``_last_pull``
-        record while ``req`` is its last pull, keeps what it was answered with."""
+    def _respond(self, req: PullRequest):
+        """Send ``req`` its response.  While ``req`` is its worker's last
+        pull, the worker's ``_last_pull`` record keeps what it was answered with."""
         task = req.task
         if task.kind:
             held = eval_stage(task, self.hyper.m)
@@ -190,7 +189,8 @@ class ParamServer(Node):
             w = self._rounds.setdefault(held, (self.w, {}))[0]
         else:
             w = held = self.w
-        if last is not None:
+        last = self._last_pull[req.worker]
+        if last[0] == self._order_key(task):
             last[1] = held
         self.send(self._endpoints[req.worker], PullResponse(task, w))
 
@@ -210,8 +210,7 @@ class ParamServer(Node):
         if len(released) > 1:
             released.sort(key=lambda e: e[0][1:])
         for _, req in released:
-            last = self._last_pull[req.worker]
-            self._respond(req, last if last[0] == self._order_key(req.task) else None)
+            self._respond(req)
 
     # -- updates and stage end ---------------------------------------------
 
@@ -220,6 +219,9 @@ class ParamServer(Node):
         last = self._last_pull.get(push.worker, (None, None))
         if last[1] is None or last[0] != self._order_key(push.task):
             raise ProtocolError(f"worker {push.worker} has no released pull for {push.task}")
+        if push.delta.shape != self.w.shape:
+            raise ProtocolError(f"worker {push.worker} pushed a delta for {push.task} "
+                                f"of length {push.delta.size}; w has length {self.w.size}")
         new_w = self.update_rule(self, push, last[1])
         if not np.isfinite(new_w).all():
             raise FloatingPointError(f"w diverged at task {push.task.timestamp}")
@@ -257,9 +259,12 @@ class ParamServer(Node):
         elif isinstance(msg, UpdatePush):
             self.apply_update(msg)
         elif isinstance(msg, EvalPush):
-            last = self._last_pull.get(msg.worker) if 0 <= msg.worker < self.hyper.P else None
+            last = self._last_pull.get(msg.worker)
             if last is None or last[0][1] != 0 or last[1] is None:  # rank 0: evaluation
                 raise ProtocolError(f"worker {msg.worker} has no released evaluation pull")
+            if msg.local_grad.shape != self.w.shape:
+                raise ProtocolError(f"worker {msg.worker} pushed a stage {last[1]} local gradient "
+                                    f"of length {msg.local_grad.size}; w has length {self.w.size}")
             stage, last[1] = last[1], None
             pushes = self._rounds[stage][1]
             pushes[msg.worker] = msg

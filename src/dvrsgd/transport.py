@@ -5,8 +5,9 @@ Both transports honor the same contract:
 * exactly-once delivery,
 * FIFO order per (sender, receiver) pair,
 * each node's handler runs serialized (one event at a time per node),
-* ``run_until_quiescent`` runs the cluster until every hosted node reports
-  ``can_shutdown()``, or until the first failure.
+* ``run_until_quiescent`` runs until the sim's event heap drains or every
+  node a socket cluster hosts can shut down, or until the first failure; the
+  harness names any node that a drained sim run left unfinished.
 
 ``SimCluster`` is a single-threaded discrete-event loop over logical time.
 Latencies come from a seeded ``LatencyModel``; deliveries that would overtake
@@ -157,10 +158,6 @@ class Node:
         self.endpoint = endpoint
         self.send = functools.partial(transport.send, endpoint)
         self.after = functools.partial(transport.schedule, endpoint)
-
-    @property
-    def now(self) -> float:
-        return self.transport.now
 
     def on_start(self):
         pass

@@ -7,11 +7,8 @@ The estimator for a mini-batch Bt is
 which is unbiased for grad F(w) and whose variance vanishes as both w and the
 anchor approach the optimum.  Each mini-batch Bt is drawn uniformly without
 replacement by ``draw_batch``, or by ``draw_batches`` many at a time with the
-same result.  A worker's ``BatchStream`` serves the ``draw_batch`` sequence
-from ``draw_batches`` blocks from its first batch on.  Its first block is as
-long as the stream is expected to be, 8 to 64 rows, and it draws blocks of
-that length until it has drawn 64 rows, then 64 a block: a short stream pays
-one or two per-call costs and holds few undrawn rows.
+same result; a worker's ``BatchStream`` serves the ``draw_batch`` sequence
+from ``draw_batches`` blocks of one size, the stream's expected length.
 
 The public functions check their inputs: ``vr_gradient`` rejects a w of the
 wrong shape or with a non-finite entry and an empty or out-of-range batch,
@@ -34,13 +31,10 @@ __all__ = ["Snapshot", "vr_gradient", "draw_batch", "draw_batches", "BatchStream
 # n > _FLOYD_MAX_POOL and size > n // 50
 _FLOYD_MAX_POOL = 10000
 
-# A BatchStream's first block holds the stream's expected length, clamped to
-# _MIN_BLOCK.._BLOCK rows, and it draws blocks of that length until it has
-# drawn _BLOCK rows, then _BLOCK.  A block of 8-row batches from a 32-row
+# A BatchStream's block size bounds.  A block of 8-row batches from a 32-row
 # pool costs about 25 us plus 0.6 us a row, against 8 us a choice call: a
-# P=256 worker (13-41 batches, 24 expected) makes one or two calls instead of
-# two to six and holds at most 24 rows, and a long stream pays the fixed cost
-# once per 64 batches.
+# P=256 worker (11-41 batches, 24 expected) makes one or two calls and holds
+# at most 24 rows, and a long stream pays the fixed cost once per 64 batches.
 _MIN_BLOCK = 8
 _BLOCK = 64
 
@@ -151,29 +145,25 @@ def _check_batch_size(pool: np.ndarray, size: int):
 class BatchStream:
     """The ``draw_batch(rng, pool, size)`` sequence, drawn by ``draw_batches``
     a block at a time.  ``expected`` is the number of batches the stream is
-    likely to serve: blocks hold that many rows, at least ``_MIN_BLOCK`` and
-    at most ``_BLOCK``, until the stream has drawn ``_BLOCK`` rows, then
-    ``_BLOCK``.  The length only sets the block sizes, never the batches.
-    Nothing is drawn before the first ``next``."""
+    likely to serve: every block holds that many rows, at least ``_MIN_BLOCK``
+    and at most ``_BLOCK``.  The length only sets the block size, never the
+    batches.  Nothing is drawn before the first ``next``."""
 
-    __slots__ = ("rng", "pool", "size", "_first", "_block", "_next", "_drawn")
+    __slots__ = ("rng", "pool", "size", "_count", "_block", "_next")
 
     def __init__(self, rng: np.random.Generator, pool: np.ndarray, size: int,
-                 expected: int = 0):
+                 expected: int = _BLOCK):
         _check_batch_size(pool, size)
         self.rng = rng
         self.pool = pool
         self.size = size
-        self._first = min(_BLOCK, max(_MIN_BLOCK, expected))
+        self._count = min(_BLOCK, max(_MIN_BLOCK, expected))
         self._block = ()
         self._next = 0  # rows of the block served so far
-        self._drawn = 0  # rows of every block so far
 
     def next(self) -> np.ndarray:
         if self._next == len(self._block):
-            count = self._first if self._drawn < _BLOCK else _BLOCK
-            self._block = draw_batches(self.rng, self.pool, self.size, count)
-            self._drawn += count
+            self._block = draw_batches(self.rng, self.pool, self.size, self._count)
             self._next = 0
         self._next += 1
         return self._block[self._next - 1]

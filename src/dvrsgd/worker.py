@@ -19,11 +19,8 @@ snapshot of stage s-1 (anchor set at the evaluation, anchor gradient received
 by broadcast) is complete; plain-gradient workers never read a snapshot, so
 they keep none.
 
-Mini-batch randomness comes from a per-worker stream derived from
-(seed, worker id), so runs are reproducible regardless of message timing.  The
-worker draws its batches a block at a time (``vrgrad.BatchStream``), the same
-batches as one draw per update, in blocks sized to the m*S*n_p/N updates it
-expects to serve.
+Mini-batch randomness comes from a per-worker ``vrgrad.BatchStream`` derived
+from (seed, worker id), so runs are reproducible regardless of message timing.
 """
 
 import math
@@ -55,10 +52,8 @@ def sampling_stream(seed: int, stream_id: int) -> np.random.Generator:
 
 
 def draw_batch(batches: BatchStream) -> np.ndarray:
-    """One update's mini-batch: the next ``vrgrad.draw_batch`` result of the
-    worker's stream, which draws them a block at a time.  The per-update draw
-    keeps this name so that it can be traced per call (``bench/layers.py``
-    patches it)."""
+    """One update's mini-batch, the stream's next ``vrgrad.draw_batch`` result;
+    a hop of its own so that ``bench/layers.py`` can trace each draw."""
     return batches.next()
 
 
@@ -103,7 +98,6 @@ class WorkerNode(Node):
         self._last_eval_stage = -1
         self.comp_time = 0.0
         self.comm_time = 0.0
-        self.stopped = False
 
     @staticmethod
     def check_grad_tick(grad_tick: float) -> float:
@@ -116,7 +110,7 @@ class WorkerNode(Node):
     # -- task scheduling ----------------------------------------------------
 
     def _pump(self):
-        if self.waiting is not None or self.computing or self.stopped or not self.queue:
+        if self.waiting is not None or self.computing or not self.queue:
             return
         task = self.queue[0]
         if not task.kind and self.gradient == "vr":  # kind 1 is EVALUATION
@@ -125,7 +119,7 @@ class WorkerNode(Node):
                 return  # head-of-line wait for the stage snapshot broadcast
         self.queue.popleft()
         self.waiting = task
-        self._pull_sent_at = self.now
+        self._pull_sent_at = self.transport.now
         self.send("server", PullRequest(self.worker_id, task))
 
     # -- task execution ------------------------------------------------------
@@ -136,13 +130,12 @@ class WorkerNode(Node):
         since ``started`` (real seconds on sockets; exactly 0.0 in sim, whose
         clock stands still inside a handler).  The caller sends the pushes
         after it, as an evaluation's push reports the charged comp_time."""
-        cost = modelled + (self.now - started)
+        cost = modelled + (self.transport.now - started)
         self.comp_time += cost
         self.computing = True
         return cost
 
-    def _run_update(self, task: TaskId, w_hat: np.ndarray):
-        started = self.now
+    def _run_update(self, task: TaskId, w_hat: np.ndarray, started: float):
         batch = draw_batch(self.batches)
         if self.gradient == "vr":
             delta = vr_gradient(self.problem, w_hat, self.snapshot, batch)
@@ -153,8 +146,7 @@ class WorkerNode(Node):
         cost = self._charge(started, modelled)
         self.after(cost, _ComputeDone([("server", UpdatePush(self.worker_id, task, delta))]))
 
-    def _run_evaluation(self, task: TaskId, w_hat: np.ndarray):
-        started = self.now
+    def _run_evaluation(self, task: TaskId, w_hat: np.ndarray, started: float):
         local_grad, obj_sum = _evaluate(self.problem, w_hat, self.indices)
         self.anchor = w_hat
         self._last_eval_stage = eval_stage(task, self.hyper.m)
@@ -173,12 +165,13 @@ class WorkerNode(Node):
         elif isinstance(msg, PullResponse):
             if self.waiting is None or msg.task != self.waiting:
                 raise ProtocolError(f"worker {self.worker_id} got unexpected pull response {msg.task}")
-            self.comm_time += self.now - self._pull_sent_at
+            now = self.transport.now  # the end of the wait, the start of the compute
+            self.comm_time += now - self._pull_sent_at
             task, self.waiting = self.waiting, None
             if task.kind:  # EVALUATION is 1, UPDATE 0
-                self._run_evaluation(task, msg.w)
+                self._run_evaluation(task, msg.w, now)
             else:
-                self._run_update(task, msg.w)
+                self._run_update(task, msg.w, now)
         elif isinstance(msg, _ComputeDone):
             self.computing = False
             for dst, push in msg.sends:

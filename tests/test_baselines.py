@@ -199,3 +199,13 @@ def test_all_cluster_algorithms_run(quad):
         r = run_cluster(p, h, algo=name, seed=14)
         assert len(r.records) == 3
         assert np.isfinite(r.final_w).all()
+
+
+@pytest.mark.parametrize("kw, error", [
+    (dict(eta=0.0), "eta must be > 0"),
+    (dict(eta=0.1, anchor="first"), "anchor must be 'random' or 'last'"),
+], ids=["eta", "anchor"])
+def test_serial_svrg_rejects_bad_arguments(kw, error):
+    p = make_synthetic("quadratic", 20, 3, seed=0)
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        serial_svrg(p, m=5, S=1, **kw)

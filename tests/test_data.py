@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dvrsgd.data import DataFormatError, load_libsvm, partition, write_libsvm
-from dvrsgd.losses import full_gradient, make_synthetic, mean_gradient
+from dvrsgd.losses import Problem, full_gradient, make_synthetic, mean_gradient
 
 
 def test_parse_basic_line(tmp_path):
@@ -138,3 +138,23 @@ def test_weighted_aggregate_identity():
         for q in range(7):
             agg += parts.weights[q] * mean_gradient(p, w, parts.subsets[q])
         assert np.linalg.norm(agg - full_gradient(p, w)) <= 1e-12
+
+
+def test_bad_label_reports_its_line(tmp_path):
+    f = tmp_path / "label.svm"
+    f.write_text("1 1:0.5\nyes 1:0.5\n")
+    with pytest.raises(DataFormatError, match="^line 2: bad label 'yes'$"):
+        load_libsvm(f)
+
+
+def test_file_without_features_has_no_dimension(tmp_path):
+    f = tmp_path / "labels.svm"
+    f.write_text("0\n1\n")
+    with pytest.raises(DataFormatError, match="could not infer a feature dimension$"):
+        load_libsvm(f)
+
+
+def test_write_libsvm_writes_quadratic_targets_as_floats(tmp_path):
+    p = Problem("quadratic", [[1.5, 0.0], [0.0, 2.0]], [0.1, -3.0])
+    write_libsvm(p, tmp_path / "quad.svm")
+    assert (tmp_path / "quad.svm").read_text() == "0.10000000000000001 1:1.5\n-3 2:2\n"

@@ -680,10 +680,10 @@ class SwallowingServer(ParamServer):
 
     released = 0
 
-    def _respond(self, req, last=None):
+    def _respond(self, req):
         self.released += 1
         if self.released != 40:
-            super()._respond(req, last)
+            super()._respond(req)
 
 
 # every role is still waiting: the worker on its pull, the rest on its push
@@ -753,3 +753,59 @@ def test_config_file_round_trip_numpy_scalars(tmp_path):
     back = ExperimentConfig.from_file(path)
     assert back == cfg
     assert all(type(getattr(back, f)) is float for f in ("eta", "theta", "lam"))
+
+
+DIVERGING = dict(kind="quadratic", eta=50.0, S=30)
+
+
+@pytest.mark.parametrize("fields, error", [
+    (dict(source="libsvm", path="bad.svm", B=1), "line 2: bad feature token '2:abc'"),
+    (dict(source="libsvm", path="ok.svm", B=1, dim=1),
+     "ok.svm: dim 1 smaller than max feature index 2"),
+    (DIVERGING, "w diverged at task 191"),
+    (dict(DIVERGING, algo="svrg"), "objective overflowed; loss formulation is broken"),
+], ids=["bad-token", "dim-too-small", "diverging-dvrsgd", "diverging-svrg"])
+def test_run_errors_exit_1_with_an_error_line(tmp_path, monkeypatch, capsys, fields, error):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.svm").write_text("0 1:1.0\n1 2:abc\n")
+    (tmp_path / "ok.svm").write_text("0 1:1.0\n1 2:1.0\n")
+    small_config(tmp_path, **fields).to_file("exp.ini")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", "--config", "exp.ini"]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_sweep_over_paths_writes_one_file_per_path(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("data")
+    for name in ("data/a.svm", "data/b.svm", "data_a.svm"):
+        write_libsvm(make_synthetic("l2-logistic", 40, 6, lam=0.05, seed=4), name)
+    small_config(tmp_path, source="libsvm", path="data/a.svm").to_file("exp.ini")
+    assert main(["sweep", "--config", "exp.ini", "--axis", "path",
+                 "--values", "data/a.svm,data/b.svm", "--out-dir", "out"]) == 0
+    assert sorted(os.listdir("out")) == ["path_data_a.svm.csv", "path_data_b.svm.csv",
+                                         "sweep_path_summary.csv"]
+    # two values that name one file are rejected before either runs
+    assert main(["sweep", "--config", "exp.ini", "--axis", "path",
+                 "--values", "data/a.svm,data_a.svm", "--out-dir", "clash"]) == 1
+    assert capsys.readouterr().err == "error: two sweep values would both write " \
+                                      "path_data_a.svm.csv\n"
+    assert not os.path.exists("clash")
+
+
+@pytest.mark.parametrize("fields, error", [
+    (dict(source="hdfs"), "unknown problem source 'hdfs'"),
+    (dict(source="libsvm", path=None), "libsvm source needs a path"),
+], ids=["unknown-source", "libsvm-without-path"])
+def test_validate_names_a_problem_source_it_cannot_build(tmp_path, fields, error):
+    assert small_config(tmp_path, **fields).validate() == [error]
+
+
+def test_cli_run_seed_overrides_the_configured_seed(tmp_path):
+    small_config(tmp_path).to_file(tmp_path / "exp.ini")
+    assert main(["run", "--config", str(tmp_path / "exp.ini"), "--seed", "5",
+                 "--out", str(tmp_path / "cli.csv")]) == 0
+    run_experiment(small_config(tmp_path, seed=5), out=tmp_path / "seed5.csv")
+    run_experiment(small_config(tmp_path), out=tmp_path / "seed3.csv")
+    cli = (tmp_path / "cli.csv").read_bytes()
+    assert cli == (tmp_path / "seed5.csv").read_bytes() != (tmp_path / "seed3.csv").read_bytes()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -175,3 +177,25 @@ def test_ordered_sum_matches_row_loop_bitwise(n, d):
         acc += rows[k]
     for block in (rows, np.asfortranarray(rows)):
         assert np.array_equal(_ordered_sum(block), acc)
+
+
+@pytest.mark.parametrize("args, kw, error", [
+    (("cubic", np.ones((2, 2)), [0.0, 1.0]), {}, "unknown problem kind 'cubic'"),
+    (("quadratic", np.ones(3), [0.0, 1.0, 2.0]), {}, "features must be a nonempty (N, d) matrix"),
+    (("quadratic", np.ones((0, 2)), []), {}, "features must be a nonempty (N, d) matrix"),
+    (("quadratic", np.ones((2, 2)), [0.0, 1.0]), dict(lam=-0.5), "lam must be >= 0"),
+    (("multiclass-logistic", np.ones((2, 2)), [0, 3]), dict(num_classes=3),
+     "labels must lie in {0,..,K-1}"),
+    (("multiclass-logistic", np.ones((2, 2)), [-1, 1]), {}, "labels must lie in {0,..,K-1}"),
+    (("l2-logistic", np.ones((3, 2)), [0, 1, 2]), {}, "l2-logistic requires binary labels"),
+    (("quadratic", np.ones((2, 2)), [1.0]), {}, "targets length must match sample count"),
+], ids=["kind", "one-dimensional", "no-samples", "negative-lam", "label-too-large",
+        "negative-label", "non-binary-logistic", "targets-length"])
+def test_problem_rejects_what_it_cannot_hold(args, kw, error):
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        Problem(*args, **kw)
+
+
+def test_multiclass_generator_needs_two_classes():
+    with pytest.raises(ValueError, match="^multiclass generator needs num_classes >= 2$"):
+        make_synthetic("multiclass-logistic", 10, 3, num_classes=1)

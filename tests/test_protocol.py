@@ -241,3 +241,17 @@ def test_length_header_disagreeing_with_the_frame_rejected(tag):
         with pytest.raises(DecodeError, match=f"^frame length mismatch: header says "
                            f"{body_len}, got {len(frame) - 4}$"):
             decode(bad)
+
+
+def test_message_equality_and_repr():
+    task = TaskId(1, TaskKind.UPDATE)
+    assert PullRequest(0, task) == PullRequest(0, task)
+    assert PullRequest(0, task).__eq__(PullResponse(task, np.zeros(3))) is NotImplemented
+    assert Stop() != "stop"
+    assert repr(PullResponse(task, np.zeros(3))) == f"PullResponse(task={task!r}, w=<3>)"
+    assert repr(Stop()) == "Stop()"
+
+
+def test_encode_rejects_a_non_message():
+    with pytest.raises(TypeError, match="^not a protocol message: tuple$"):
+        encode((0, TaskId(1, TaskKind.UPDATE)))

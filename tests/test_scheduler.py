@@ -168,3 +168,11 @@ def test_compute_rate_gamma_domain_errors():
         compute_rate_gamma(1.0, 2.0, eta=0.05, theta=0.0, m=30, tau=0)
     with pytest.raises(ValueError):
         compute_rate_gamma(1.0, 2.0, eta=-0.01, theta=1.0, m=30, tau=0)
+
+
+@pytest.mark.parametrize("args", [(0.0, 2.0, 0.05, 1.0, 30, 0), (1.0, -2.0, 0.05, 1.0, 30, 0),
+                                  (1.0, 2.0, 0.05, 1.0, 0, 0), (1.0, 2.0, 0.05, 1.0, 30, -1)],
+                         ids=["mu", "L", "m", "tau"])
+def test_compute_rate_gamma_rejects_problem_constants(args):
+    with pytest.raises(ValueError, match="^need mu > 0, L > 0, m >= 1, tau >= 0$"):
+        compute_rate_gamma(*args)

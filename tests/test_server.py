@@ -3,11 +3,11 @@ import re
 import numpy as np
 import pytest
 
-from dvrsgd.baselines import algo_config, apply_hybrid, dpg_update
+from dvrsgd.baselines import BASELINES, algo_config, apply_hybrid, dpg_update
 from dvrsgd.data import partition
 from dvrsgd.harness import _build_nodes
 from dvrsgd.losses import full_gradient, make_synthetic, mean_gradient
-from dvrsgd.protocol import (EvalPush, PullRequest, Stop, TaskId,
+from dvrsgd.protocol import (EvalPush, PullRequest, Stop, TaskAssign, TaskId,
                              TaskKind, UpdatePush)
 from dvrsgd.server import (FinishedTasks, HyperParams, ParamServer, ProtocolError,
                            aggregate_local_gradients)
@@ -509,3 +509,59 @@ def test_hyper_params_validation():
     # theta endpoints are representable states
     HyperParams(eta=0.1, theta=0.0)
     HyperParams(eta=0.1, theta=1.0)
+
+
+@pytest.mark.parametrize("algo", sorted(BASELINES))
+@pytest.mark.parametrize("length", [1, 4], ids=["length-1", "length-d+1"])
+def test_push_of_a_vector_not_as_long_as_w_rejected_naming_the_worker(algo, length):
+    # d = 3: NumPy would broadcast a length-1 delta over all of w
+    hyper = HyperParams(eta=0.1, theta=0.5, tau=1, B=1, m=10, S=1, P=2)
+    row = algo_config(algo)
+    server = ParamServer(3, hyper, [0.5, 0.5], update_rule=row.rule(hyper, 3),
+                         gate_bound=row.gate(hyper))
+    sim = SimCluster()
+    sim.register("server", server)
+    for p in range(2):
+        sim.register(f"worker:{p}", Sink())
+    server.w = np.array([1.0, -2.0, 3.0])
+    assert server.gate_pull(PullRequest(0, TaskId(1, TaskKind.EVALUATION))) is True
+    pull(server, 1, worker=1)
+    before = round_state(server)
+    task = TaskId(1, TaskKind.UPDATE)
+    with pytest.raises(ProtocolError, match=re.escape(
+            f"worker 1 pushed a delta for {task} of length {length}; w has length 3")):
+        server.handle("worker:1", push(1, np.ones(length), worker=1))
+    with pytest.raises(ProtocolError, match=re.escape(
+            f"worker 0 pushed a stage 0 local gradient of length {length}; "
+            "w has length 3")):
+        server.handle("worker:0", EvalPush(0, np.ones(length), 0.0, 0.0, 0.0))
+    assert round_state(server) == before and server.snapshot_history == []
+    # both records still wait for their pushes
+    server.handle("worker:1", push(1, np.ones(3), worker=1))
+    server.handle("worker:0", EvalPush(0, np.ones(3), 0.0, 0.0, 0.0))
+    assert 1 in server.finished and server._rounds[0][1][0].local_grad.size == 3
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: HyperParams(eta=0.1, S=-1), "S must be >= 0"),
+    (lambda: ParamServer(2, HyperParams(eta=0.1, P=2), [1.0], update_rule=None,
+                         gate_bound=0), "need one partition weight per worker"),
+], ids=["negative-S", "weights-shape"])
+def test_server_parameters_rejected(build, error):
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        build()
+
+
+def test_aggregate_needs_one_gradient_per_weight():
+    with pytest.raises(ProtocolError, match="^expected 2 local gradients, got 1$"):
+        aggregate_local_gradients([np.ones(2)], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("msg, error", [
+    (TaskAssign(TaskId(1, TaskKind.UPDATE)), "server only accepts evaluation task assignments"),
+    ("hello", "server cannot handle str"),
+], ids=["update-assignment", "unknown-message"])
+def test_server_rejects_a_message_it_cannot_take(msg, error):
+    server, _ = make_server()
+    with pytest.raises(ProtocolError, match=f"^{error}$"):
+        server.handle("scheduler", msg)

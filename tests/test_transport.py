@@ -27,7 +27,7 @@ class Recorder(Node):
         self.seen = []
 
     def handle(self, src, msg):
-        self.seen.append((self.now, src, msg))
+        self.seen.append((self.transport.now, src, msg))
 
 
 class Chatter(Node):
@@ -181,7 +181,7 @@ def test_timers_fire_at_requested_time():
             self.after(3.5, "alarm")
 
         def handle(self, src, msg):
-            self.fired = (self.now, msg)
+            self.fired = (self.transport.now, msg)
 
     sim = SimCluster(LatencyModel("constant", value=1.0))
     s = Sleeper()
@@ -658,3 +658,19 @@ def test_read_decodes_a_chunk_that_is_one_frame_without_a_copy():
     _check_vectors(received)
     assert received[0][1].w.base is STREAM_FRAMES[1]  # a view over the chunk itself
     assert not conn.inbuf
+
+
+def test_node_without_a_handler_raises():
+    with pytest.raises(NotImplementedError):
+        Node().handle("a", Stop())
+
+
+def test_socket_cluster_needs_an_address_for_every_endpoint():
+    cluster = SocketCluster({"a": ("127.0.0.1", 0)})
+    with pytest.raises(TransportError, match="^no address configured for 'b'$"):
+        cluster.register("b", Node())
+    cluster.register("a", Node())
+    # the send dials nothing: the endpoint has no address to dial
+    with pytest.raises(TransportError, match="^unknown endpoint 'b'$"):
+        cluster.send("a", "b", Stop())
+    assert cluster._socks == []

@@ -139,7 +139,7 @@ def test_batch_stream_is_the_draw_batch_sequence_across_blocks():
     pool = np.random.default_rng(1).permutation(np.arange(100, 350))
     stream = BatchStream(np.random.default_rng(5), pool, 20)
     rng = np.random.default_rng(5)
-    for _ in range(300):  # the one-draw-at-a-time start, then several blocks
+    for _ in range(300):  # several blocks
         assert np.array_equal(stream.next(), draw_batch(rng, pool, 20))
 
 
@@ -147,27 +147,23 @@ def test_batch_stream_is_the_draw_batch_sequence_across_blocks():
 @pytest.mark.parametrize("length", [1, 8, 9, 16, 17, 32, 33, 64, 65, 130])
 def test_short_batch_streams_are_the_draw_batch_sequence(n, size, length):
     # the workloads' pool and batch sizes, a batch of the whole pool and a
-    # one-row pool, on both sides of the block edges at 8, 16, 32, 64 and 128
+    # one-row pool, on both sides of the block edges at 64 and 128
     pool = np.random.default_rng(n).permutation(np.arange(n)) * 3 + 7
     stream = BatchStream(np.random.default_rng(length), pool, size)
     rng = np.random.default_rng(length)
-    for served in range(length):
+    for _ in range(length):
         assert np.array_equal(stream.next(), draw_batch(rng, pool, size))
-        # 8 rows a block until 64 batches are served, then 64
-        assert len(stream._block) == (8 if served < 64 else 64)
+        # 64 rows a block by default
+        assert len(stream._block) == 64
 
 
 @pytest.mark.parametrize("n,size", [(32, 8), (250, 20), (1250, 20), (20, 20), (1, 1)])
 @pytest.mark.parametrize("expected", [0, 5, 24, 63, 64, 1000])
 def test_stream_sized_blocks_are_the_draw_batch_sequence(n, size, expected):
-    # blocks hold the expected length, clamped to 8..64 rows, until 64 rows
-    # are drawn, then 64; 193 batches pass at least two block edges after
-    # that point, and each batch is checked, so every edge is crossed
-    first, length = min(64, max(8, expected)), 193
-    want, drawn = [], 0
-    while drawn < length:
-        want.append(first if drawn < 64 else 64)
-        drawn += want[-1]
+    # every block holds the expected length, clamped to 8..64 rows; 193
+    # batches pass at least three block edges, and each batch is checked
+    count, length = min(64, max(8, expected)), 193
+    want = [count] * -(-length // count)
     pool = np.random.default_rng(n).permutation(np.arange(n)) * 3 + 7
     stream = BatchStream(np.random.default_rng(expected), pool, size, expected)
     rng = np.random.default_rng(expected)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from dvrsgd.losses import (KINDS, full_gradient, loss_sum, make_synthetic, mean_
 from dvrsgd.protocol import (EvalPush, PullRequest, PullResponse, SnapshotBroadcast,
                              Stop, TaskAssign, TaskId, TaskKind, UpdatePush, eval_stage,
                              update_stage)
-from dvrsgd.server import HyperParams
+from dvrsgd.server import HyperParams, ProtocolError
 from dvrsgd.transport import Node, SimCluster
 from dvrsgd import worker as worker_module
 from dvrsgd.vrgrad import Snapshot, draw_batch, vr_gradient
@@ -241,3 +243,23 @@ def test_stop_clears_queue(problem):
     worker.handle("scheduler", TaskAssign(TaskId(1, TaskKind.UPDATE)))
     worker.handle("scheduler", Stop())
     assert worker.stopped and len(worker.queue) == 0
+
+
+def test_worker_rejects_an_unknown_gradient_rule(problem):
+    hyper = HyperParams(eta=0.1, B=1, m=1, S=1, P=1)
+    with pytest.raises(ValueError, match="^gradient must be 'vr' or 'plain'$"):
+        WorkerNode(0, problem, np.arange(problem.n), hyper, gradient="sgd")
+
+
+@pytest.mark.parametrize("msg, error", [
+    (PullResponse(TaskId(1, TaskKind.UPDATE), np.zeros(4)),
+     "worker 0 got unexpected pull response TaskId(timestamp=1, kind=<TaskKind.UPDATE: 0>)"),
+    (SnapshotBroadcast(np.zeros(4)),
+     "worker 0 got a snapshot broadcast before any evaluation task"),
+    ("hello", "worker cannot handle str"),
+], ids=["unexpected-pull-response", "snapshot-before-evaluation", "unknown-message"])
+def test_worker_rejects_a_message_it_cannot_take(problem, msg, error):
+    worker = WorkerNode(0, problem, np.arange(problem.n), HyperParams(eta=0.1, B=1, m=1, S=1, P=1))
+    with pytest.raises(ProtocolError, match=f"^{re.escape(error)}$"):
+        worker.handle("server", msg)
+    assert not worker.queue and worker.waiting is None and worker.anchor is None
