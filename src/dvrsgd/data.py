@@ -4,6 +4,10 @@ LibSVM lines are ``<label> <idx>:<val> ...`` with 1-based feature indices.
 Labels are remapped to contiguous {0,..,K-1} in first-seen order and the
 feature dimension defaults to the largest index in the file (override with
 ``dim`` when train/validation splits must agree).
+
+A malformed file raises ``DataFormatError``, a ``ValueError`` naming the bad
+line or the file. A config's check loads and partitions the data as its run
+does, so it reports the same errors.
 """
 
 from dataclasses import dataclass, field
@@ -12,8 +16,8 @@ import numpy as np
 
 from .losses import Problem
 
-__all__ = ["DataFormatError", "load_libsvm", "count_libsvm", "write_libsvm", "Partitioning",
-           "partition", "check_partition", "check_batch_size"]
+__all__ = ["DataFormatError", "load_libsvm", "write_libsvm", "Partitioning", "partition",
+           "check_batch_size"]
 
 
 class DataFormatError(ValueError):
@@ -45,22 +49,6 @@ def _parse_line(line: str, lineno: int) -> tuple[float, list[int], list[float]]:
     return label, indices, values
 
 
-def _sample_lines(path):
-    """``(line number, stripped line)`` of every sample line of a LibSVM
-    file: the lines that are neither blank nor ``#`` comments."""
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                yield lineno, line
-
-
-def count_libsvm(path) -> int:
-    """The number of samples ``load_libsvm`` reads from ``path``, found
-    without parsing them."""
-    return sum(1 for _ in _sample_lines(path))
-
-
 def load_libsvm(path, *, lam: float = 0.0, dim: int | None = None) -> Problem:
     """Load a LibSVM-format classification file into a Problem.
 
@@ -69,11 +57,15 @@ def load_libsvm(path, *, lam: float = 0.0, dim: int | None = None) -> Problem:
     """
     samples = []
     label_map: dict[float, int] = {}
-    for lineno, line in _sample_lines(path):
-        label, indices, values = _parse_line(line, lineno)
-        if label not in label_map:
-            label_map[label] = len(label_map)
-        samples.append((label, indices, values))
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            label, indices, values = _parse_line(line, lineno)
+            if label not in label_map:
+                label_map[label] = len(label_map)
+            samples.append((label, indices, values))
     if not samples:
         raise DataFormatError(f"{path}: no samples")
     max_dim = max((indices[-1] + 1 for _, indices, _ in samples if indices), default=0)
@@ -116,15 +108,6 @@ class Partitioning:
     subsets: tuple = field(repr=False)  # D_p as ascending sample indices
 
 
-def check_partition(n: int, P: int, strategy: str):
-    """Raise the ValueError that ``partition`` raises for ``P`` subsets of
-    ``n`` samples by ``strategy``, without a problem."""
-    if P < 1 or P > n:
-        raise ValueError(f"need 1 <= P <= N, got P={P}, N={n}")
-    if strategy not in ("contiguous", "shuffled"):
-        raise ValueError(f"unknown partition strategy {strategy!r}")
-
-
 def check_batch_size(B: int, size: int, worker: int):
     """Raise unless worker ``worker``'s ``size`` samples hold a mini-batch of ``B``."""
     if B > size:
@@ -140,7 +123,10 @@ def partition(problem: Problem, P: int, strategy: str = "contiguous", *,
     ceil(N/P) then floor(N/P).
     """
     n = problem.n
-    check_partition(n, P, strategy)
+    if P < 1 or P > n:
+        raise ValueError(f"need 1 <= P <= N, got P={P}, N={n}")
+    if strategy not in ("contiguous", "shuffled"):
+        raise ValueError(f"unknown partition strategy {strategy!r}")
     order = np.arange(n)
     if strategy == "shuffled":
         order = np.random.default_rng(seed).permutation(n)

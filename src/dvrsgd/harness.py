@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import algo_config, svrg_stages
-from .data import check_batch_size, check_partition, count_libsvm, load_libsvm, partition
-from .losses import Problem, check_synthetic, make_synthetic, objective
+from .data import check_batch_size, load_libsvm, partition
+from .losses import Problem, make_synthetic, objective
 from .scheduler import (ProgressRecord, SchedulerNode, fixed_stages,
                         objective_target, relative_decrease)
 from .server import HyperParams, ParamServer
@@ -195,31 +195,46 @@ class ExperimentConfig:
     endpoints: dict = field(default_factory=dict)
 
     def validate(self) -> list[str]:
-        """Every reason this config cannot run: the error of each object it
-        builds, then the rules that no constructor checks."""
-        builders = [self.stop_rule, self.latency_model, lambda: self.build_hyper(self.n),
-                    lambda: WorkerNode.check_grad_tick(self.grad_tick)]
-        if self.algo != "svrg":
-            # the row's rule checks what it needs of hyper; w's length is moot
-            builders.append(lambda: algo_config(self.algo).rule(self.build_hyper(self.n), 0))
-        if self.mode == "socket":
-            builders.append(lambda: SocketCluster.check_timeout(self.timeout))
-        if self.source == "synthetic":
-            # what generating the data would reject
-            builders.append(lambda: check_synthetic(self.kind, self.n, self.d,
-                                                    num_classes=self.k, mu=self.mu,
-                                                    smoothness=self.smoothness))
-        if self.source == "synthetic" or self.source == "libsvm" and self.path:
-            builders.append(self._check_split)
+        """Every reason this config cannot run: the error of each thing the
+        run builds, built as the run builds it, then the rules that no
+        constructor checks."""
+        return self._build()[0]
+
+    def _build(self) -> tuple[list[str], Problem | None]:
+        """``validate``'s reasons, and the problem the run runs on (None if it
+        cannot be built).  The problem, the hyperparameters and the nodes are
+        built in turn, the nodes only once both others are; the rest are
+        built whatever else fails, so each reason is listed once."""
         errors = []
-        for build in builders:
+
+        def build(make):
             try:
-                build()
+                return make()
             except ValueError as exc:
-                if str(exc) not in errors:  # a bad hyperparameter fails the rule too
-                    errors.append(str(exc))
-            except OSError as exc:  # only counting a libsvm file reads one
+                errors.append(str(exc))
+            except OSError as exc:  # only a libsvm source reads a file
                 errors.append(f"path {self.path!r} cannot be read: {exc.strerror}")
+
+        stop_rule = build(self.stop_rule)
+        build(self.latency_model)
+        if self.mode == "socket":
+            build(lambda: SocketCluster(self.endpoints, timeout=self.timeout))  # binds nothing
+        problem = None
+        if self.source == "synthetic" or self.source == "libsvm" and self.path:
+            problem = build(self.build_problem)
+        hyper = build(lambda: self.build_hyper(problem.n if problem else self.n))
+        if self.algo == "svrg":
+            # serial svrg builds no node: worker 0's rules, on all N samples
+            build(lambda: WorkerNode.check_grad_tick(self.grad_tick))
+            if problem and hyper:
+                build(lambda: check_batch_size(self.B, problem.n, 0))
+        elif problem and hyper:
+            build(lambda: _build_nodes(problem, hyper, self.algo, seed=self.seed,
+                                       grad_tick=self.grad_tick,
+                                       partition_strategy=self.strategy,
+                                       partition_seed=self.partition_seed, stop_rule=stop_rule))
+        else:  # no nodes can be built, but their algorithm can be named
+            build(lambda: algo_config(self.algo))
         if self.source not in ("synthetic", "libsvm"):
             errors.append(f"unknown problem source {self.source!r}")
         if self.source == "libsvm" and not self.path:
@@ -230,17 +245,7 @@ class ExperimentConfig:
             roles = ["scheduler", "server", *(f"worker:{p}" for p in range(self.P))]
             if missing := [role for role in roles if role not in self.endpoints]:
                 errors.append(f"[endpoints] has no address for {', '.join(missing)}")
-        return errors
-
-    def _check_split(self):
-        """Raise what splitting the samples into P parts (one for serial svrg) and
-        drawing B-sample batches would; a file's samples are counted, not parsed."""
-        n = self.n if self.source == "synthetic" else count_libsvm(self.path)
-        if self.algo != "svrg":
-            check_partition(n, self.P, self.strategy)
-        base, extra = divmod(n, 1 if self.algo == "svrg" else self.P)
-        check_batch_size(self.B, base + (extra > 0), 0)  # workers 0..extra-1: ceil(N/P)
-        check_batch_size(self.B, base, extra)  # the rest: floor(N/P)
+        return errors, problem
 
     def build_problem(self) -> Problem:
         if self.source == "libsvm":
@@ -348,17 +353,18 @@ def write_csv(records: list[ProgressRecord], path):
                      f"{r.comp_total!r},{r.comm_total!r}\n")
 
 
-def _check(config: ExperimentConfig):
-    """Raise one ValueError listing every reason ``config`` cannot run."""
-    errors = config.validate()
+def _check(config: ExperimentConfig) -> Problem:
+    """The problem ``config`` runs on, built by its check; one ValueError
+    listing every reason ``config`` cannot run."""
+    errors, problem = config._build()
     if errors:
         raise ValueError("invalid config:\n  " + "\n  ".join(errors))
+    return problem
 
 
 def run_experiment(config: ExperimentConfig, *, out=None) -> list[ProgressRecord]:
     """Execute one configured experiment and write its progress CSV."""
-    _check(config)
-    problem = config.build_problem()
+    problem = _check(config)
     hyper = config.build_hyper(problem.n)
     if config.algo == "svrg":
         result = _run_serial_svrg(problem, hyper, config.seed)
@@ -429,20 +435,23 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--out-dir", default=".")
     p_sweep.add_argument("--gnuplot", action="store_true")
     args = parser.parse_args(argv)
-    try:
-        config = ExperimentConfig.from_file(args.config)
-        if args.cmd == "run":
-            if args.algo:
-                config.algo = args.algo
-            if args.seed is not None:
-                config.seed = args.seed
-            records = run_experiment(config, out=args.out)
-            print(f"wrote {len(records)} stage records to {args.out or config.out}")
-        else:
-            summary = sweep(config, args.axis, args.values.split(","),
-                            out_dir=args.out_dir, gnuplot=args.gnuplot)
-            print(f"wrote sweep summary to {summary}")
-    except (ValueError, OSError, TransportError, FloatingPointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0
+    # a diverging run overflows before its own finiteness checks raise: the
+    # error line is all that it prints
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            config = ExperimentConfig.from_file(args.config)
+            if args.cmd == "run":
+                if args.algo:
+                    config.algo = args.algo
+                if args.seed is not None:
+                    config.seed = args.seed
+                records = run_experiment(config, out=args.out)
+                print(f"wrote {len(records)} stage records to {args.out or config.out}")
+            else:
+                summary = sweep(config, args.axis, args.values.split(","),
+                                out_dir=args.out_dir, gnuplot=args.gnuplot)
+                print(f"wrote sweep summary to {summary}")
+        except (ValueError, OSError, TransportError, FloatingPointError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        return 0

@@ -46,7 +46,6 @@ __all__ = [
     "mean_gradient",
     "full_gradient",
     "make_synthetic",
-    "check_synthetic",
 ]
 
 KINDS = ("quadratic", "l2-logistic", "multiclass-logistic")
@@ -270,22 +269,6 @@ def full_gradient(problem: Problem, w) -> np.ndarray:
     return mean_gradient(problem, w, np.arange(problem.n))
 
 
-def check_synthetic(kind, n, d, *, num_classes=2, mu=1.0, smoothness=10.0):
-    """Raise the ValueError that ``make_synthetic`` raises for these
-    arguments, without generating any data."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown problem kind {kind!r}")
-    if n < 1 or d < 1:
-        raise ValueError("need n >= 1 and d >= 1")
-    if kind == "quadratic":
-        if d < 2:
-            raise ValueError("quadratic generator needs d >= 2")
-        if not smoothness > mu > 0:
-            raise ValueError("need smoothness > mu > 0")
-    elif kind == "multiclass-logistic" and int(num_classes) < 2:
-        raise ValueError("multiclass generator needs num_classes >= 2")
-
-
 def make_synthetic(kind, n, d, *, num_classes=2, lam=0.0, seed=0,
                    mu=1.0, smoothness=10.0) -> Problem:
     """Generate a reproducible synthetic problem of the given kind.
@@ -300,8 +283,21 @@ def make_synthetic(kind, n, d, *, num_classes=2, lam=0.0, seed=0,
         gaussian features, labels drawn from a planted linear model; records
         mu = lam (lower bound) and the standard curvature upper bound
         lam + c * max_i |x_i|^2 with c = 1/4 (binary) or 1/2 (softmax).
+
+    Arguments the generator cannot use raise ValueError before any data is
+    drawn; ``Problem`` rejects a negative ``lam`` once the data is drawn.
     """
-    check_synthetic(kind, n, d, num_classes=num_classes, mu=mu, smoothness=smoothness)
+    if kind not in KINDS:
+        raise ValueError(f"unknown problem kind {kind!r}")
+    if n < 1 or d < 1:
+        raise ValueError("need n >= 1 and d >= 1")
+    if kind == "quadratic":
+        if d < 2:
+            raise ValueError("quadratic generator needs d >= 2")
+        if not smoothness > mu > 0:
+            raise ValueError("need smoothness > mu > 0")
+    elif kind == "multiclass-logistic" and int(num_classes) < 2:
+        raise ValueError("multiclass generator needs num_classes >= 2")
     rng = np.random.default_rng(seed)
 
     if kind == "quadratic":

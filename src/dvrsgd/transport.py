@@ -259,8 +259,11 @@ class SocketCluster:
     handler inline until every node can shut down or the first failure."""
 
     def __init__(self, addresses: dict[str, tuple[str, int]], *, timeout: float = 60.0):
+        # the bound on a whole run, on which every connect and every select waits
+        if not 0.0 < timeout < math.inf:
+            raise ValueError(f"timeout must be finite and > 0, got {timeout!r}")
         self.addresses = dict(addresses)
-        self.timeout = self.check_timeout(timeout)
+        self.timeout = timeout
         self.nodes: dict[str, Node] = {}
         self._socks: list[socket.socket] = []  # every socket opened, for close
         self._conns: dict[tuple[str, str], _Connection] = {}  # dialed, by (src, dst)
@@ -268,14 +271,6 @@ class SocketCluster:
         self._sel: selectors.BaseSelector | None = None
         self._t0 = time.monotonic()
         self._failure: tuple[str, Exception] | None = None
-
-    @staticmethod
-    def check_timeout(timeout: float) -> float:
-        """``timeout``, the bound on a whole run, if it is finite and > 0, so
-        that every connect and every select can wait on it."""
-        if not 0.0 < timeout < math.inf:
-            raise ValueError(f"timeout must be finite and > 0, got {timeout!r}")
-        return timeout
 
     @property
     def now(self) -> float:

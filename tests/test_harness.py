@@ -151,20 +151,21 @@ def worker_charging(grad_tick):
     *[(dict(algo=algo, theta=0.0),
        lambda algo=algo: algo_config(algo).rule(HyperParams(eta=0.1, theta=0.0), 1))
       for algo in ("dpg", "vrdpg")],
-    # the synthetic source's generator and partition, checked without the data
+    # the synthetic source's generator and partition, as the run builds them
     (dict(kind="quadratc"), lambda: make_synthetic("quadratc", 60, 5)),
     (dict(kind="quadratic", d=1), lambda: make_synthetic("quadratic", 60, 1)),
     (dict(kind="quadratic", mu=20.0), lambda: make_synthetic("quadratic", 60, 5, mu=20.0)),
     (dict(P=500), lambda: partition(make_synthetic("l2-logistic", 60, 5), 500)),
     (dict(strategy="shuffeld"),
      lambda: partition(make_synthetic("l2-logistic", 60, 5), 2, "shuffeld")),
+    (dict(lam=-1.0), lambda: make_synthetic("l2-logistic", 60, 5, lam=-1.0)),
 ], ids=["latency-trace", "stop-typo", "stop-target-no-target", "B-0-m-unset", "m-0",
         "eta-negative", "theta-above-1", "latency-uniform-negative", "latency-constant-negative",
         "latency-nan", "latency-exponential-negative", "latency-lo-above-hi",
         "grad-tick-negative", "grad-tick-infinite", "eta-infinite", "timeout-nan",
         "timeout-negative", "timeout-0", "timeout-infinite", "dpg-theta-0", "vrdpg-theta-0",
         "kind-typo", "quadratic-d-1", "quadratic-mu-above-smoothness", "P-above-n",
-        "strategy-typo"])
+        "strategy-typo", "lam-negative"])
 def test_validate_reports_the_owning_constructors_error(tmp_path, capsys, fields, owner):
     with pytest.raises(ValueError) as exc:
         owner()
@@ -321,14 +322,16 @@ def test_cli_sweep_over_algorithms_writes_one_csv_each(tmp_path, capsys):
     capsys.readouterr()
 
 
-# sweeps over the 40-sample libsvm file a.svm: a partition it cannot be split
-# into fails validate() as it does for a synthetic source
-LIBSVM_SWEEPS = [("strategy", ["contiguous", "shuffeld"]), ("P", ["2", "50"])]
+# sweeps over the 40-sample, 6-feature libsvm file a.svm: a partition it cannot
+# be split into, a ridge or a dim it cannot be loaded with, fails validate() as
+# it does for a synthetic source
+LIBSVM_SWEEPS = [("strategy", ["contiguous", "shuffeld"]), ("P", ["2", "50"]),
+                 ("dim", ["100", "2"]), ("lam", ["0.05", "-1"])]
 
 
 # "uniform" parses, validates and would run first; "unifrom" fails validate(),
-# and so does a libsvm path that cannot be opened after one that can, and a
-# problem or partition that cannot be made after one that can
+# and so does a libsvm path that cannot be opened or parsed after one that can,
+# and a problem or partition that cannot be made after one that can
 @pytest.mark.parametrize("axis,values", [("P", ["two"]), ("tau", ["1", "1.5"]),
                                          ("endpoints", ["x"]),
                                          ("latency", ["uniform", "unifrom"]),
@@ -337,7 +340,9 @@ LIBSVM_SWEEPS = [("strategy", ["contiguous", "shuffeld"]), ("P", ["2", "50"])]
                                          ("d", ["5", "1"]),
                                          ("mu", ["1.0", "20.0"]),
                                          ("P", ["2", "500"]),
-                                         *LIBSVM_SWEEPS])
+                                         *LIBSVM_SWEEPS,
+                                         ("lam", ["0.1", "-1"]),
+                                         ("path", ["a.svm", "bad.svm"])])
 def test_sweep_rejects_a_value_before_running_any(tmp_path, monkeypatch, axis, values):
     cfg = small_config(tmp_path)
     if axis in ("d", "mu"):  # the bounds of the quadratic generator
@@ -345,6 +350,8 @@ def test_sweep_rejects_a_value_before_running_any(tmp_path, monkeypatch, axis, v
     if axis == "path" or (axis, values) in LIBSVM_SWEEPS:
         monkeypatch.chdir(tmp_path)
         write_libsvm(make_synthetic("l2-logistic", 40, 6, lam=0.05, seed=4), "a.svm")
+        sample, *rest = Path("a.svm").read_text().splitlines(True)
+        Path("bad.svm").write_text(sample.replace(":", ":x", 1) + "".join(rest))  # "1:x0.3..."
         cfg.source, cfg.path = "libsvm", "a.svm"
     with pytest.raises(ValueError):
         sweep(cfg, axis, values, out_dir=str(tmp_path / "bad"))
@@ -759,9 +766,11 @@ DIVERGING = dict(kind="quadratic", eta=50.0, S=30)
 
 
 @pytest.mark.parametrize("fields, error", [
-    (dict(source="libsvm", path="bad.svm", B=1), "line 2: bad feature token '2:abc'"),
+    # a file that cannot be loaded fails the config's check, which loads it
+    (dict(source="libsvm", path="bad.svm", B=1),
+     "invalid config:\n  line 2: bad feature token '2:abc'"),
     (dict(source="libsvm", path="ok.svm", B=1, dim=1),
-     "ok.svm: dim 1 smaller than max feature index 2"),
+     "invalid config:\n  ok.svm: dim 1 smaller than max feature index 2"),
     (DIVERGING, "w diverged at task 191"),
     (dict(DIVERGING, algo="svrg"), "objective overflowed; loss formulation is broken"),
 ], ids=["bad-token", "dim-too-small", "diverging-dvrsgd", "diverging-svrg"])
@@ -770,9 +779,39 @@ def test_run_errors_exit_1_with_an_error_line(tmp_path, monkeypatch, capsys, fie
     (tmp_path / "bad.svm").write_text("0 1:1.0\n1 2:abc\n")
     (tmp_path / "ok.svm").write_text("0 1:1.0\n1 2:1.0\n")
     small_config(tmp_path, **fields).to_file("exp.ini")
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["run", "--config", "exp.ini"]) == 1
+    assert main(["run", "--config", "exp.ini"]) == 1
     assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_python_m_dvrsgd_diverging_run_prints_only_its_error_line(tmp_path):
+    small_config(tmp_path, **DIVERGING).to_file(tmp_path / "exp.ini")
+    env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-m", "dvrsgd", "run", "--config", "exp.ini"],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    # no NumPy overflow warning comes before it
+    assert (done.returncode, done.stdout, done.stderr) == \
+        (1, "", "error: w diverged at task 191\n")
+
+
+@pytest.mark.parametrize("source", ["synthetic", "libsvm"])
+def test_a_run_builds_its_problem_once_and_a_sweep_value_twice(tmp_path, monkeypatch,
+                                                                source):
+    # the check's problem is the one the run runs; a sweep checks every value
+    # before it runs the first, so each value is built to check it and to run it
+    built, build_problem = [], ExperimentConfig.build_problem
+
+    def counted(self):
+        built.append(self.P)
+        return build_problem(self)
+
+    monkeypatch.setattr(ExperimentConfig, "build_problem", counted)
+    write_libsvm(make_synthetic("l2-logistic", 40, 6, lam=0.05, seed=4), tmp_path / "a.svm")
+    cfg = small_config(tmp_path, source=source, path=str(tmp_path / "a.svm"))
+    run_experiment(cfg)
+    assert built == [2]
+    built.clear()
+    sweep(cfg, "P", ["1", "2", "4"], out_dir=str(tmp_path / "ps"))
+    assert built == [1, 2, 4, 1, 2, 4]
 
 
 def test_sweep_over_paths_writes_one_file_per_path(tmp_path, monkeypatch, capsys):
