@@ -28,9 +28,11 @@ payload, and ``decode`` enforces it: a decoded vector is a read-only, 8-byte
 aligned view over the frame's bytes.  An ``UpdatePush`` carries ``delta``
 alone: the server forms w_bar itself.
 
-Over TCP every stream opens with one HELLO frame, which is outside the message
-table and never passes through ``encode``/``decode``: tag 0, then the
-sender's endpoint name in UTF-8 (``hello`` and ``read_hello``).
+Over TCP every stream opens with one HELLO frame from the end that dialed
+it, which is outside the message table and never passes through
+``encode``/``decode``: tag 0, then the dialer's endpoint name in UTF-8
+(``hello`` and ``read_hello``).  The accepting end sends no HELLO: it answers
+on the same stream.
 """
 
 import struct
@@ -225,14 +227,14 @@ def decode(buf: bytes):
 
 
 def hello(name: str) -> bytes:
-    """The HELLO frame that opens a stream from endpoint ``name``."""
+    """The HELLO frame that opens a stream dialed by endpoint ``name``."""
     body = name.encode("utf-8")
     return FRAME_HEAD.pack(len(body) + 1) + b"\x00" + body
 
 
 def read_hello(frame: bytes) -> str:
-    """The sender's endpoint name from a stream's first frame, which must be
-    a HELLO."""
+    """The dialer's endpoint name from an accepted stream's first frame,
+    which must be a HELLO."""
     if frame[4:5] != b"\x00":
         raise DecodeError("stream does not open with a HELLO frame")
     return frame[5:].decode("utf-8")

@@ -18,19 +18,23 @@ every send and delivery, in causal order, for invariant checking.
 
 ``SocketCluster`` serves every registered node behind real TCP endpoints
 speaking the frame format from ``protocol``, from one ``selectors`` loop that
-``wait`` runs on the calling thread.  The loop accepts connections, cuts
-complete frames straight out of each ``recv`` result (a chunk that is one
-frame is decoded without a copy; only a frame split across chunks is
-buffered) and runs the receiving node's handler inline, so a frame costs one
-wake-up; outbound frames queue per connection, and each pass of the loop
-sends every queue that grew with one non-blocking ``send``.
+``wait`` runs on the calling thread.  A pair of endpoints shares one stream,
+written from both ends: whichever sends first dials it, and the other end
+answers on it, so a reply carries its request's ACK.  The loop accepts
+connections, cuts complete frames straight out of each ``recv`` result (a
+chunk that is one frame is decoded without a copy; only a frame split across
+chunks is buffered) and runs the receiving node's handler inline, so a frame
+costs one wake-up; outbound frames queue per stream, and each pass of the
+loop sends every queue that grew with one non-blocking ``send``.
 It exists to show the same node code runs as an actual distributed program;
 the simulator is the substrate for experiments and tests.  The loop returns
 once every node it hosts can shut down.  Before that, the first exception from
 a node, or the first inbound stream that cannot be read or decoded or that
 ends (at a frame boundary or inside a frame), ends it, and ``wait`` raises
-that failure as a ``TransportError`` naming the endpoint; a run still
-unfinished at its timeout raises one naming every endpoint not yet done.
+that failure as a ``TransportError`` naming the endpoint, or the direction
+(``receiver <- sender`` for a read, ``sender -> receiver`` for a send); a run
+still unfinished at its timeout raises one naming every endpoint not yet
+done.
 """
 
 import functools
@@ -163,7 +167,8 @@ class Node:
         pass
 
     def can_shutdown(self) -> bool:
-        """True once this node has no further protocol obligations."""
+        """True once this node has no further protocol obligations; once
+        True it stays True, so a socket loop stops asking."""
         return self.stopped
 
     def handle(self, src: str, msg):
@@ -236,27 +241,29 @@ class SimCluster:
 
 
 class _Connection:
-    """One TCP stream on the loop: received bytes not yet cut into frames and
-    queued bytes not yet sent.  ``endpoint`` is the receiving node of an
-    inbound stream and the sender of an outbound one; ``where`` names the
-    stream in a failure."""
+    """One end of a TCP stream on the loop, read and written by ``endpoint``:
+    received bytes not yet cut into frames and queued bytes not yet sent.
+    ``src`` is the far end, the sender of what is read here and the receiver
+    of what is written; ``where`` names a read in a failure."""
 
     __slots__ = ("sock", "endpoint", "where", "src", "inbuf", "outbuf")
 
-    def __init__(self, sock: socket.socket, endpoint: str, where: str):
+    def __init__(self, sock: socket.socket, endpoint: str, where: str, src: str | None = None):
         self.sock = sock
         self.endpoint = endpoint
         self.where = where
-        self.src = None  # an inbound stream's sender, from its HELLO frame
+        self.src = src  # known at a dial, else read from the HELLO
         self.inbuf = bytearray()
         self.outbuf = bytearray()
 
 
 class SocketCluster:
-    """TCP transport: every endpoint listens and dials peers lazily, one
-    connection per (sender, receiver) pair, and one selector loop, run on the
-    calling thread by ``wait``, accepts, reads, writes and runs every node's
-    handler inline until every node can shut down or the first failure."""
+    """TCP transport: every endpoint listens and dials a peer at its first
+    send to it, unless the peer dialed first; each direction keeps the first
+    stream it was given, so a pair has one stream unless both ends dialed
+    before either accepted.  One selector loop, run on the calling thread by
+    ``wait``, accepts, reads, writes and runs every node's handler inline
+    until every node can shut down or the first failure."""
 
     def __init__(self, addresses: dict[str, tuple[str, int]], *, timeout: float = 60.0):
         # the bound on a whole run, on which every connect and every select waits
@@ -265,8 +272,9 @@ class SocketCluster:
         self.addresses = dict(addresses)
         self.timeout = timeout
         self.nodes: dict[str, Node] = {}
+        self._live: list[Node] = []  # the nodes that could not yet shut down
         self._socks: list[socket.socket] = []  # every socket opened, for close
-        self._conns: dict[tuple[str, str], _Connection] = {}  # dialed, by (src, dst)
+        self._conns: dict[tuple[str, str], _Connection] = {}  # each direction's, by (src, dst)
         self._unsent: list[_Connection] = []  # queues for the next _send_unsent
         self._sel: selectors.BaseSelector | None = None
         self._t0 = time.monotonic()
@@ -282,6 +290,7 @@ class SocketCluster:
         if endpoint in self.nodes:
             raise ValueError(f"endpoint {endpoint!r} already registered")
         self.nodes[endpoint] = node
+        self._live.append(node)
         node.bind(self, endpoint)
 
     def start(self):
@@ -300,7 +309,12 @@ class SocketCluster:
             self._sel.register(srv, selectors.EVENT_READ, endpoint)
 
     def _quiescent(self) -> bool:
-        return all(node.can_shutdown() for node in self.nodes.values())
+        # a node that can shut down stays able to (Node.can_shutdown), so
+        # it is dropped and never asked again
+        live = self._live
+        while live and live[-1].can_shutdown():
+            live.pop()
+        return not live
 
     def wait(self):
         """Start every node and run the loop on the calling thread until
@@ -325,11 +339,12 @@ class SocketCluster:
                 data = key.data
                 if isinstance(data, str):
                     self._accept(key.fileobj, data)
-                elif mask & selectors.EVENT_WRITE:
+                    continue
+                if mask & selectors.EVENT_WRITE:
                     # the stream can take more: back on the list to send
-                    self._sel.unregister(data.sock)
+                    self._sel.modify(data.sock, selectors.EVENT_READ, data)
                     self._unsent.append(data)
-                else:
+                if mask & selectors.EVENT_READ:
                     self._read(data)
             self._send_unsent()
         if self._failure is not None:
@@ -344,15 +359,18 @@ class SocketCluster:
         except OSError as exc:
             self._fail(endpoint, exc)
             return
-        sock.setblocking(False)
         self._socks.append(sock)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # this end writes too
+        sock.setblocking(False)
         conn = _Connection(sock, endpoint, endpoint)
         self._sel.register(sock, selectors.EVENT_READ, conn)
 
     def _read(self, conn: _Connection):
         """Take what the stream has, and hand every complete frame in it to
-        the receiving node; the first frame must be the HELLO that names the
-        sender (``protocol.read_hello``).  A chunk that is one frame is
+        the receiving node; an accepted stream's first frame must be the
+        HELLO that names the sender (``protocol.read_hello``), and the
+        receiver then writes its own frames to that sender here too, unless
+        it already has a stream for them.  A chunk that is one frame is
         decoded as it is, any other frame is one slice of immutable bytes, and
         only a partial frame waits in ``inbuf`` for the rest of its bytes."""
         try:
@@ -362,9 +380,7 @@ class SocketCluster:
                     raise protocol.DecodeError("stream ended inside a frame")
                 if not self._quiescent():
                     raise ConnectionError("peer closed the stream while the run was live")
-                self._sel.unregister(conn.sock)
-                conn.sock.close()
-                return
+                return  # the loop ends after this pass, and close() closes the stream
             buf = conn.inbuf
             if buf:  # a frame's first bytes came in an earlier chunk
                 buf += data
@@ -384,6 +400,7 @@ class SocketCluster:
                 if src is None:
                     src = conn.src = protocol.read_hello(frame)
                     conn.where = f"{conn.endpoint} <- {src}"
+                    self._conns.setdefault((conn.endpoint, src), conn)
                     continue
                 msg = decode(frame)
                 try:
@@ -399,7 +416,8 @@ class SocketCluster:
             self._fail(conn.where, exc)
 
     def _dial(self, src: str, dst: str) -> _Connection:
-        """Connect the (src, dst) stream at its first send and queue its HELLO."""
+        """Connect a stream to ``dst`` at ``src``'s first send to it, queue
+        its HELLO and read ``dst``'s frames to ``src`` from it too."""
         if dst not in self.addresses:
             raise TransportError(f"unknown endpoint {dst!r}")
         host, port = self.addresses[dst]
@@ -411,15 +429,17 @@ class SocketCluster:
         self._socks.append(sock)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.setblocking(False)
-        conn = self._conns[(src, dst)] = _Connection(sock, src, f"{src} -> {dst}")
+        conn = self._conns[(src, dst)] = _Connection(sock, src, f"{src} <- {dst}", dst)
         conn.outbuf += protocol.hello(src)
         self._unsent.append(conn)
+        self._sel.register(sock, selectors.EVENT_READ, conn)
         return conn
 
     def _send_unsent(self):
         """Send every queue on the list; the only code that sends.  A queue
         joins the list when it gains bytes or when its socket becomes
-        writable again; what a socket does not take waits for EVENT_WRITE."""
+        writable again; what a socket does not take waits for EVENT_WRITE,
+        which the socket's registration adds to EVENT_READ meanwhile."""
         unsent, self._unsent = self._unsent, []
         for conn in unsent:
             try:
@@ -427,14 +447,14 @@ class SocketCluster:
             except BlockingIOError:
                 sent = 0
             except OSError as exc:
-                self._fail(conn.where, exc)
+                self._fail(f"{conn.endpoint} -> {conn.src}", exc)
                 return
             del conn.outbuf[:sent]
             if conn.outbuf:
-                self._sel.register(conn.sock, selectors.EVENT_WRITE, conn)
+                self._sel.modify(conn.sock, selectors.EVENT_READ | selectors.EVENT_WRITE, conn)
 
     def send(self, src: str, dst: str, msg):
-        """Queue ``msg``'s frame behind the (src, dst) stream's unsent bytes;
+        """Queue ``msg``'s frame behind the unsent bytes of src's stream to dst;
         called from node code, inside the loop.  The loop sends each stream's
         queue once per pass, so frames queued in one pass go out in one
         ``send``."""

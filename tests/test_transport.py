@@ -13,6 +13,7 @@ from dvrsgd.harness import run_cluster_socket
 from dvrsgd.losses import make_synthetic
 from dvrsgd.protocol import (PullRequest, PullResponse, Stop, TaskAssign, TaskId, TaskKind,
                              UpdatePush)
+from dvrsgd.scheduler import SchedulerNode
 from dvrsgd.server import HyperParams, ParamServer
 from dvrsgd.transport import (LatencyModel, LivelockError, Node, SimCluster, SocketCluster,
                               TransportError)
@@ -375,14 +376,20 @@ def test_peer_closing_while_live_fails_fast_naming_the_reader():
 
 
 def test_loop_returns_by_itself_once_every_node_can_shut_down():
-    a, b = Talker([("b", Stop())], expect=1), Talker([("a", Stop())], expect=1)
+    # both dial from on_start, before either accepts, so the pair has two
+    # streams, each written from one end; each direction keeps its order
+    k = 5
+    to_a, to_b = ([TaskAssign(TaskId(i, kind)) for i in range(1, k + 1)]
+                  for kind in (TaskKind.UPDATE, TaskKind.EVALUATION))
+    a = Talker([("b", msg) for msg in to_b], expect=k)
+    b = Talker([("a", msg) for msg in to_a], expect=k)
     cluster = _started(a=a, b=b)
     try:
         cluster.wait()
     finally:
         cluster.close()
-    assert [(src, msg) for _, src, msg in a.seen] == [("b", Stop())]
-    assert [(src, msg) for _, src, msg in b.seen] == [("a", Stop())]
+    assert [(src, msg) for _, src, msg in a.seen] == [("b", msg) for msg in to_a]
+    assert [(src, msg) for _, src, msg in b.seen] == [("a", msg) for msg in to_b]
 
 
 def test_unreachable_endpoint_fails_within_the_connect_timeout():
@@ -407,25 +414,29 @@ def test_unreachable_endpoint_fails_within_the_connect_timeout():
 
 def test_frame_larger_than_socket_buffers_arrives_bit_exact():
     # a 16 MiB frame is more than loopback TCP buffers hold, so the one loop
-    # must interleave writing it with reading it, here also to itself
+    # must interleave writing it with reading it, here also to itself; b
+    # answers on a's stream, so b writes it in parts to a socket it also reads
     big = PullResponse(TaskId(1, TaskKind.UPDATE),
                        np.random.default_rng(0).standard_normal(2**21))
-    a, b = Talker([("b", big), ("b", Stop()), ("a", big)], expect=1), Sink(expect=2)
+    a = Talker([("b", big), ("b", Stop()), ("a", big)], expect=2)
+    b = Sink(expect=2, act=lambda: len(b.seen) == 1 and b.send("a", big))
     cluster = _started(a=a, b=b)
     try:
         cluster.wait()
     finally:
         cluster.close()
     assert [(src, type(msg)) for _, src, msg in b.seen] == [("a", PullResponse), ("a", Stop)]
-    assert [(src, type(msg)) for _, src, msg in a.seen] == [("a", PullResponse)]
-    for got in (b.seen[0][2], a.seen[0][2]):
+    assert sorted((src, type(msg)) for _, src, msg in a.seen) == \
+        [("a", PullResponse), ("b", PullResponse)]
+    for got in (b.seen[0][2], a.seen[0][2], a.seen[1][2]):
         assert got.task == big.task
         assert np.array_equal(got.w, big.w)
 
 
 def test_frames_written_in_one_pass_go_out_in_one_send(monkeypatch):
-    # b answers a's one frame with k frames from inside its handler: each
-    # stream's HELLO and frames of a pass leave in one send, FIFO and intact
+    # b answers a's one frame with k frames from inside its handler, on a's
+    # stream: a's HELLO and frame, then b's frames, each leave in one send,
+    # FIFO and intact
     k = 5
     replies = [PullResponse(TaskId(i, TaskKind.UPDATE), np.random.default_rng(i).standard_normal(7))
                for i in range(1, k + 1)]
@@ -450,12 +461,36 @@ def test_frames_written_in_one_pass_go_out_in_one_send(monkeypatch):
         assert got.task == want.task and np.array_equal(got.w, want.w)
 
 
-def test_socket_run_starts_no_thread():
+def _count_dials(monkeypatch) -> list:
+    """Record the address of every connect from here on."""
+    dials, connect = [], socket.create_connection
+
+    def counting(address, *args, **kwargs):
+        dials.append(address)
+        return connect(address, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "create_connection", counting)
+    return dials
+
+
+def test_socket_run_starts_no_thread(monkeypatch):
+    # the run also dials one stream per pair of roles that exchange messages,
+    # 2P+1, and no role that could shut down ever becomes unable to again
     p = make_synthetic("quadratic", 200, 5, seed=1)
     h = HyperParams(eta=0.01, theta=0.5, tau=2, B=4, m=40, S=3, P=2)
     roles = ["scheduler", "server", "worker:0", "worker:1"]
     before = set(threading.enumerate())
     during = []
+    dials = _count_dials(monkeypatch)
+    done, undone = set(), []
+    for role in (SchedulerNode, ParamServer, WorkerNode):
+        def checked(node, src, msg, handle=role.handle):
+            handle(node, src, msg)
+            if node.can_shutdown():
+                done.add(node.endpoint)
+            elif node.endpoint in done:
+                undone.append((node.endpoint, msg))
+        monkeypatch.setattr(role, "handle", checked)
 
     def note_threads(records):
         during.append(set(threading.enumerate()))
@@ -465,18 +500,22 @@ def test_socket_run_starts_no_thread():
                        stop_rule=note_threads, timeout=30.0)
     assert during and all(now == before for now in during)
     assert set(threading.enumerate()) == before
+    assert len(dials) == 5
+    assert done == set(roles) and undone == []
 
 
-def test_socket_run_with_hundreds_of_workers_completes():
+def test_socket_run_with_hundreds_of_workers_completes(monkeypatch):
     # every worker dials the server in the same pass of the loop, which is
     # itself blocked in a connect meanwhile; the listener must queue them all
     P = 200
     p = make_synthetic("quadratic", 2 * P, 5, seed=1)
     h = HyperParams(eta=0.01, theta=0.5, tau=2, B=1, m=P, S=1, P=P)
     roles = ["scheduler", "server", *(f"worker:{k}" for k in range(P))]
+    dials = _count_dials(monkeypatch)
     result = run_cluster_socket(p, h, {r: ("127.0.0.1", 0) for r in roles}, seed=3,
                                 timeout=30.0)
     assert [r.stage for r in result.records] == [0, 1]
+    assert len(dials) == 2 * P + 1
 
 
 def test_close_of_an_idle_cluster_closes_its_listener():
@@ -519,20 +558,24 @@ def test_socket_node_error_fails_fast_naming_the_role(monkeypatch):
 
 
 def test_socket_corrupt_frame_fails_fast_naming_the_reader(monkeypatch):
-    encode = protocol.encode
-    pushes = []
+    # worker:0 dials the server, so its push is read on the accepting end and
+    # the server's answer on the dialing end; either reader is named
+    encode, send = protocol.encode, SocketCluster.send
+    for pair, kind, reader in [(("worker:0", "server"), UpdatePush, "server <- worker:0"),
+                               (("server", "worker:0"), PullResponse, "worker:0 <- server")]:
+        sent = []
 
-    def corrupting(msg):
-        frame = encode(msg)
-        if isinstance(msg, UpdatePush) and msg.worker == 0:
-            pushes.append(msg)
-            if len(pushes) == 3:
-                return frame[:4] + b"\xff" + frame[5:]  # no message has tag 255
-        return frame
+        def corrupting(self, src, dst, msg, pair=pair, kind=kind, sent=sent):
+            send(self, src, dst, msg)
+            if (src, dst) == pair and isinstance(msg, kind):
+                sent.append(msg)
+                if len(sent) == 3:  # its frame ends the stream's queue
+                    queue = self._conns[pair].outbuf
+                    queue[len(queue) - len(encode(msg)) + 4] = 255  # no message has tag 255
 
-    monkeypatch.setattr(protocol, "encode", corrupting)
-    err = _run_with_fault(r"^server <- worker:0: DecodeError\('unknown message tag 255'\)$")
-    assert isinstance(err.__cause__, protocol.DecodeError)
+        monkeypatch.setattr(SocketCluster, "send", corrupting)
+        err = _run_with_fault(f"^{reader}: " + r"DecodeError\('unknown message tag 255'\)$")
+        assert isinstance(err.__cause__, protocol.DecodeError)
 
 
 @pytest.mark.parametrize("script", [
