@@ -6,8 +6,8 @@ feature dimension defaults to the largest index in the file (override with
 ``dim`` when train/validation splits must agree).
 
 A malformed file raises ``DataFormatError``, a ``ValueError`` naming the bad
-line or the file. A config's check loads and partitions the data as its run
-does, so it reports the same errors.
+line or the file. A config's check loads and partitions the data that its run
+then runs on, so these errors fail the check before any run starts.
 """
 
 from dataclasses import dataclass, field

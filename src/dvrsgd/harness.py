@@ -3,8 +3,9 @@
 ``run_cluster`` (simulated transport) and ``run_cluster_socket`` (real TCP)
 wire a problem, a partitioning, and an algorithm into scheduler/server/worker
 nodes the same way and run the cluster until every node can shut down.
-``run_experiment`` calls one of them, as an ``ExperimentConfig``'s ``mode``
-says, and writes one CSV row per stage:
+``run_experiment`` runs the run that an ``ExperimentConfig``'s check built,
+on the transport its ``mode`` names (serial ``svrg`` on none), and writes one
+CSV row per stage:
 
     stage, objective, wall_time, comp_time, comm_time
 
@@ -65,12 +66,12 @@ def _build_nodes(problem: Problem, hyper: HyperParams, algo: str, *, seed: int,
     return sched, server, workers
 
 
-def _run_nodes(cluster, problem: Problem, hyper: HyperParams, algo: str,
-               **build) -> RunResult:
-    """Register the scheduler, server and workers that ``_build_nodes``
-    makes on ``cluster`` and run it until every node can shut down; a run
-    that drains before then raises, naming the nodes that are not done."""
-    sched, server, workers = _build_nodes(problem, hyper, algo, **build)
+def _run_nodes(cluster, nodes) -> RunResult:
+    """Register ``nodes``, the scheduler, server and workers that
+    ``_build_nodes`` made, on ``cluster`` and run it until every node can
+    shut down; a run that drains before then raises, naming the nodes that
+    are not done."""
+    sched, server, workers = nodes
     cluster.register("scheduler", sched)
     cluster.register("server", server)
     for p, wk in enumerate(workers):
@@ -95,9 +96,9 @@ def run_cluster(problem: Problem, hyper: HyperParams, *, algo: str = "dvrsgd",
                 collect_trace: bool = False) -> RunResult:
     """Run one algorithm end-to-end on the deterministic simulated cluster."""
     return _run_nodes(SimCluster(latency, collect_trace=collect_trace),
-                      problem, hyper, algo, seed=seed, grad_tick=grad_tick,
-                      partition_strategy=partition_strategy,
-                      partition_seed=partition_seed, stop_rule=stop_rule)
+                      _build_nodes(problem, hyper, algo, seed=seed, grad_tick=grad_tick,
+                                   partition_strategy=partition_strategy,
+                                   partition_seed=partition_seed, stop_rule=stop_rule))
 
 
 def run_cluster_socket(problem: Problem, hyper: HyperParams,
@@ -107,10 +108,10 @@ def run_cluster_socket(problem: Problem, hyper: HyperParams,
                        timeout: float = 60.0) -> RunResult:
     """Run all roles in-process over real TCP sockets, served by one selector
     loop that runs on the calling thread."""
-    return _run_nodes(SocketCluster(addresses, timeout=timeout), problem, hyper, algo,
-                      seed=seed, grad_tick=0.0,
-                      partition_strategy=partition_strategy,
-                      partition_seed=partition_seed, stop_rule=stop_rule)
+    return _run_nodes(SocketCluster(addresses, timeout=timeout),
+                      _build_nodes(problem, hyper, algo, seed=seed, grad_tick=0.0,
+                                   partition_strategy=partition_strategy,
+                                   partition_seed=partition_seed, stop_rule=stop_rule))
 
 
 def _run_serial_svrg(problem: Problem, hyper: HyperParams, seed: int) -> RunResult:
@@ -195,16 +196,18 @@ class ExperimentConfig:
     endpoints: dict = field(default_factory=dict)
 
     def validate(self) -> list[str]:
-        """Every reason this config cannot run: the error of each thing the
-        run builds, built as the run builds it, then the rules that no
-        constructor checks."""
-        return self._build()[0]
+        """Every reason this config cannot run: the error of each thing its
+        run builds, built as the run builds it."""
+        return self._build({})[0]
 
-    def _build(self) -> tuple[list[str], Problem | None]:
-        """``validate``'s reasons, and the problem the run runs on (None if it
-        cannot be built).  The problem, the hyperparameters and the nodes are
-        built in turn, the nodes only once both others are; the rest are
-        built whatever else fails, so each reason is listed once."""
+    def _build(self, problems: dict) -> tuple[list[str], typing.Callable]:
+        """``validate``'s reasons, and the run they check: a callable that
+        runs the very problem, hyperparameters, stop rule, transport and
+        nodes built here.  Serial ``svrg`` builds no transport and no node.
+        The nodes are built once the problem and the hyperparameters are, the
+        rest whatever else fails, so each reason is listed once.  ``problems``
+        maps the values of a ``[problem]`` section to the problem built from
+        them, so configs that share the section share one problem."""
         errors = []
 
         def build(make):
@@ -216,40 +219,35 @@ class ExperimentConfig:
                 errors.append(f"path {self.path!r} cannot be read: {exc.strerror}")
 
         stop_rule = build(self.stop_rule)
-        build(self.latency_model)
-        if self.mode == "socket":
-            build(lambda: SocketCluster(self.endpoints, timeout=self.timeout))  # binds nothing
-        problem = None
-        if self.source == "synthetic" or self.source == "libsvm" and self.path:
-            problem = build(self.build_problem)
+        key = tuple(getattr(self, name) for name in _INI_SECTIONS["problem"].split())
+        # a problem that failed is built again, so each config names why
+        problem = problems[key] = problems.get(key) or build(self.build_problem)
         hyper = build(lambda: self.build_hyper(problem.n if problem else self.n))
-        if self.algo == "svrg":
-            # serial svrg builds no node: worker 0's rules, on all N samples
-            build(lambda: WorkerNode.check_grad_tick(self.grad_tick))
+        if self.algo == "svrg":  # worker 0's batch rule, on all N samples
             if problem and hyper:
                 build(lambda: check_batch_size(self.B, problem.n, 0))
-        elif problem and hyper:
-            build(lambda: _build_nodes(problem, hyper, self.algo, seed=self.seed,
-                                       grad_tick=self.grad_tick,
-                                       partition_strategy=self.strategy,
-                                       partition_seed=self.partition_seed, stop_rule=stop_rule))
+            return errors, lambda: _run_serial_svrg(problem, hyper, self.seed)
+        cluster = build(self.build_cluster)
+        # sim mode models a sample gradient's compute time; socket mode measures it
+        grad_tick = self.grad_tick if self.mode == "sim" else 0.0
+        nodes = None
+        if problem and hyper:
+            nodes = build(lambda: _build_nodes(problem, hyper, self.algo, seed=self.seed,
+                                               grad_tick=grad_tick,
+                                               partition_strategy=self.strategy,
+                                               partition_seed=self.partition_seed,
+                                               stop_rule=stop_rule))
         else:  # no nodes can be built, but their algorithm can be named
             build(lambda: algo_config(self.algo))
-        if self.source not in ("synthetic", "libsvm"):
-            errors.append(f"unknown problem source {self.source!r}")
-        if self.source == "libsvm" and not self.path:
-            errors.append("libsvm source needs a path")
-        if self.mode not in ("sim", "socket"):
-            errors.append(f"unknown transport mode {self.mode!r}")
-        if self.mode == "socket" and self.algo != "svrg":  # serial svrg opens no socket
-            roles = ["scheduler", "server", *(f"worker:{p}" for p in range(self.P))]
-            if missing := [role for role in roles if role not in self.endpoints]:
-                errors.append(f"[endpoints] has no address for {', '.join(missing)}")
-        return errors, problem
+        return errors, lambda: _run_nodes(cluster, nodes)
 
     def build_problem(self) -> Problem:
         if self.source == "libsvm":
+            if not self.path:
+                raise ValueError("libsvm source needs a path")
             return load_libsvm(self.path, lam=self.lam, dim=self.dim)
+        if self.source != "synthetic":
+            raise ValueError(f"unknown problem source {self.source!r}")
         # each kind reads its own arguments and ignores the rest
         return make_synthetic(self.kind, self.n, self.d, num_classes=self.k, lam=self.lam,
                               seed=self.problem_seed, mu=self.mu, smoothness=self.smoothness)
@@ -261,18 +259,28 @@ class ExperimentConfig:
         return HyperParams(eta=self.eta, theta=self.theta, tau=self.tau,
                            B=self.B, m=m, S=self.S, P=self.P)
 
-    def latency_model(self) -> LatencyModel:
-        return LatencyModel(self.latency, value=self.value, lo=self.lo, hi=self.hi,
-                            mean=self.mean, seed=self.transport_seed)
+    def build_cluster(self) -> SimCluster | SocketCluster:
+        """The transport that ``mode`` names, on the latency model or the
+        endpoints that it reads."""
+        if self.mode == "sim":
+            return SimCluster(LatencyModel(self.latency, value=self.value, lo=self.lo,
+                                           hi=self.hi, mean=self.mean,
+                                           seed=self.transport_seed))
+        if self.mode != "socket":
+            raise ValueError(f"unknown transport mode {self.mode!r}")
+        endpoints = self.resolve_endpoints()
+        roles = ["scheduler", "server", *(f"worker:{p}" for p in range(self.P))]
+        if missing := [role for role in roles if role not in endpoints]:
+            raise ValueError(f"[endpoints] has no address for {', '.join(missing)}")
+        return SocketCluster(endpoints, timeout=self.timeout)
 
     def stop_rule(self):
         if self.stop == "fixed":
             return fixed_stages()
         if self.stop == "target":
-            target = self.stop_param if self.stop_param is not None else self.target_objective
-            if target is None:
-                raise ValueError("stop=target needs stop_param or target_objective")
-            return objective_target(target)
+            if self.target_objective is None:
+                raise ValueError("stop=target needs target_objective")
+            return objective_target(self.target_objective)
         if self.stop == "reldecrease":
             return relative_decrease(self.stop_param if self.stop_param is not None else 1e-8)
         raise ValueError(f"unknown stopping rule {self.stop!r}")
@@ -353,32 +361,20 @@ def write_csv(records: list[ProgressRecord], path):
                      f"{r.comp_total!r},{r.comm_total!r}\n")
 
 
-def _check(config: ExperimentConfig) -> Problem:
-    """The problem ``config`` runs on, built by its check; one ValueError
+def _check(config: ExperimentConfig, problems: dict) -> typing.Callable:
+    """The run ``config`` describes, as its check built it; one ValueError
     listing every reason ``config`` cannot run."""
-    errors, problem = config._build()
+    errors, run = config._build(problems)
     if errors:
         raise ValueError("invalid config:\n  " + "\n  ".join(errors))
-    return problem
+    return run
 
 
 def run_experiment(config: ExperimentConfig, *, out=None) -> list[ProgressRecord]:
     """Execute one configured experiment and write its progress CSV."""
-    problem = _check(config)
-    hyper = config.build_hyper(problem.n)
-    if config.algo == "svrg":
-        result = _run_serial_svrg(problem, hyper, config.seed)
-    else:
-        common = dict(algo=config.algo, seed=config.seed, partition_strategy=config.strategy,
-                      partition_seed=config.partition_seed, stop_rule=config.stop_rule())
-        if config.mode == "socket":
-            result = run_cluster_socket(problem, hyper, config.resolve_endpoints(),
-                                        timeout=config.timeout, **common)
-        else:
-            result = run_cluster(problem, hyper, latency=config.latency_model(),
-                                 grad_tick=config.grad_tick, **common)
-    write_csv(result.records, out or config.out)
-    return result.records
+    records = _check(config, {})().records
+    write_csv(records, out or config.out)
+    return records
 
 
 def sweep(config: ExperimentConfig, axis: str, values, out_dir=".", *,
@@ -387,8 +383,9 @@ def sweep(config: ExperimentConfig, axis: str, values, out_dir=".", *,
     ``config``; write per-value and summary CSVs."""
     cases = [(v, dataclasses.replace(config, **{axis: _parse_field(axis, str(v))}))
              for v in values]
-    for _, case in cases:  # every value is checked before any run writes a file
-        _check(case)
+    problems = {}  # values along an axis outside [problem] share one problem
+    # every value is checked before any run writes a file
+    runs = [_check(case, problems) for _, case in cases]
     # each value's file name, with every path separator as "_"
     names = [f"{axis}_{v}".replace(os.sep, "_").replace("/", "_") + ".csv" for v, _ in cases]
     if len(set(names)) < len(names):
@@ -397,8 +394,9 @@ def sweep(config: ExperimentConfig, axis: str, values, out_dir=".", *,
     summary_path = os.path.join(out_dir, f"sweep_{axis}_summary.csv")
     target = config.target_objective
     rows = [SWEEP_HEADER]
-    for name, (v, case) in zip(names, cases):
-        records = run_experiment(case, out=os.path.join(out_dir, name))
+    for name, (v, _), run in zip(names, cases, runs):
+        records = run().records
+        write_csv(records, os.path.join(out_dir, name))
         stages = next((r.stage for r in records
                        if target is not None and r.objective <= target), -1)
         last = records[-1] if records else None  # S = 0 writes no record

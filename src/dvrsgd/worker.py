@@ -83,7 +83,11 @@ class WorkerNode(Node):
         check_batch_size(hyper.B, self.indices.shape[0], worker_id)
         self.hyper = hyper
         self.gradient = gradient
-        self.grad_tick = self.check_grad_tick(grad_tick)
+        # the modelled cost of one sample gradient: logical compute time
+        # never runs backwards
+        if not 0.0 <= grad_tick < math.inf:
+            raise ValueError(f"grad_tick must be finite and >= 0, got {grad_tick!r}")
+        self.grad_tick = grad_tick
         # each of the m*S update tasks comes here with probability n_p/N
         expected = hyper.m * hyper.S * self.indices.shape[0] // problem.n
         self.batches = BatchStream(sampling_stream(seed, worker_id), self.indices, hyper.B,
@@ -98,14 +102,6 @@ class WorkerNode(Node):
         self._last_eval_stage = -1
         self.comp_time = 0.0
         self.comm_time = 0.0
-
-    @staticmethod
-    def check_grad_tick(grad_tick: float) -> float:
-        """``grad_tick``, the modelled cost of one sample gradient, if it is
-        finite and >= 0, so that logical compute time never runs backwards."""
-        if not 0.0 <= grad_tick < math.inf:
-            raise ValueError(f"grad_tick must be finite and >= 0, got {grad_tick!r}")
-        return grad_tick
 
     # -- task scheduling ----------------------------------------------------
 

@@ -198,7 +198,7 @@ def test_convex_rule_at_theta_zero_exits_before_any_listener_binds(tmp_path, cap
 
 @pytest.mark.parametrize("stop,message", [
     ("targt", "unknown stopping rule 'targt'"),
-    ("target", "stop=target needs stop_param or target_objective"),
+    ("target", "stop=target needs target_objective"),
 ], ids=["typo", "no-target"])
 def test_stop_rule_rejects_unknown_name_and_missing_target(stop, message):
     with pytest.raises(ValueError, match=message):
@@ -492,8 +492,7 @@ def test_libsvm_source_runs_through_the_harness(tmp_path, dim):
     assert records == want.records
 
 
-@pytest.mark.parametrize("fields", [dict(stop_param=0.6), dict(target_objective=0.6)],
-                         ids=["stop-param", "target-objective"])
+@pytest.mark.parametrize("fields", [dict(target_objective=0.6)], ids=["target-objective"])
 def test_stop_target_from_a_config_ends_the_run_early(tmp_path, fields):
     records = run_experiment(small_config(tmp_path, S=20, stop="target", **fields))
     assert len(records) < 21
@@ -747,7 +746,11 @@ def test_malformed_endpoint_is_a_clean_error_naming_it(tmp_path, monkeypatch, ca
         monkeypatch.setenv("DVRSGD_SCHEDULER", value)
         source = "DVRSGD_SCHEDULER"
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 1
-    assert capsys.readouterr().err == f"error: {source}: expected host:port, got {value!r}\n"
+    # the file is read before the check, the environment by the check
+    error = f"{source}: expected host:port, got {value!r}"
+    if where == "env":
+        error = f"invalid config:\n  {error}"
+    assert capsys.readouterr().err == f"error: {error}\n"
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -793,25 +796,84 @@ def test_python_m_dvrsgd_diverging_run_prints_only_its_error_line(tmp_path):
         (1, "", "error: w diverged at task 191\n")
 
 
-@pytest.mark.parametrize("source", ["synthetic", "libsvm"])
-def test_a_run_builds_its_problem_once_and_a_sweep_value_twice(tmp_path, monkeypatch,
-                                                                source):
-    # the check's problem is the one the run runs; a sweep checks every value
-    # before it runs the first, so each value is built to check it and to run it
+@pytest.mark.parametrize("source,axis,values", [("synthetic", "problem_seed", ["1", "2"]),
+                                                ("libsvm", "path", ["a.svm", "b.svm"])],
+                         ids=["synthetic", "libsvm"])
+def test_a_run_builds_its_problem_once_and_a_sweep_once_per_problem(tmp_path, monkeypatch,
+                                                                     source, axis, values):
+    # the check's problem is the one the run runs, and sweep values whose
+    # [problem] sections are equal share one problem
     built, build_problem = [], ExperimentConfig.build_problem
 
     def counted(self):
-        built.append(self.P)
+        built.append(getattr(self, axis))
         return build_problem(self)
 
     monkeypatch.setattr(ExperimentConfig, "build_problem", counted)
-    write_libsvm(make_synthetic("l2-logistic", 40, 6, lam=0.05, seed=4), tmp_path / "a.svm")
-    cfg = small_config(tmp_path, source=source, path=str(tmp_path / "a.svm"))
+    monkeypatch.chdir(tmp_path)
+    for name in ("a.svm", "b.svm"):
+        write_libsvm(make_synthetic("l2-logistic", 40, 6, lam=0.05, seed=4), name)
+    cfg = small_config(tmp_path, source=source, path="a.svm")
     run_experiment(cfg)
-    assert built == [2]
+    assert built == [getattr(cfg, axis)]
     built.clear()
-    sweep(cfg, "P", ["1", "2", "4"], out_dir=str(tmp_path / "ps"))
-    assert built == [1, 2, 4, 1, 2, 4]
+    sweep(cfg, "P", ["1", "2", "4"], out_dir="ps")
+    assert built == [getattr(cfg, axis)]
+    built.clear()
+    sweep(cfg, axis, values, out_dir="problems")
+    assert built == [type(getattr(cfg, axis))(v) for v in values]
+
+
+@pytest.mark.parametrize("mode", ["sim", "socket"])
+def test_a_run_builds_each_part_once_and_a_sweep_once_per_value(tmp_path, monkeypatch, mode):
+    built = []
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kw):
+            built.append(name)
+            return original(*args, **kw)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    parts = ["stop_rule", "build_problem", "build_hyper", "build_cluster"]
+    for name in parts:
+        count(ExperimentConfig, name)
+    count(harness, "_build_nodes")
+    cfg = small_config(tmp_path, **(SOCKET if mode == "socket" else {}))
+    run_experiment(cfg)
+    assert built == [*parts, "_build_nodes"]
+    built.clear()
+    sweep(cfg, "P", ["1", "2"], out_dir=str(tmp_path / "ps"))
+    # the two values share the problem
+    assert built == [*parts, "_build_nodes", "stop_rule", *parts[2:], "_build_nodes"]
+
+
+# fields that the run never reads: a socket run measures compute time and
+# draws no latency, and serial svrg reads no [transport] field
+UNREAD = dict(latency="trace", grad_tick=-1.0)
+
+
+@pytest.mark.parametrize("fields", [dict(algo="svrg"), SOCKET,
+                                    dict(algo="svrg", mode="carrier-pigeon", timeout=0.0)],
+                         ids=["svrg", "socket", "svrg-any-transport"])
+def test_fields_the_run_never_reads_are_not_checked(tmp_path, fields):
+    cfg = small_config(tmp_path, **UNREAD, **fields)
+    assert cfg.validate() == []
+    assert len(run_experiment(cfg)) == cfg.S + 1
+    # a cluster run in sim mode reads both
+    assert dataclasses.replace(cfg, algo="dvrsgd", mode="sim").validate() == [
+        "unknown latency kind 'trace'", "grad_tick must be finite and >= 0, got -1.0"]
+
+
+def test_validate_reports_a_bad_endpoint_override(tmp_path, monkeypatch):
+    cfg = small_config(tmp_path, **SOCKET)
+    monkeypatch.setenv("DVRSGD_WORKER_0", "nonsense")
+    assert cfg.validate() == ["DVRSGD_WORKER_0: expected host:port, got 'nonsense'"]
+    # sim mode and serial svrg dial no endpoint
+    assert dataclasses.replace(cfg, mode="sim").validate() == []
+    assert dataclasses.replace(cfg, algo="svrg").validate() == []
 
 
 def test_sweep_over_paths_writes_one_file_per_path(tmp_path, monkeypatch, capsys):
