@@ -106,7 +106,7 @@ def run_cluster_socket(problem: Problem, hyper: HyperParams,
                        seed: int = 0, partition_strategy: str = "contiguous",
                        partition_seed: int = 0, stop_rule=None,
                        timeout: float = 60.0) -> RunResult:
-    """Run all roles in-process over real TCP sockets, served by one selector
+    """Run all roles in-process over real TCP sockets, served by one epoll
     loop that runs on the calling thread."""
     return _run_nodes(SocketCluster(addresses, timeout=timeout),
                       _build_nodes(problem, hyper, algo, seed=seed, grad_tick=0.0,
@@ -114,16 +114,21 @@ def run_cluster_socket(problem: Problem, hyper: HyperParams,
                                    partition_seed=partition_seed, stop_rule=stop_rule))
 
 
-def _run_serial_svrg(problem: Problem, hyper: HyperParams, seed: int) -> RunResult:
-    """Each stage's record is stamped as soon as its anchor exists."""
+def _run_serial_svrg(problem: Problem, hyper: HyperParams, seed: int,
+                     stop_rule) -> RunResult:
+    """Each stage's record is stamped as soon as its anchor exists; the run
+    ends after the first record ``stop_rule`` accepts, as a scheduler's does."""
     t0 = time.perf_counter()
-    records = []
+    records, stopped_early = [], False
     for s, w in enumerate(svrg_stages(problem, hyper.eta, hyper.m, hyper.S, seed=seed,
                                       B=hyper.B)):
         records.append(ProgressRecord(stage=s, objective=objective(problem, w),
                                       wall_time=time.perf_counter() - t0,
                                       comp_times=[0.0], comm_times=[0.0]))
-    return RunResult(records=records, snapshots=[], final_w=w, trace=None)
+        if stopped_early := s < hyper.S and stop_rule(records):
+            break
+    return RunResult(records=records, snapshots=[], final_w=w, trace=None,
+                     stopped_early=stopped_early)
 
 
 # -- configuration ------------------------------------------------------------
@@ -213,8 +218,8 @@ class ExperimentConfig:
         def build(make):
             try:
                 return make()
-            except ValueError as exc:
-                errors.append(str(exc))
+            except ValueError as exc:  # one reason a line (build_cluster)
+                errors.extend(str(exc).splitlines())
             except OSError as exc:  # only a libsvm source reads a file
                 errors.append(f"path {self.path!r} cannot be read: {exc.strerror}")
 
@@ -226,7 +231,7 @@ class ExperimentConfig:
         if self.algo == "svrg":  # worker 0's batch rule, on all N samples
             if problem and hyper:
                 build(lambda: check_batch_size(self.B, problem.n, 0))
-            return errors, lambda: _run_serial_svrg(problem, hyper, self.seed)
+            return errors, lambda: _run_serial_svrg(problem, hyper, self.seed, stop_rule)
         cluster = build(self.build_cluster)
         # sim mode models a sample gradient's compute time; socket mode measures it
         grad_tick = self.grad_tick if self.mode == "sim" else 0.0
@@ -261,18 +266,30 @@ class ExperimentConfig:
 
     def build_cluster(self) -> SimCluster | SocketCluster:
         """The transport that ``mode`` names, on the latency model or the
-        endpoints that it reads."""
+        endpoints that it reads.  A socket transport's error has one line
+        per reason: a bad endpoint override, the roles with no address and a
+        bad timeout."""
         if self.mode == "sim":
             return SimCluster(LatencyModel(self.latency, value=self.value, lo=self.lo,
                                            hi=self.hi, mean=self.mean,
                                            seed=self.transport_seed))
         if self.mode != "socket":
             raise ValueError(f"unknown transport mode {self.mode!r}")
-        endpoints = self.resolve_endpoints()
+        reasons, endpoints = [], self.endpoints  # an override renames no role
+        try:
+            endpoints = self.resolve_endpoints()
+        except ValueError as exc:
+            reasons.append(str(exc))
         roles = ["scheduler", "server", *(f"worker:{p}" for p in range(self.P))]
         if missing := [role for role in roles if role not in endpoints]:
-            raise ValueError(f"[endpoints] has no address for {', '.join(missing)}")
-        return SocketCluster(endpoints, timeout=self.timeout)
+            reasons.append(f"[endpoints] has no address for {', '.join(missing)}")
+        try:
+            cluster = SocketCluster(endpoints, timeout=self.timeout)
+        except ValueError as exc:
+            reasons.append(str(exc))
+        if reasons:
+            raise ValueError("\n".join(reasons))
+        return cluster
 
     def stop_rule(self):
         if self.stop == "fixed":

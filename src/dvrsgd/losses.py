@@ -144,13 +144,14 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _per_sample(problem: Problem, points: np.ndarray, idx: np.ndarray,
-                grads: np.ndarray | None = None,
+                grads: np.ndarray | None | bool = None,
                 losses: np.ndarray | None = None) -> np.ndarray | None:
     """Per-sample terms for every index, ridge included, from one gather of
     the rows and one inner product per point: the gradients grad f_i(w) for
     every point w in the (s, dim) stack ``points`` into ``grads``, a
-    C-contiguous (s, idx.size, dim) array, and the losses f_i(points[0]) into
-    ``losses``, an (idx.size,) array.  Either may be None; returns ``grads``."""
+    C-contiguous (s, idx.size, dim) array, None for a fresh one or False for
+    none, and the losses f_i(points[0]) into ``losses``, an (idx.size,) array,
+    or None for none.  Returns the gradient rows."""
     X = problem.features.take(idx, axis=0)  # features[idx], with less call overhead
     if problem.kind == "multiclass-logistic":
         k, d = problem.num_classes, problem.num_features
@@ -167,16 +168,19 @@ def _per_sample(problem: Problem, points: np.ndarray, idx: np.ndarray,
             np.log(total[:, 0], out=losses)
             losses += zmax[:, 0]
             losses -= picked
-        if grads is not None:
+        if grads is not False:
             P /= total[..., None]
             P[at, :, labels] -= 1.0
+            if grads is None:
+                grads = np.empty((points.shape[0], idx.size, k * d))
             rows = grads.reshape(points.shape[0], idx.size, k, d)
             for j in range(points.shape[0]):
                 np.einsum("nk,nd->nkd", P[:, j], X, out=rows[j])
     else:
         z = np.einsum("nd,sd->sn", X, points)
         if problem.kind == "quadratic":
-            coef = z - problem.targets[idx]
+            coef = z  # the residuals, formed in place on the fresh z
+            coef -= problem.targets[idx]
             if losses is not None:
                 np.multiply(0.5 * coef[0], coef[0], out=losses)
         else:
@@ -186,13 +190,13 @@ def _per_sample(problem: Problem, points: np.ndarray, idx: np.ndarray,
                 # log(1 + exp(-margin)) without overflow
                 np.log1p(np.exp(-np.abs(margin[0])), out=losses)
                 losses += np.maximum(-margin[0], 0.0)
-            if grads is not None:
+            if grads is not False:
                 coef = -s * _sigmoid(-margin)
-        if grads is not None:
-            np.multiply(coef[..., None], X, out=grads)
+        if grads is not False:
+            grads = np.multiply(coef[..., None], X, out=grads)
     if losses is not None:
         losses += 0.5 * problem.lam * float(np.einsum("d,d->", points[0], points[0]))
-    if grads is not None:
+    if grads is not False:
         grads += (problem.lam * points)[:, None, :]
     return grads
 
@@ -232,7 +236,7 @@ def _evaluate(problem: Problem, w: np.ndarray, idx: np.ndarray, *, grad: bool = 
         part = idx[lo:lo + block]
         stop = start + part.size
         _per_sample(problem, w[None], part,
-                    None if grads is None else grads[None, start:stop],
+                    False if grads is None else grads[None, start:stop],
                     None if losses is None else losses[start:stop])
         if grads is not None:
             grads[0] = _ordered_sum(grads[:stop])

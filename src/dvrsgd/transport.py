@@ -17,15 +17,17 @@ same schedule.  With ``collect_trace`` on (it is off by default) it records
 every send and delivery, in causal order, for invariant checking.
 
 ``SocketCluster`` serves every registered node behind real TCP endpoints
-speaking the frame format from ``protocol``, from one ``selectors`` loop that
-``wait`` runs on the calling thread.  A pair of endpoints shares one stream,
-written from both ends: whichever sends first dials it, and the other end
-answers on it, so a reply carries its request's ACK.  The loop accepts
-connections, cuts complete frames straight out of each ``recv`` result (a
-chunk that is one frame is decoded without a copy; only a frame split across
-chunks is buffered) and runs the receiving node's handler inline, so a frame
-costs one wake-up; outbound frames queue per stream, and each pass of the
-loop sends every queue that grew with one non-blocking ``send``.
+speaking the frame format from ``protocol``, from one ``select.epoll`` loop
+that ``wait`` runs on the calling thread, so it runs on Linux only.  A pair of
+endpoints shares one stream, written from both ends: whichever sends first
+dials it, and the other end answers on it, so a reply carries its request's
+ACK.  The loop accepts connections, cuts complete frames straight out of each
+``recv`` result (a chunk that is one frame is decoded without a copy; only a
+frame split across chunks is buffered) and runs the receiving node's handler
+inline, so a frame costs one wake-up; outbound frames queue per stream, and
+each pass of the loop sends every queue that grew with one non-blocking
+``send``.  One table maps each file descriptor that the loop polls to its
+stream, or to its listener and endpoint.
 It exists to show the same node code runs as an actual distributed program;
 the simulator is the substrate for experiments and tests.  The loop returns
 once every node it hosts can shut down.  Before that, the first exception from
@@ -41,7 +43,7 @@ import functools
 import heapq
 import itertools
 import math
-import selectors
+import select
 import socket
 import time
 from dataclasses import dataclass
@@ -73,6 +75,7 @@ _LATENCY_BLOCK = 1024
 # its own short bound rather than the run's whole timeout
 _CONNECT_TIMEOUT_S = 1.0
 _RECV_BYTES = 1 << 18
+_IN, _OUT = select.EPOLLIN, select.EPOLLOUT
 _HEAD = protocol.FRAME_HEAD.size
 _frame_len = protocol.FRAME_HEAD.unpack_from  # a frame's body length, from its header
 
@@ -261,7 +264,7 @@ class SocketCluster:
     """TCP transport: every endpoint listens and dials a peer at its first
     send to it, unless the peer dialed first; each direction keeps the first
     stream it was given, so a pair has one stream unless both ends dialed
-    before either accepted.  One selector loop, run on the calling thread by
+    before either accepted.  One epoll loop, run on the calling thread by
     ``wait``, accepts, reads, writes and runs every node's handler inline
     until every node can shut down or the first failure."""
 
@@ -273,10 +276,12 @@ class SocketCluster:
         self.timeout = timeout
         self.nodes: dict[str, Node] = {}
         self._live: list[Node] = []  # the nodes that could not yet shut down
-        self._socks: list[socket.socket] = []  # every socket opened, for close
+        # every socket opened, by file descriptor: a stream's _Connection, or
+        # a listener and the endpoint it serves
+        self._fds: dict[int, _Connection | tuple[socket.socket, str]] = {}
         self._conns: dict[tuple[str, str], _Connection] = {}  # each direction's, by (src, dst)
         self._unsent: list[_Connection] = []  # queues for the next _send_unsent
-        self._sel: selectors.BaseSelector | None = None
+        self._epoll: select.epoll | None = None
         self._t0 = time.monotonic()
         self._failure: tuple[str, Exception] | None = None
 
@@ -295,18 +300,18 @@ class SocketCluster:
 
     def start(self):
         """Bind every hosted endpoint's listener; ``wait`` serves them."""
-        self._sel = selectors.DefaultSelector()
+        self._epoll = select.epoll()
         for endpoint in self.nodes:
             host, port = self.addresses[endpoint]
             # each endpoint dials this one at most once, and the loop may be
             # busy in a connect of its own while the dials arrive, so the
             # kernel must be able to hold all of them unaccepted
             srv = socket.create_server((host, port), backlog=len(self.addresses))
+            self._fds[srv.fileno()] = (srv, endpoint)
             srv.setblocking(False)
-            self._socks.append(srv)
             # rebind in case port 0 was requested
             self.addresses[endpoint] = (host, srv.getsockname()[1])
-            self._sel.register(srv, selectors.EVENT_READ, endpoint)
+            self._epoll.register(srv.fileno(), _IN)
 
     def _quiescent(self) -> bool:
         # a node that can shut down stays able to (Node.can_shutdown), so
@@ -327,26 +332,29 @@ class SocketCluster:
             except Exception as exc:  # the node is broken: stop every node
                 self._fail(endpoint, exc)
                 break
-        self._send_unsent()
-        while self._failure is None and not self._quiescent():
+        # the loop's lookups, made once per run rather than once per event
+        poll, modify, fds = self._epoll.poll, self._epoll.modify, self._fds
+        read, send_unsent, quiescent = self._read, self._send_unsent, self._quiescent
+        send_unsent()
+        while self._failure is None and not quiescent():
             left = deadline - time.monotonic()
             if left <= 0:
                 raise TransportError(f"cluster did not finish within {self.timeout}s; "
                                      f"not done: {unfinished(self.nodes)}")
-            for key, mask in self._sel.select(left):
+            for fd, mask in poll(left):
                 if self._failure is not None:  # drop the rest of the batch
                     break
-                data = key.data
-                if isinstance(data, str):
-                    self._accept(key.fileobj, data)
+                entry = fds[fd]
+                if entry.__class__ is tuple:  # a listener and its endpoint
+                    self._accept(*entry)
                     continue
-                if mask & selectors.EVENT_WRITE:
+                if mask & _OUT:
                     # the stream can take more: back on the list to send
-                    self._sel.modify(data.sock, selectors.EVENT_READ, data)
-                    self._unsent.append(data)
-                if mask & selectors.EVENT_READ:
-                    self._read(data)
-            self._send_unsent()
+                    modify(fd, _IN)
+                    self._unsent.append(entry)
+                if mask & ~_OUT:  # EPOLLIN, or EPOLLHUP or EPOLLERR: recv finds it
+                    read(entry)
+            send_unsent()
         if self._failure is not None:
             where, exc = self._failure
             raise TransportError(f"{where}: {exc!r}") from exc
@@ -359,11 +367,10 @@ class SocketCluster:
         except OSError as exc:
             self._fail(endpoint, exc)
             return
-        self._socks.append(sock)
+        self._fds[sock.fileno()] = _Connection(sock, endpoint, endpoint)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # this end writes too
         sock.setblocking(False)
-        conn = _Connection(sock, endpoint, endpoint)
-        self._sel.register(sock, selectors.EVENT_READ, conn)
+        self._epoll.register(sock.fileno(), _IN)
 
     def _read(self, conn: _Connection):
         """Take what the stream has, and hand every complete frame in it to
@@ -426,20 +433,20 @@ class SocketCluster:
                 (host, port), timeout=min(self.timeout, _CONNECT_TIMEOUT_S))
         except OSError as exc:
             raise TransportError(f"cannot connect {src} -> {dst}: {exc}") from exc
-        self._socks.append(sock)
+        conn = self._fds[sock.fileno()] = _Connection(sock, src, f"{src} <- {dst}", dst)
+        self._conns[(src, dst)] = conn
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.setblocking(False)
-        conn = self._conns[(src, dst)] = _Connection(sock, src, f"{src} <- {dst}", dst)
         conn.outbuf += protocol.hello(src)
         self._unsent.append(conn)
-        self._sel.register(sock, selectors.EVENT_READ, conn)
+        self._epoll.register(sock.fileno(), _IN)
         return conn
 
     def _send_unsent(self):
         """Send every queue on the list; the only code that sends.  A queue
         joins the list when it gains bytes or when its socket becomes
-        writable again; what a socket does not take waits for EVENT_WRITE,
-        which the socket's registration adds to EVENT_READ meanwhile."""
+        writable again; what a socket does not take waits for EPOLLOUT,
+        which the socket's registration adds to EPOLLIN meanwhile."""
         unsent, self._unsent = self._unsent, []
         for conn in unsent:
             try:
@@ -451,7 +458,7 @@ class SocketCluster:
                 return
             del conn.outbuf[:sent]
             if conn.outbuf:
-                self._sel.modify(conn.sock, selectors.EVENT_READ | selectors.EVENT_WRITE, conn)
+                self._epoll.modify(conn.sock.fileno(), _IN | _OUT)
 
     def send(self, src: str, dst: str, msg):
         """Queue ``msg``'s frame behind the unsent bytes of src's stream to dst;
@@ -483,10 +490,10 @@ class SocketCluster:
             self.close()
 
     def close(self):
-        """Close every socket and the selector."""
-        for sock in self._socks:
-            sock.close()
-        self._socks.clear()
+        """Close every socket and the epoll object."""
+        for entry in self._fds.values():
+            (entry[0] if entry.__class__ is tuple else entry.sock).close()
+        self._fds.clear()
         self._conns.clear()
-        if self._sel is not None:
-            self._sel.close()
+        if self._epoll is not None:
+            self._epoll.close()

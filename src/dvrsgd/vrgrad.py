@@ -65,11 +65,15 @@ def _vr_gradient(problem: Problem, w: np.ndarray, snapshot: Snapshot,
     """``vr_gradient`` without its input checks: w is a float64 vector and
     idx a nonempty int64 array of in-range sample indices.  A w whose length
     differs from the anchor's still raises, in ``np.array``."""
-    buf = _per_sample(problem, np.array((w, snapshot.anchor)), idx,
-                      np.empty((2, idx.size, problem.dim)))
-    diff = buf[0]
-    diff -= buf[1]
-    return _ordered_sum(diff) / idx.size + snapshot.anchor_grad
+    rows = _per_sample(problem, np.array((w, snapshot.anchor)), idx)
+    diff = rows[0]
+    diff -= rows[1]
+    # diff is a fresh C-contiguous block, so past one column np.add.reduce
+    # adds its rows in order (_ordered_sum); the sum is fresh too
+    out = np.add.reduce(diff, axis=0) if problem.dim > 1 else _ordered_sum(diff)
+    out /= idx.size
+    out += snapshot.anchor_grad
+    return out
 
 
 def draw_batch(rng: np.random.Generator, pool: np.ndarray, size: int) -> np.ndarray:

@@ -253,6 +253,23 @@ def test_serial_svrg_algo_path_draws_batches_of_B(tmp_path):
     assert [r.objective for r in records] == [objective(problem, w) for w in want]
 
 
+def test_serial_svrg_stops_after_the_first_record_its_rule_accepts(tmp_path):
+    # the objective first reaches 0.6 at stage 10 of 20
+    cfg = ExperimentConfig(algo="svrg", n=60, d=5, kind="l2-logistic", lam=0.01, eta=0.1,
+                           B=5, m=10, S=20, stop="target", target_objective=0.6,
+                           out=str(tmp_path / "run.csv"))
+    result = harness._check(cfg, {})()
+    assert [r.objective <= 0.6 for r in result.records] == [False] * 10 + [True]
+    assert result.stopped_early
+    # the records are the first ones of the run that does not stop
+    full = run_experiment(dataclasses.replace(cfg, stop="fixed"))
+    assert len(full) == 21
+    assert [r.objective for r in full[:11]] == [r.objective for r in result.records]
+    # as in a scheduler, a stop at the last stage is not an early one
+    result = harness._check(dataclasses.replace(cfg, S=10), {})()
+    assert len(result.records) == 11 and not result.stopped_early
+
+
 def test_serial_svrg_stamps_each_stage_when_its_anchor_exists(tmp_path, monkeypatch):
     # a clock that reads the inner steps taken so far: stage s ends after s*m
     steps, vr_gradient = [0], baselines.vr_gradient
@@ -414,6 +431,10 @@ def test_validate_names_every_role_missing_from_endpoints(tmp_path, capsys):
     assert cfg.validate() == ["[endpoints] has no address for scheduler, server, "
                               "worker:0, worker:1, worker:2, worker:3"]
     assert dataclasses.replace(cfg, algo="svrg").validate() == []  # it opens no socket
+    # a bad timeout is listed beside the missing roles
+    assert dataclasses.replace(cfg, timeout=0.0).validate() == [
+        "[endpoints] has no address for scheduler, server, worker:0, worker:1, worker:2, "
+        "worker:3", "timeout must be finite and > 0, got 0.0"]
     # the sweep exits 1 before it runs P=2
     small_config(tmp_path, **SOCKET).to_file(tmp_path / "exp.ini")
     out = tmp_path / "workers"
@@ -871,6 +892,10 @@ def test_validate_reports_a_bad_endpoint_override(tmp_path, monkeypatch):
     cfg = small_config(tmp_path, **SOCKET)
     monkeypatch.setenv("DVRSGD_WORKER_0", "nonsense")
     assert cfg.validate() == ["DVRSGD_WORKER_0: expected host:port, got 'nonsense'"]
+    # and so are a missing role and a bad timeout
+    assert dataclasses.replace(cfg, P=3, timeout=-1.0).validate() == [
+        "DVRSGD_WORKER_0: expected host:port, got 'nonsense'",
+        "[endpoints] has no address for worker:2", "timeout must be finite and > 0, got -1.0"]
     # sim mode and serial svrg dial no endpoint
     assert dataclasses.replace(cfg, mode="sim").validate() == []
     assert dataclasses.replace(cfg, algo="svrg").validate() == []

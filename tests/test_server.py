@@ -171,6 +171,26 @@ def test_apply_hybrid_exact_arithmetic():
     assert np.array_equal(out, np.array([0.25, 1.0]))
 
 
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+def test_apply_hybrid_matches_the_formula_bitwise_and_only_reads_its_inputs(theta):
+    rng = np.random.default_rng(5)
+    eta = 0.01
+    for dim in (1, 7, 50, 2000):
+        w, w_hat, delta = (rng.normal(size=dim) for _ in range(3))
+        want = (1 - theta) * (w - eta * delta) + theta * (w_hat - eta * delta)
+        kept = [w.copy(), w_hat.copy(), delta.copy()]
+        assert np.array_equal(apply_hybrid(w, w_hat, delta, eta, theta), want)
+        for got, before in zip((w, w_hat, delta), kept):
+            assert np.array_equal(got, before)
+        # read-only inputs, as decoded frames are, do too
+        for a in (w, w_hat, delta):
+            a.setflags(write=False)
+        out = apply_hybrid(w, w_hat, delta, eta, theta)
+        assert np.array_equal(out, want)
+        assert out.flags.writeable and not any(np.shares_memory(out, a)
+                                               for a in (w, w_hat, delta))
+
+
 def test_apply_update_theta_endpoints():
     # theta=1 lands on w_bar = w_hat - eta*delta, theta=0 on w - eta*delta
     for theta, expect in [(1.0, np.array([0.5, 1.0])), (0.0, np.array([0.8, 1.0]))]:

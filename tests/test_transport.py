@@ -520,10 +520,58 @@ def test_socket_run_with_hundreds_of_workers_completes(monkeypatch):
 
 def test_close_of_an_idle_cluster_closes_its_listener():
     cluster = _started(a=Sink(expect=1))
-    (listener,) = cluster._socks
+    [(listener, _)] = cluster._fds.values()
     cluster.close()
     assert listener.fileno() == -1
     cluster.close()  # a second close is harmless
+
+
+def _closed_clusters(monkeypatch) -> list:
+    """Record each SocketCluster that closes from here on, with the sockets
+    its fd table held just before."""
+    closed, close = [], SocketCluster.close
+
+    def recording(self):
+        socks = [e[0] if isinstance(e, tuple) else e.sock for e in self._fds.values()]
+        close(self)
+        closed.append((self, socks))
+
+    monkeypatch.setattr(SocketCluster, "close", recording)
+    return closed
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["finished", "failed"])
+def test_close_after_a_run_closes_its_epoll_and_every_socket_it_registered(monkeypatch,
+                                                                            fails):
+    closed, dials = _closed_clusters(monkeypatch), _count_dials(monkeypatch)
+    handle = WorkerNode.handle
+
+    def faulty(self, src, msg):
+        if self.worker_id == 1 and isinstance(msg, PullResponse) \
+                and msg.task.kind == TaskKind.UPDATE:
+            raise RuntimeError("injected fault")
+        return handle(self, src, msg)
+
+    if fails:
+        monkeypatch.setattr(WorkerNode, "handle", faulty)
+    p = make_synthetic("quadratic", 200, 5, seed=1)
+    h = HyperParams(eta=0.01, theta=0.5, tau=2, B=4, m=40, S=2, P=2)
+    roles = ["scheduler", "server", "worker:0", "worker:1"]
+    try:
+        run_cluster_socket(p, h, {r: ("127.0.0.1", 0) for r in roles}, seed=3, timeout=30.0)
+        assert not fails
+    except TransportError:
+        assert fails
+    [(cluster, socks)] = closed
+    # a listener per endpoint, the dialing end of every stream, and the
+    # accepting end of every stream accepted before the run ended
+    if fails:
+        assert len(roles) + len(dials) <= len(socks) <= len(roles) + 2 * len(dials)
+    else:
+        assert len(socks) == len(roles) + 2 * len(dials) == 14
+    assert all(sock.fileno() == -1 for sock in socks)
+    assert cluster._epoll.closed
+    assert cluster._fds == {} and cluster._conns == {}
 
 
 def _run_with_fault(expect: str):
@@ -716,4 +764,4 @@ def test_socket_cluster_needs_an_address_for_every_endpoint():
     # the send dials nothing: the endpoint has no address to dial
     with pytest.raises(TransportError, match="^unknown endpoint 'b'$"):
         cluster.send("a", "b", Stop())
-    assert cluster._socks == []
+    assert cluster._fds == {}
